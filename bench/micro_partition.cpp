@@ -4,18 +4,25 @@
  *
  * For every Table 2 benchmark, all of its CZ gates are merged into one
  * commutable block and replicated at several depth multipliers (deep
- * blocks are where the Coloring path's per-qubit clique expansion —
+ * blocks are where the graph coloring's per-qubit clique expansion —
  * O(k^2) edges for a qubit used in k gates — dominates compile time).
- * Each block is partitioned under every StagePartitionStrategy; the
- * harness times the partition alone, checks `linear` is bit-identical
- * to `coloring` (same greedy order, same colors), checks `balanced`
- * keeps the stage count with qubit-disjoint coverage-complete stages
- * without widening any stage, and reports the linear-vs-coloring
- * speedup plus the max-stage-width reduction balanced buys. Depth-1
- * rows also time Enola's iterated-MIS extraction — the paper's
- * Sec. 7.2 compile-time comparison the pre-rewrite Google-Benchmark
- * harness carried (deeper rows skip it; iterated MIS is quadratic in
- * stages and would dominate the run).
+ * Each block is partitioned three ways:
+ *
+ *   coloring   the paper's materialized-graph coloring, the test oracle
+ *              in tests/oracles/ (not in the library; the library's
+ *              `--stage-partition=coloring` is an alias of `linear`)
+ *   linear     the library's graph-free qubit scan (the default)
+ *   balanced   the linear scan plus the width rebalance
+ *
+ * The harness times the partition alone, checks `linear` is
+ * bit-identical to `coloring` (same greedy order, same colors), checks
+ * `balanced` keeps the stage count with qubit-disjoint
+ * coverage-complete stages without widening any stage, and reports the
+ * linear-vs-coloring speedup plus the max-stage-width reduction
+ * balanced buys. Depth-1 rows also time Enola's iterated-MIS
+ * extraction — the paper's Sec. 7.2 compile-time comparison the
+ * pre-rewrite Google-Benchmark harness carried (deeper rows skip it;
+ * iterated MIS is quadratic in stages and would dominate the run).
  *
  * Flags:
  *   --smoke       one small entry per family, shallow depths (CI mode)
@@ -38,6 +45,7 @@
 
 #include "enola/mis.hpp"
 #include "harness.hpp"
+#include "oracles/reference_partition.hpp"
 #include "report/table.hpp"
 #include "schedule/stage_partition.hpp"
 #include "workloads/suite.hpp"
@@ -88,10 +96,24 @@ atDepth(const CzBlock &block, std::size_t depth)
     return deep;
 }
 
-constexpr StagePartitionStrategy kStrategies[] = {
-    StagePartitionStrategy::Coloring,
-    StagePartitionStrategy::Linear,
-    StagePartitionStrategy::Balanced,
+enum Partitioner
+{
+    kColoring,
+    kLinear,
+    kBalanced,
+    kNumPartitioners
+};
+
+struct PartitionerInfo
+{
+    const char *name;
+    std::vector<Stage> (*partition)(const CzBlock &, std::size_t);
+};
+
+constexpr PartitionerInfo kPartitioners[kNumPartitioners] = {
+    {"coloring", &partitionIntoStages},
+    {"linear", &partitionIntoStagesLinear},
+    {"balanced", &partitionIntoStagesBalanced},
 };
 
 std::size_t
@@ -191,22 +213,19 @@ main(int argc, char **argv)
             const std::string key_base =
                 entry.name + "|x" + std::to_string(depth);
 
-            std::map<StagePartitionStrategy, std::vector<Stage>> stages;
-            std::map<StagePartitionStrategy, double> micros;
-            for (const StagePartitionStrategy strategy : kStrategies) {
-                stages[strategy] =
-                    partitionIntoStagesBy(strategy, block, entry.num_qubits);
-                micros[strategy] = bench::minOfNWallMicros([&] {
-                    auto result = partitionIntoStagesBy(strategy, block,
-                                                        entry.num_qubits);
+            std::vector<Stage> stages[kNumPartitioners];
+            double micros[kNumPartitioners];
+            for (int p = 0; p < kNumPartitioners; ++p) {
+                const PartitionerInfo &info = kPartitioners[p];
+                stages[p] = info.partition(block, entry.num_qubits);
+                micros[p] = bench::minOfNWallMicros([&] {
+                    auto result = info.partition(block, entry.num_qubits);
                     (void)result;
                 });
-                records.push_back(
-                    {key_base + "|" +
-                         std::string(stagePartitionStrategyName(strategy)),
-                     block.gates.size(), micros[strategy],
-                     stages[strategy].size(),
-                     maxStageWidth(stages[strategy])});
+                records.push_back({key_base + "|" + info.name,
+                                   block.gates.size(), micros[p],
+                                   stages[p].size(),
+                                   maxStageWidth(stages[p])});
             }
 
             // Enola baseline, shallow rows only (Sec. 7.2 comparison).
@@ -222,9 +241,9 @@ main(int argc, char **argv)
                                    mis_us, 0, 0});
             }
 
-            const auto &coloring = stages[StagePartitionStrategy::Coloring];
-            const auto &linear = stages[StagePartitionStrategy::Linear];
-            const auto &balanced = stages[StagePartitionStrategy::Balanced];
+            const auto &coloring = stages[kColoring];
+            const auto &linear = stages[kLinear];
+            const auto &balanced = stages[kBalanced];
 
             ++checked;
             if (!sameStages(coloring, linear)) {
@@ -249,11 +268,9 @@ main(int argc, char **argv)
                 ++balanced_mismatches;
             }
 
-            const double speedup =
-                micros[StagePartitionStrategy::Linear] > 0.0
-                    ? micros[StagePartitionStrategy::Coloring] /
-                          micros[StagePartitionStrategy::Linear]
-                    : 0.0;
+            const double speedup = micros[kLinear] > 0.0
+                                       ? micros[kColoring] / micros[kLinear]
+                                       : 0.0;
             if (depth == deepest)
                 deepest_speedups.push_back(speedup);
             width_reduced +=
@@ -263,10 +280,8 @@ main(int argc, char **argv)
             table.addRow(
                 {entry.name, "x" + std::to_string(depth),
                  std::to_string(block.gates.size()),
-                 fmt(micros[StagePartitionStrategy::Coloring], "%.1f"),
-                 fmt(micros[StagePartitionStrategy::Linear], "%.1f"),
-                 fmt(speedup, "%.1fx"),
-                 fmt(micros[StagePartitionStrategy::Balanced], "%.1f"),
+                 fmt(micros[kColoring], "%.1f"), fmt(micros[kLinear], "%.1f"),
+                 fmt(speedup, "%.1fx"), fmt(micros[kBalanced], "%.1f"),
                  mis_cell, std::to_string(coloring.size()),
                  std::to_string(maxStageWidth(coloring)) + ">" +
                      std::to_string(maxStageWidth(balanced))});

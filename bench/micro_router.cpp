@@ -1,34 +1,38 @@
 /**
  * @file
- * Routing-strategy comparison, fast-path differential, and the
- * fast-path speedup gate.
+ * Routing-strategy comparison, the continuous router's differential
+ * against its oracle, and the speedup gate over that oracle.
  *
  * For every Table 2 benchmark, all CZ gates are merged into one
  * commutable block, replicated at depth multipliers {1, 4, 16}, and
  * partitioned/ordered into the stage sequence the pipeline would hand
  * the routing pass. The harness times the routing pass — router
- * construction plus every stage transition — under three strategies:
+ * construction plus every stage transition — for three routers:
  *
- *   continuous   the reference ContinuousRouter (paper Sec. 5)
- *   fast         FastContinuousRouter, the incremental fast path
- *   windowed     WindowedRouter at the default window of 8
+ *   reference    ReferenceContinuousRouter, the per-transition-rebuild
+ *                formulation of paper Sec. 5 (the test oracle in
+ *                tests/oracles/; not in the library)
+ *   continuous   ContinuousRouter, the library's incremental router
+ *                behind --routing=continuous and its alias `fast`
+ *   windowed     WindowedRouter at the default window of 8, running
+ *                every candidate through ContinuousRouter
  *
- * The fast path's win is eliminating the reference's per-transition
- * O(qubits + sites) scratch rebuild, so its speedup depends on the
- * stage-width : machine-size ratio. Table 2's entries (n <= 36) are
- * mover-dominated and show 1.3-2x; the asymptotic case is a narrow
- * stage on a big machine, where the rebuild is nearly all of the
- * reference's work. Dedicated scale rows (BV and VQE family instances
- * at 256-1024 qubits, depth 16) pin that regime, and the regression
- * gate — median fast-path speedup across the scale rows >= 5x — runs
- * on them in CI so the fast path can never silently decay into a
- * second copy of the reference.
+ * The incremental router's win is eliminating the reference's
+ * per-transition O(qubits + sites) scratch rebuild, so its speedup
+ * depends on the stage-width : machine-size ratio. Table 2's entries
+ * (n <= 36) are mover-dominated and show 1-3x; the asymptotic case is
+ * a narrow stage on a big machine, where the rebuild is nearly all of
+ * the reference's work. Dedicated scale rows (BV and VQE family
+ * instances at 256-1024 qubits, depth 16) pin that regime, and the
+ * regression gate — median speedup over the reference across the scale
+ * rows >= 5x — runs on them in CI so the library router can never
+ * silently decay into a second copy of the reference.
  *
- * The harness also runs an untimed differential — continuous vs fast
- * over every stage sequence of every row, in both zone configurations,
- * comparing plans move-for-move and final layouts — and reports the
- * movement-quality delta the windowed search buys on the Table 2 rows
- * (total move distance and move count vs the reference).
+ * The harness also runs an untimed differential — reference vs
+ * continuous over every stage sequence of every row, in both zone
+ * configurations, comparing plans move-for-move and final layouts —
+ * and reports the movement-quality delta the windowed search buys on
+ * the Table 2 rows (total move distance and move count vs continuous).
  *
  * Flags:
  *   --smoke       one small entry per family + the scale rows
@@ -50,8 +54,8 @@
 #include <vector>
 
 #include "harness.hpp"
+#include "oracles/reference_router.hpp"
 #include "report/table.hpp"
-#include "route/fast_router.hpp"
 #include "route/router.hpp"
 #include "route/windowed_router.hpp"
 #include "schedule/stage_order.hpp"
@@ -136,17 +140,13 @@ atDepth(const CzBlock &block, std::size_t depth)
 }
 
 /**
- * The stage sequence the pipeline would hand the routing pass. Uses
- * the linear partition strategy — bit-identical stages to the default
- * coloring path (micro_partition gates that), but without its
- * quadratic clique expansion, which would dominate this harness's
- * setup on the star-shaped BV scale rows.
+ * The stage sequence the pipeline would hand the routing pass, from
+ * the library's (linear) partition.
  */
 std::vector<Stage>
 stagesFor(const CzBlock &block, std::size_t num_qubits)
 {
-    return orderStages(partitionIntoStagesBy(StagePartitionStrategy::Linear,
-                                             block, num_qubits),
+    return orderStages(partitionIntoStagesLinear(block, num_qubits),
                        StageOrderOptions{});
 }
 
@@ -200,41 +200,39 @@ routeMicros(const Machine &machine, std::size_t num_qubits,
 }
 
 /**
- * Untimed differential: continuous vs fast over @p stages, plan by
- * plan, in one zone configuration. Returns false on any divergence.
+ * Untimed differential: reference vs continuous over @p stages, plan
+ * by plan, in one zone configuration. Returns false on any divergence.
  */
 bool
 differentialHolds(const Machine &machine, const std::vector<Stage> &stages,
                   std::size_t num_qubits, bool use_storage, const char *key)
 {
     const RouterOptions options{use_storage, kSeed};
-    ContinuousRouter reference(machine, options);
-    FastContinuousRouter fast(machine, options);
+    ReferenceContinuousRouter reference(machine, options);
+    ContinuousRouter router(machine, options);
     Layout ref_layout(machine, num_qubits);
-    Layout fast_layout(machine, num_qubits);
+    Layout layout(machine, num_qubits);
     placeRowMajor(ref_layout,
                   use_storage ? ZoneKind::Storage : ZoneKind::Compute);
-    fast_layout.assignFrom(ref_layout);
+    layout.assignFrom(ref_layout);
 
     for (std::size_t s = 0; s < stages.size(); ++s) {
         const auto ref_plan =
             reference.planStageTransition(ref_layout, stages[s]);
-        const auto fast_plan =
-            fast.planStageTransition(fast_layout, stages[s]);
-        if (ref_plan.moves != fast_plan.moves ||
-            ref_plan.labels != fast_plan.labels ||
-            ref_plan.num_parked != fast_plan.num_parked ||
-            ref_plan.num_evicted != fast_plan.num_evicted) {
+        const auto plan = router.planStageTransition(layout, stages[s]);
+        if (ref_plan.moves != plan.moves || ref_plan.labels != plan.labels ||
+            ref_plan.num_parked != plan.num_parked ||
+            ref_plan.num_evicted != plan.num_evicted) {
             std::fprintf(stderr,
-                         "%s (%s storage): fast DIVERGED from continuous at "
-                         "stage %zu/%zu\n",
+                         "%s (%s storage): continuous DIVERGED from the "
+                         "reference at stage %zu/%zu\n",
                          key, use_storage ? "with" : "without", s,
                          stages.size());
             return false;
         }
     }
     for (QubitId q = 0; q < num_qubits; ++q) {
-        if (ref_layout.siteOf(q) != fast_layout.siteOf(q)) {
+        if (ref_layout.siteOf(q) != layout.siteOf(q)) {
             std::fprintf(stderr,
                          "%s (%s storage): final layouts differ at qubit %u\n",
                          key, use_storage ? "with" : "without",
@@ -284,7 +282,7 @@ main(int argc, char **argv)
     std::size_t differential_failures = 0;
     std::vector<double> gate_speedups;
 
-    TextTable table({"Benchmark", "depth", "stages", "cont(us)", "fast(us)",
+    TextTable table({"Benchmark", "depth", "stages", "ref(us)", "cont(us)",
                      "speedup", "win8(us)", "dist save", "moves save"});
     const std::vector<Entry> entries = makeEntries(smoke);
     for (const Entry &entry : entries) {
@@ -305,40 +303,41 @@ main(int argc, char **argv)
                     ++differential_failures;
             }
 
+            const auto make_reference = [&] {
+                return std::make_unique<ReferenceContinuousRouter>(
+                    machine, RouterOptions{true, kSeed});
+            };
             const auto make_continuous = [&] {
                 return std::make_unique<ContinuousRouter>(
                     machine, RouterOptions{true, kSeed});
             };
-            const auto make_fast = [&] {
-                return std::make_unique<FastContinuousRouter>(
-                    machine, RouterOptions{true, kSeed});
-            };
 
+            const double reference_us = routeMicros(
+                machine, entry.num_qubits, stages, make_reference);
             const double continuous_us = routeMicros(
                 machine, entry.num_qubits, stages, make_continuous);
-            const double fast_us =
-                routeMicros(machine, entry.num_qubits, stages, make_fast);
+            const RouteOutcome reference_out = routeOutcome(
+                machine, entry.num_qubits, stages, make_reference);
             const RouteOutcome continuous_out = routeOutcome(
                 machine, entry.num_qubits, stages, make_continuous);
-            const RouteOutcome fast_out =
-                routeOutcome(machine, entry.num_qubits, stages, make_fast);
 
             const double speedup =
-                fast_us > 0.0 ? continuous_us / fast_us : 0.0;
+                continuous_us > 0.0 ? reference_us / continuous_us : 0.0;
             if (entry.scale_row)
                 gate_speedups.push_back(speedup);
 
+            records.push_back({key_base + "|reference", stages.size(),
+                               reference_us, reference_out.moves,
+                               reference_out.distance_um});
             records.push_back({key_base + "|continuous", stages.size(),
                                continuous_us, continuous_out.moves,
                                continuous_out.distance_um});
-            records.push_back({key_base + "|fast", stages.size(), fast_us,
-                               fast_out.moves, fast_out.distance_um});
 
             // Movement quality: how much travel the windowed search
-            // saves over the reference. Quality is the windowed path's
-            // story on realistic Table 2 sizes; scale rows skip it
-            // (window x thousands of stages adds minutes for a column
-            // the gate never reads).
+            // saves over the continuous router. Quality is the windowed
+            // path's story on realistic Table 2 sizes; scale rows skip
+            // it (window x thousands of stages adds minutes for a
+            // column the gate never reads).
             std::string win_cell = "-", dist_cell = "-", moves_cell = "-";
             if (!entry.scale_row) {
                 struct WindowedHolder
@@ -387,7 +386,8 @@ main(int argc, char **argv)
 
             table.addRow({entry.name, "x" + std::to_string(depth),
                           std::to_string(stages.size()),
-                          fmt(continuous_us, "%.1f"), fmt(fast_us, "%.1f"),
+                          fmt(reference_us, "%.1f"),
+                          fmt(continuous_us, "%.1f"),
                           fmt(speedup, "%.1fx"), win_cell, dist_cell,
                           moves_cell});
         }
@@ -402,8 +402,8 @@ main(int argc, char **argv)
                               : gate_speedups[gate_speedups.size() / 2];
     const double max_speedup =
         gate_speedups.empty() ? 0.0 : gate_speedups.back();
-    std::printf("fast vs continuous on the scale rows: min %.1fx, median "
-                "%.1fx, max %.1fx (floor: median >= %.1fx)\n",
+    std::printf("continuous vs reference on the scale rows: min %.1fx, "
+                "median %.1fx, max %.1fx (floor: median >= %.1fx)\n",
                 min_speedup, median_speedup, max_speedup, kMinMedianSpeedup);
 
     if (!json_path.empty()) {
@@ -413,7 +413,7 @@ main(int argc, char **argv)
                          json_path.c_str());
             return 2;
         }
-        out << "{\n  \"schema\": 1,\n  \"smoke\": "
+        out << "{\n  \"schema\": 2,\n  \"smoke\": "
             << (smoke ? "true" : "false")
             << ",\n  \"median_scale_speedup\": "
             << fmt(median_speedup, "%.2f")
@@ -439,8 +439,9 @@ main(int argc, char **argv)
     }
     if (median_speedup < kMinMedianSpeedup) {
         std::fprintf(stderr,
-                     "fast-path regression: median scale-row speedup %.2fx "
-                     "is below the %.1fx floor\n",
+                     "continuous-router regression: median scale-row "
+                     "speedup over the reference %.2fx is below the %.1fx "
+                     "floor\n",
                      median_speedup, kMinMedianSpeedup);
         return 1;
     }

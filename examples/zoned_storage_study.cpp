@@ -42,8 +42,9 @@ main()
                 "inStorage", "inCompute", "parked", "moves");
     std::size_t stage_index = 0;
     for (const auto *block : circuit.blocks()) {
-        auto stages = orderStages(
-            partitionIntoStages(*block, num_qubits), StageOrderOptions{});
+        auto stages =
+            orderStages(partitionIntoStagesLinear(*block, num_qubits),
+                        StageOrderOptions{});
         for (const auto &stage : stages) {
             const auto plan = router.planStageTransition(layout, stage);
             std::printf("%-6zu %-6zu %-9zu %-9zu %-8zu %-8zu\n", stage_index,

@@ -1,7 +1,6 @@
 #include "common/graph.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -49,66 +48,6 @@ Graph::maxDegree() const
     for (const auto &nbrs : adjacency_)
         best = std::max(best, nbrs.size());
     return best;
-}
-
-std::vector<Graph::Vertex>
-verticesByDegreeDesc(const Graph &graph)
-{
-    std::vector<Graph::Vertex> order(graph.numVertices());
-    std::iota(order.begin(), order.end(), Graph::Vertex{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&graph](Graph::Vertex a, Graph::Vertex b) {
-                         return graph.degree(a) > graph.degree(b);
-                     });
-    return order;
-}
-
-std::vector<std::uint32_t>
-greedyColoring(const Graph &graph, const std::vector<Graph::Vertex> &order)
-{
-    PM_ASSERT(order.size() == graph.numVertices(),
-              "coloring order must cover every vertex");
-    constexpr std::uint32_t kUncolored = ~std::uint32_t{0};
-    std::vector<std::uint32_t> color(graph.numVertices(), kUncolored);
-    // Greedy coloring uses at most maxDegree + 1 colors.
-    std::vector<bool> available(graph.maxDegree() + 1, true);
-    for (const auto vertex : order) {
-        std::fill(available.begin(), available.end(), true);
-        for (const auto neighbor : graph.adjacents(vertex)) {
-            const auto c = color[neighbor];
-            if (c != kUncolored && c < available.size())
-                available[c] = false;
-        }
-        for (std::uint32_t c = 0; c < available.size(); ++c) {
-            if (available[c]) {
-                color[vertex] = c;
-                break;
-            }
-        }
-        PM_ASSERT(color[vertex] != kUncolored, "greedy coloring ran out of colors");
-    }
-    return color;
-}
-
-std::uint32_t
-numColors(const std::vector<std::uint32_t> &coloring)
-{
-    std::uint32_t top = 0;
-    for (const auto c : coloring)
-        top = std::max(top, c + 1);
-    return top;
-}
-
-bool
-isProperColoring(const Graph &graph, const std::vector<std::uint32_t> &coloring)
-{
-    if (coloring.size() != graph.numVertices())
-        return false;
-    for (const auto &[u, v] : graph.edges()) {
-        if (coloring[u] == coloring[v])
-            return false;
-    }
-    return true;
 }
 
 Graph

@@ -1,11 +1,11 @@
 /**
  * @file
- * A small undirected graph library.
- *
- * Used in two roles: (1) the CZ *interaction graph* whose vertices are
- * gates and whose edges join gates sharing a qubit (stage partitioning
- * colors this graph, paper Alg. 1), and (2) problem graphs for workload
- * generation (random d-regular graphs for QAOA, G(n, p) for QAOA-random).
+ * A small undirected graph library: problem graphs for workload
+ * generation (random d-regular graphs for QAOA, G(n, p) for
+ * QAOA-random). The paper's Alg. 1 conflict graph and its greedy
+ * coloring are built on it only by the partition test oracle
+ * (tests/oracles/reference_partition.hpp); the library partitions
+ * without materializing that graph (schedule/stage_partition.hpp).
  */
 
 #ifndef POWERMOVE_COMMON_GRAPH_HPP
@@ -67,26 +67,6 @@ class Graph
     std::vector<std::pair<Vertex, Vertex>> edge_list_;
     std::size_t num_edges_ = 0;
 };
-
-/** Vertices sorted by descending degree (ties by ascending index). */
-std::vector<Graph::Vertex> verticesByDegreeDesc(const Graph &graph);
-
-/**
- * Greedy coloring that processes vertices in the given order, assigning
- * each the smallest color unused among its neighbors (core of paper
- * Alg. 1).
- *
- * @return one color per vertex, colors are dense starting at 0.
- */
-std::vector<std::uint32_t> greedyColoring(
-    const Graph &graph, const std::vector<Graph::Vertex> &order);
-
-/** Number of distinct colors in a coloring. */
-std::uint32_t numColors(const std::vector<std::uint32_t> &coloring);
-
-/** True if no edge of @p graph joins two equal colors. */
-bool isProperColoring(const Graph &graph,
-                      const std::vector<std::uint32_t> &coloring);
 
 /**
  * Generates a random d-regular simple graph via the configuration model

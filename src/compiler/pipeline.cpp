@@ -270,10 +270,8 @@ StageOrderPass::run(PipelineContext &ctx, std::vector<Stage> stages) const
 }
 
 RoutingPass::RoutingPass(PipelineContext &ctx)
-    : router_(ctx.machine,
-              RouterOptions{ctx.options.use_storage, ctx.options.seed},
-              ctx.rng)
 {
+    const RouterOptions options{ctx.options.use_storage, ctx.options.seed};
     // Atom reuse trades storage round trips for compute-zone residency,
     // which only exists as a trade when there is a storage zone to
     // round-trip to; storage-free configurations route continuously.
@@ -286,20 +284,14 @@ RoutingPass::RoutingPass(PipelineContext &ctx)
             ReuseRouterOptions{ctx.options.reuse_lookahead,
                                ctx.options.seed, ctx.options.residency},
             ctx.rng);
-    }
-    if (ctx.options.routing == RoutingStrategy::Fast) {
-        fast_router_ = std::make_unique<FastContinuousRouter>(
-            ctx.machine,
-            RouterOptions{ctx.options.use_storage, ctx.options.seed},
-            ctx.rng);
-    }
-    if (ctx.options.routing == RoutingStrategy::Windowed) {
+    } else if (ctx.options.routing == RoutingStrategy::Windowed) {
         if (ctx.options.routing_window == 0)
             fatal("windowed routing requires a window >= 1 ordering");
         windowed_router_ = std::make_unique<WindowedRouter>(
-            ctx.machine,
-            RouterOptions{ctx.options.use_storage, ctx.options.seed},
-            ctx.options.routing_window, ctx.rng);
+            ctx.machine, options, ctx.options.routing_window, ctx.rng);
+    } else {
+        router_ =
+            std::make_unique<ContinuousRouter>(ctx.machine, options, ctx.rng);
     }
 }
 
@@ -324,11 +316,9 @@ RoutingPass::run(PipelineContext &ctx, const Stage &stage)
     TransitionPlan plan =
         reuse_router_ != nullptr
             ? reuse_router_->planStageTransition(ctx.layout, stage)
-        : fast_router_ != nullptr
-            ? fast_router_->planStageTransition(ctx.layout, stage)
         : windowed_router_ != nullptr
             ? windowed_router_->planStageTransition(ctx.layout, stage)
-            : router_.planStageTransition(ctx.layout, stage);
+            : router_->planStageTransition(ctx.layout, stage);
     ctx.profiler.addCounter(PassId::Routing, "moves_planned",
                             plan.moves.size());
     ctx.profiler.addCounter(PassId::Routing, "qubits_parked",

@@ -45,7 +45,6 @@
 #include "compiler/result.hpp"
 #include "isa/machine_schedule.hpp"
 #include "reuse/router.hpp"
-#include "route/fast_router.hpp"
 #include "route/router.hpp"
 #include "route/windowed_router.hpp"
 #include "schedule/stage.hpp"
@@ -186,10 +185,10 @@ class StageOrderPass
 /**
  * Plans and applies one layout transition per stage through the
  * strategy selected by CompilerOptions::routing: the paper's continuous
- * router (route/), its bit-identical incremental fast path
- * (route/fast_router.hpp), the reuse-aware router (reuse/), or the
- * windowed best-of-orderings search (route/windowed_router.hpp). Owns
- * the routers (and through them the scratch buffers); randomized
+ * router (route/router.hpp; `fast` is its alias), the reuse-aware
+ * router (reuse/), or the windowed best-of-orderings search
+ * (route/windowed_router.hpp). Builds exactly one router per compile
+ * and owns it (and through it the scratch buffers); randomized
  * decisions draw from ctx.rng. The reuse strategy requires the storage
  * zone, so the storage-free configuration always routes continuously.
  */
@@ -217,10 +216,10 @@ class RoutingPass
     void endProgram(PipelineContext &ctx);
 
   private:
-    ContinuousRouter router_;
-    std::unique_ptr<ReuseAwareRouter> reuse_router_;     // engaged iff Reuse
-    std::unique_ptr<FastContinuousRouter> fast_router_;  // engaged iff Fast
-    std::unique_ptr<WindowedRouter> windowed_router_;    // engaged iff Windowed
+    // Exactly one of the three is engaged.
+    std::unique_ptr<ContinuousRouter> router_;
+    std::unique_ptr<ReuseAwareRouter> reuse_router_;
+    std::unique_ptr<WindowedRouter> windowed_router_;
 };
 
 /** Groups a transition's moves into Coll-Moves and orders them. */

@@ -57,19 +57,18 @@ enum class PlacementStrategy : std::uint8_t
 enum class StagePartitionStrategy : std::uint8_t
 {
     /**
-     * The paper's Sec. 4.1 edge coloring: materialize the gate-conflict
-     * graph (a clique per qubit), then greedily color it in descending
-     * degree order. O(k^2) edges for a qubit used in k gates, which
-     * dominates compile time on deep blocks.
+     * The paper's Sec. 4.1 name for the greedy edge coloring; an alias
+     * that runs the Linear scan (same stages). Kept as an accepted value
+     * so existing option sets, fingerprints and cache keys stay valid.
      */
     Coloring,
     /**
-     * The same greedy coloring computed by a linear-time qubit scan
-     * (src/schedule/): each gate conflicts only through its two qubits,
-     * so tracking a per-qubit "stages already used" bitset reproduces
-     * the Coloring stage assignment bit-for-bit without ever building
-     * the conflict graph (stage_partition_test.cpp locks the identity
-     * across the Table 2 suite).
+     * The paper's Sec. 4.1 greedy coloring, in descending degree order,
+     * computed by a linear-time qubit scan (src/schedule/): each gate
+     * conflicts only through its two qubits, so a per-qubit "stages
+     * already used" bitset yields the coloring without ever building
+     * the conflict graph. stage_partition_test.cpp locks it stage for
+     * stage to the graph-coloring oracle across the Table 2 suite.
      */
     Linear,
     /**
@@ -113,14 +112,11 @@ enum class RoutingStrategy : std::uint8_t
      */
     Reuse,
     /**
-     * The continuous router's incremental fast path (src/route/
-     * fast_router.*): bit-identical plans — same moves, labels, and
-     * RNG stream — computed from persistent conflict state (planned
-     * occupancy, free-site bitmasks, compute-zone resident list)
-     * instead of per-transition rebuilds. Differential tests lock the
-     * identity; selecting it changes only compile time (and, because
-     * every strategy participates in the job fingerprint, the cache
-     * key).
+     * An alias of Continuous: the same router, the same plans and RNG
+     * draws. It stays an accepted value so existing option sets keep
+     * working. Selecting it changes only the cache key (every strategy
+     * participates in the job fingerprint); the derived seed is
+     * Continuous's.
      */
     Fast,
     /**

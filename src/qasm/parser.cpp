@@ -1,7 +1,9 @@
 #include "qasm/parser.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "common/error.hpp"
 #include "qasm/lexer.hpp"
@@ -256,18 +258,65 @@ class Parser
     }
 
     // ---- expression grammar: additive > multiplicative > power > unary ----
+    //
+    // Each parse function leaves the depth of the expression it returns
+    // in depth_: its parse-tree height, where every parenthesis, unary
+    // minus, '^', call and binary operator adds one level. Going deeper
+    // than kMaxExprDepth is a ParseError, checked on the way down
+    // (nesting_) and when a binary chain grows, so neither this descent
+    // nor any later recursive walk of the tree (evaluation, copy,
+    // destruction) can exhaust the stack. A ParseError abandons the
+    // parser, so the nesting count needs no unwinding.
+
+    /** Throws unless an expression @p depth levels deep is allowed. */
+    void
+    checkDepth(std::size_t depth, const Token &at) const
+    {
+        if (depth > kMaxExprDepth) {
+            throw ParseError("expression nested deeper than " +
+                                 std::to_string(kMaxExprDepth) + " levels",
+                             at.line, at.column);
+        }
+    }
+
+    /** A node of @p kind over @p children, one level above the deepest. */
+    Expr
+    makeNode(ExprKind kind, char op, std::vector<Expr> children,
+             std::size_t child_depth, const Token &at)
+    {
+        checkDepth(child_depth + 1, at);
+        depth_ = child_depth + 1;
+        Expr node;
+        node.kind = kind;
+        node.op = op;
+        node.children = std::move(children);
+        return node;
+    }
+
+    /**
+     * Binary @p op node over @p left and the operand @p parse_rhs reads
+     * next; @p at is the operator token.
+     */
+    Expr
+    binary(const Token &at, char op, Expr left, Expr (Parser::*parse_rhs)())
+    {
+        const std::size_t left_depth = depth_;
+        std::vector<Expr> children;
+        children.reserve(2);
+        children.push_back(std::move(left));
+        children.push_back((this->*parse_rhs)());
+        return makeNode(ExprKind::Binary, op, std::move(children),
+                        std::max(left_depth, depth_), at);
+    }
 
     Expr
     parseExpr()
     {
         Expr left = parseTerm();
         while (check(TokenKind::Plus) || check(TokenKind::Minus)) {
-            const char op = advance().kind == TokenKind::Plus ? '+' : '-';
-            Expr node;
-            node.kind = ExprKind::Binary;
-            node.op = op;
-            node.children = {std::move(left), parseTerm()};
-            left = std::move(node);
+            const Token &at = advance();
+            const char op = at.kind == TokenKind::Plus ? '+' : '-';
+            left = binary(at, op, std::move(left), &Parser::parseTerm);
         }
         return left;
     }
@@ -277,12 +326,9 @@ class Parser
     {
         Expr left = parsePower();
         while (check(TokenKind::Star) || check(TokenKind::Slash)) {
-            const char op = advance().kind == TokenKind::Star ? '*' : '/';
-            Expr node;
-            node.kind = ExprKind::Binary;
-            node.op = op;
-            node.children = {std::move(left), parsePower()};
-            left = std::move(node);
+            const Token &at = advance();
+            const char op = at.kind == TokenKind::Star ? '*' : '/';
+            left = binary(at, op, std::move(left), &Parser::parsePower);
         }
         return left;
     }
@@ -292,12 +338,11 @@ class Parser
     {
         Expr base = parseUnary();
         if (check(TokenKind::Caret)) {
-            advance();
-            Expr node;
-            node.kind = ExprKind::Binary;
-            node.op = '^';
             // Right associative.
-            node.children = {std::move(base), parsePower()};
+            const Token &at = advance();
+            checkDepth(++nesting_, at);
+            Expr node = binary(at, '^', std::move(base), &Parser::parsePower);
+            --nesting_;
             return node;
         }
         return base;
@@ -306,11 +351,14 @@ class Parser
     Expr
     parseUnary()
     {
-        if (match(TokenKind::Minus)) {
-            Expr node;
-            node.kind = ExprKind::Unary;
-            node.children = {parseUnary()};
-            return node;
+        if (check(TokenKind::Minus)) {
+            const Token &at = advance();
+            checkDepth(++nesting_, at);
+            std::vector<Expr> children;
+            children.push_back(parseUnary());
+            --nesting_;
+            return makeNode(ExprKind::Unary, '+', std::move(children), depth_,
+                            at);
         }
         return parsePrimary();
     }
@@ -319,6 +367,7 @@ class Parser
     parsePrimary()
     {
         Expr node;
+        depth_ = 1;
         if (check(TokenKind::Real) || check(TokenKind::Integer)) {
             node.kind = ExprKind::Number;
             node.number = advance().number;
@@ -330,20 +379,29 @@ class Parser
         }
         if (check(TokenKind::Identifier)) {
             const Token &name = advance();
-            if (match(TokenKind::LParen)) {
-                node.kind = ExprKind::Call;
-                node.name = name.text;
-                node.children = {parseExpr()};
+            if (check(TokenKind::LParen)) {
+                const Token &open = advance();
+                checkDepth(++nesting_, open);
+                std::vector<Expr> children;
+                children.push_back(parseExpr());
                 expect(TokenKind::RParen, "after function argument");
+                --nesting_;
+                node = makeNode(ExprKind::Call, '+', std::move(children),
+                                depth_, open);
+                node.name = name.text;
                 return node;
             }
             node.kind = ExprKind::Parameter;
             node.name = name.text;
             return node;
         }
-        if (match(TokenKind::LParen)) {
+        if (check(TokenKind::LParen)) {
+            const Token &open = advance();
+            checkDepth(++nesting_, open);
             Expr inner = parseExpr();
             expect(TokenKind::RParen, "to close the expression");
+            --nesting_;
+            checkDepth(++depth_, open);
             return inner;
         }
         errorHere("expected an expression, found " +
@@ -352,6 +410,8 @@ class Parser
 
     std::vector<Token> tokens_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0;   // depth of the expression last parsed
+    std::size_t nesting_ = 0; // nested levels open on the way down
 };
 
 } // namespace

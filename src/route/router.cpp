@@ -1,140 +1,515 @@
 #include "route/router.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdlib>
+#include <limits>
 
 #include "common/error.hpp"
+#include "common/geometry.hpp"
 
 namespace powermove {
 
-ContinuousRouter::ContinuousRouter(const Machine &machine, RouterOptions options)
+namespace {
+
+constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
+
+// Packed idle-sort key widths: (y << 42) | (x << 21) | qubit sorts
+// ascending by (y, x, id), the parking order of step 1.
+constexpr std::uint32_t kKeyBits = 21;
+constexpr std::uint64_t kKeyMask = (std::uint64_t{1} << kKeyBits) - 1;
+
+} // namespace
+
+ContinuousRouter::ContinuousRouter(const Machine &machine,
+                                   RouterOptions options)
     : machine_(machine), options_(options), own_rng_(options.seed),
-      rng_(&own_rng_), storage_index_(machine)
-{}
+      rng_(&own_rng_)
+{
+    initGeometry();
+}
 
 ContinuousRouter::ContinuousRouter(const Machine &machine,
                                    RouterOptions options, Rng &rng)
-    : machine_(machine), options_(options), own_rng_(options.seed), rng_(&rng),
-      storage_index_(machine)
-{}
+    : machine_(machine), options_(options), own_rng_(options.seed), rng_(&rng)
+{
+    initGeometry();
+}
+
+void
+ContinuousRouter::initGeometry()
+{
+    const auto &config = machine_.config();
+    compute_cols_ = config.compute_cols;
+    compute_rows_ = config.compute_rows;
+    storage_cols_ = config.storage_cols;
+    storage_rows_ = config.storage_rows;
+    storage_top_row_ = machine_.storageTopRow();
+    num_compute_ = machine_.numComputeSites();
+    num_sites_ = machine_.numSites();
+
+    coord_x_.resize(num_sites_);
+    coord_y_.resize(num_sites_);
+    phys_x_.resize(num_sites_);
+    phys_y_.resize(num_sites_);
+    for (SiteId s = 0; s < num_sites_; ++s) {
+        const SiteCoord coord = machine_.coordOf(s);
+        coord_x_[s] = coord.x;
+        coord_y_[s] = coord.y;
+        const PhysCoord phys = machine_.physOf(s);
+        phys_x_[s] = phys.x;
+        phys_y_[s] = phys.y;
+    }
+    PM_ASSERT(static_cast<std::uint64_t>(
+                  std::max(compute_cols_, storage_cols_)) < kKeyMask &&
+                  static_cast<std::uint64_t>(storage_top_row_ +
+                                             storage_rows_) < kKeyMask,
+              "machine too large for the packed idle-sort keys");
+
+    row_words_ = static_cast<std::size_t>((compute_cols_ + 63) / 64);
+    col_words_ = static_cast<std::size_t>((storage_rows_ + 63) / 64);
+
+    // Every in-range bit free: @p lines masks of @p bits bits each.
+    // initFrom() copies these, then clears the occupied sites' bits.
+    const auto all_free = [](std::int32_t bits, std::size_t words,
+                             std::int32_t lines) {
+        std::vector<std::uint64_t> masks(
+            words * static_cast<std::size_t>(lines), kAllOnes);
+        if (bits % 64 != 0) {
+            for (std::size_t end = words; end <= masks.size(); end += words)
+                masks[end - 1] = (std::uint64_t{1} << (bits % 64)) - 1;
+        }
+        return masks;
+    };
+    all_free_rows_ = all_free(compute_cols_, row_words_, compute_rows_);
+    all_free_cols_ = all_free(storage_rows_, col_words_, storage_cols_);
+
+    statics_epoch_.assign(num_sites_, 0);
+    statics_at_.assign(num_sites_, 0);
+    first_idle_epoch_.assign(num_sites_, 0);
+}
+
+void
+ContinuousRouter::initFrom(const Layout &layout)
+{
+    const std::size_t num_qubits = layout.numQubits();
+    PM_ASSERT(num_qubits < kKeyMask,
+              "circuit too wide for the packed idle-sort keys");
+
+    planned_.assign(num_sites_, 0);
+    site_of_.resize(num_qubits);
+    residents_.clear();
+    resident_pos_.assign(num_qubits, kNpos);
+    free_rows_ = all_free_rows_;
+    free_cols_ = all_free_cols_;
+
+    for (QubitId q = 0; q < num_qubits; ++q) {
+        const SiteId site = layout.siteOf(q);
+        PM_ASSERT(site != kInvalidSite,
+                  "router requires a fully placed layout");
+        site_of_[q] = site;
+        if (++planned_[site] == 1)
+            clearFreeBit(site);
+        if (site < num_compute_)
+            addResident(q);
+    }
+
+    // Stamps below the current epoch are stale whatever their value, so
+    // the stamped arrays only need (zeroed) storage of the right size.
+    if (partner_epoch_.size() != num_qubits) {
+        partner_epoch_.assign(num_qubits, 0);
+        partner_.assign(num_qubits, kNoQubit);
+        labeled_epoch_.assign(num_qubits, 0);
+        target_epoch_.assign(num_qubits, 0);
+        target_.assign(num_qubits, kInvalidSite);
+        follower_epoch_.assign(num_qubits, 0);
+        follower_.assign(num_qubits, kNoQubit);
+    }
+
+    initialized_ = true;
+}
+
+// ---------------------------------------------------- bitmask maintenance
+
+void
+ContinuousRouter::setFreeBit(SiteId site)
+{
+    if (site < num_compute_) {
+        const std::size_t y = site / static_cast<std::size_t>(compute_cols_);
+        const std::size_t x = site % static_cast<std::size_t>(compute_cols_);
+        free_rows_[y * row_words_ + x / 64] |= std::uint64_t{1} << (x % 64);
+    } else {
+        const std::size_t index = site - num_compute_;
+        const std::size_t r = index / static_cast<std::size_t>(storage_cols_);
+        const std::size_t x = index % static_cast<std::size_t>(storage_cols_);
+        free_cols_[x * col_words_ + r / 64] |= std::uint64_t{1} << (r % 64);
+    }
+}
+
+void
+ContinuousRouter::clearFreeBit(SiteId site)
+{
+    if (site < num_compute_) {
+        const std::size_t y = site / static_cast<std::size_t>(compute_cols_);
+        const std::size_t x = site % static_cast<std::size_t>(compute_cols_);
+        free_rows_[y * row_words_ + x / 64] &=
+            ~(std::uint64_t{1} << (x % 64));
+    } else {
+        const std::size_t index = site - num_compute_;
+        const std::size_t r = index / static_cast<std::size_t>(storage_cols_);
+        const std::size_t x = index % static_cast<std::size_t>(storage_cols_);
+        free_cols_[x * col_words_ + r / 64] &=
+            ~(std::uint64_t{1} << (r % 64));
+    }
+}
+
+bool
+ContinuousRouter::freeBit(SiteId site) const
+{
+    if (site < num_compute_) {
+        const std::size_t y = site / static_cast<std::size_t>(compute_cols_);
+        const std::size_t x = site % static_cast<std::size_t>(compute_cols_);
+        return (free_rows_[y * row_words_ + x / 64] >> (x % 64)) & 1;
+    }
+    const std::size_t index = site - num_compute_;
+    const std::size_t r = index / static_cast<std::size_t>(storage_cols_);
+    const std::size_t x = index % static_cast<std::size_t>(storage_cols_);
+    return (free_cols_[x * col_words_ + r / 64] >> (r % 64)) & 1;
+}
+
+void
+ContinuousRouter::plannedInc(SiteId site)
+{
+    if (planned_[site]++ == 0)
+        clearFreeBit(site);
+}
+
+void
+ContinuousRouter::plannedDec(SiteId site)
+{
+    if (--planned_[site] == 0)
+        setFreeBit(site);
+}
+
+// -------------------------------------------------------- free-site search
+
+std::int32_t
+ContinuousRouter::firstFreeStorageRow(std::int32_t column) const
+{
+    const std::uint64_t *words =
+        &free_cols_[static_cast<std::size_t>(column) * col_words_];
+    for (std::size_t w = 0; w < col_words_; ++w) {
+        if (words[w] != 0) {
+            return static_cast<std::int32_t>(w * 64 +
+                                             std::countr_zero(words[w]));
+        }
+    }
+    return -1;
+}
 
 SiteId
-ContinuousRouter::findEmptyComputeSite(SiteId origin,
-                                       const std::vector<int> &planned) const
+ContinuousRouter::claimStorageSlot(std::int32_t origin_x) const
 {
-    const SiteId best = findNearestFreeComputeSite(machine_, origin, planned);
-    if (best == kInvalidSite)
-        fatal("compute zone has no free site; enlarge the machine");
+    // Lexicographic minimum of (|dx|, y, x) over planned-free storage
+    // slots, scanning columns outward so the first hit at column
+    // distance dx settles the answer after comparing both sides — the
+    // same selection claimSlot() makes with its forward cursors (during
+    // monotonic parking a cursor scan equals a fresh scan).
+    const std::int32_t cols = storage_cols_;
+    const std::int32_t span = cols + std::abs(origin_x);
+    for (std::int32_t dx = 0; dx < span; ++dx) {
+        std::int32_t best_x = -1;
+        std::int32_t best_r = 0;
+        for (int side = 0; side < 2; ++side) {
+            if (side == 1 && dx == 0)
+                continue;
+            const std::int32_t x = side == 0 ? origin_x - dx : origin_x + dx;
+            if (x < 0 || x >= cols)
+                continue;
+            const std::int32_t r = firstFreeStorageRow(x);
+            if (r < 0)
+                continue;
+            if (best_x < 0 || r < best_r || (r == best_r && x < best_x)) {
+                best_x = x;
+                best_r = r;
+            }
+        }
+        if (best_x >= 0) {
+            return static_cast<SiteId>(
+                num_compute_ +
+                static_cast<std::size_t>(best_r) *
+                    static_cast<std::size_t>(cols) +
+                static_cast<std::size_t>(best_x));
+        }
+    }
+    fatal("storage zone is full; enlarge the machine");
+}
+
+namespace {
+
+/** Largest set bit index <= @p c over @p words, or -1. */
+std::int32_t
+nearestSetBitAtOrBelow(const std::uint64_t *words, std::int32_t c)
+{
+    std::size_t wi = static_cast<std::size_t>(c) / 64;
+    std::uint64_t w = words[wi] & (kAllOnes >> (63 - c % 64));
+    while (true) {
+        if (w != 0) {
+            return static_cast<std::int32_t>(wi * 64 + 63 -
+                                             std::countl_zero(w));
+        }
+        if (wi == 0)
+            return -1;
+        w = words[--wi];
+    }
+}
+
+/** Smallest set bit index >= @p c over @p num_words words, or -1. */
+std::int32_t
+nearestSetBitAtOrAbove(const std::uint64_t *words, std::int32_t c,
+                       std::size_t num_words)
+{
+    std::size_t wi = static_cast<std::size_t>(c) / 64;
+    std::uint64_t w = words[wi] & (kAllOnes << (c % 64));
+    while (true) {
+        if (w != 0)
+            return static_cast<std::int32_t>(wi * 64 + std::countr_zero(w));
+        if (++wi >= num_words)
+            return -1;
+        w = words[wi];
+    }
+}
+
+} // namespace
+
+SiteId
+ContinuousRouter::findNearestFreeCompute(SiteId origin) const
+{
+    // The reference ring search returns the unique argmin of
+    // (euclidean distance, y, x) over planned-free compute sites —
+    // visit order never matters, only that the argmin is visited. This
+    // walk enumerates rows by growing |dy| in both directions; per row
+    // the distance-minimal candidates are the nearest free columns on
+    // either side of the origin column (distance is monotone in |dx|
+    // within a row), found by two bit scans. Both finalists go through
+    // the reference comparator on the same euclidean doubles.
+    const double from_x = phys_x_[origin];
+    const double from_y = phys_y_[origin];
+    const std::int32_t origin_col = coord_x_[origin];
+    const std::int32_t origin_row = coord_y_[origin];
+    const std::int32_t rows = compute_rows_;
+    const std::int32_t cols = compute_cols_;
+
+    SiteId best = kInvalidSite;
+    double best_dist = std::numeric_limits<double>::infinity();
+    std::int32_t best_y = 0;
+    std::int32_t best_x = 0;
+
+    const auto consider = [&](std::int32_t x, std::int32_t y) {
+        const SiteId site = static_cast<SiteId>(
+            static_cast<std::size_t>(y) * static_cast<std::size_t>(cols) +
+            static_cast<std::size_t>(x));
+        const double dist =
+            euclidean(PhysCoord{from_x, from_y},
+                      PhysCoord{phys_x_[site], phys_y_[site]})
+                .microns();
+        const bool better =
+            dist < best_dist ||
+            (dist == best_dist &&
+             (y < best_y || (y == best_y && x < best_x)));
+        if (best == kInvalidSite || better) {
+            best = site;
+            best_dist = dist;
+            best_y = y;
+            best_x = x;
+        }
+    };
+
+    const auto scan_row = [&](std::int32_t y) {
+        const std::uint64_t *words =
+            &free_rows_[static_cast<std::size_t>(y) * row_words_];
+        const std::int32_t left =
+            nearestSetBitAtOrBelow(words, std::min(origin_col, cols - 1));
+        if (left >= 0)
+            consider(left, y);
+        // A storage-zone origin can sit right of the last compute
+        // column; every candidate is then on the "left" side already.
+        if (origin_col < cols) {
+            const std::int32_t right = nearestSetBitAtOrAbove(
+                words, std::max(origin_col, 0), row_words_);
+            if (right >= 0 && right != left)
+                consider(right, y);
+        }
+    };
+
+    // Every candidate in row y satisfies dist >= |row phys y - from_y|
+    // up to two rounding errors (one in the squared sum, one in the
+    // sqrt), so the bound shifted down two ulps prunes conservatively:
+    // a row it rejects cannot contain the argmin.
+    const auto row_lower_bound = [&](std::int32_t y) {
+        const double row_y =
+            phys_y_[static_cast<std::size_t>(y) *
+                    static_cast<std::size_t>(cols)];
+        double bound = std::abs(row_y - from_y);
+        bound = std::nextafter(bound,
+                               -std::numeric_limits<double>::infinity());
+        bound = std::nextafter(bound,
+                               -std::numeric_limits<double>::infinity());
+        return bound;
+    };
+
+    // Walk rows outward from the origin row: "up" decreases y from the
+    // nearest in-zone row, "down" increases it; a storage-zone origin
+    // sits below every compute row, so only "up" is live. Each
+    // direction visits rows in non-decreasing real |dy| and stops once
+    // its next row's lower bound exceeds the incumbent distance.
+    std::int32_t up = std::min(origin_row, rows - 1);
+    std::int32_t down = origin_row < rows ? origin_row + 1 : rows;
+    while (up >= 0 || down < rows) {
+        if (up >= 0) {
+            if (best != kInvalidSite && row_lower_bound(up) > best_dist) {
+                up = -1;
+            } else {
+                scan_row(up);
+                --up;
+            }
+        }
+        if (down < rows) {
+            if (best != kInvalidSite && row_lower_bound(down) > best_dist) {
+                down = rows;
+            } else {
+                scan_row(down);
+                ++down;
+            }
+        }
+    }
     return best;
 }
+
+// -------------------------------------------------------------- residents
+
+void
+ContinuousRouter::addResident(QubitId qubit)
+{
+    resident_pos_[qubit] = residents_.size();
+    residents_.push_back(qubit);
+}
+
+void
+ContinuousRouter::removeResident(QubitId qubit)
+{
+    const std::size_t pos = resident_pos_[qubit];
+    PM_ASSERT(pos != kNpos, "qubit is not a compute-zone resident");
+    const QubitId last = residents_.back();
+    residents_[pos] = last;
+    resident_pos_[last] = pos;
+    residents_.pop_back();
+    resident_pos_[qubit] = kNpos;
+}
+
+// ------------------------------------------------------------------- plan
 
 TransitionPlan
 ContinuousRouter::planStageTransition(Layout &layout, const Stage &stage)
 {
     PM_ASSERT(stage.qubitsDisjoint(), "stage gates must act on disjoint qubits");
-    PM_ASSERT(layout.allPlaced(), "router requires a fully placed layout");
+    if (!initialized_ || site_of_.size() != layout.numQubits())
+        initFrom(layout);
+    const std::size_t num_qubits = site_of_.size();
+    ++epoch_;
+    const std::uint64_t epoch = epoch_;
 
-    const std::size_t num_qubits = layout.numQubits();
-    auto &partner = partner_;
-    partner.assign(num_qubits, kNoQubit);
     for (const auto &gate : stage.gates) {
         PM_ASSERT(gate.a < num_qubits && gate.b < num_qubits,
                   "stage gate outside circuit width");
-        partner[gate.a] = gate.b;
-        partner[gate.b] = gate.a;
+        partner_[gate.a] = gate.b;
+        partner_epoch_[gate.a] = epoch;
+        partner_[gate.b] = gate.a;
+        partner_epoch_[gate.b] = epoch;
     }
 
-    // Planned occupancy of every site once the whole transition settles.
-    auto &planned = planned_;
-    planned.assign(machine_.numSites(), 0);
-    for (QubitId q = 0; q < num_qubits; ++q)
-        ++planned[layout.siteOf(q)];
-
     TransitionPlan plan;
-    auto &target = target_;
-    target.assign(num_qubits, kInvalidSite);
 
     // ---- Step 1: park next-stage idle qubits in storage. -----------------
     if (options_.use_storage) {
-        storage_index_.beginTransition();
-        auto &idle_in_compute = idle_in_compute_;
-        idle_in_compute.clear();
-        for (QubitId q = 0; q < num_qubits; ++q) {
-            if (partner[q] == kNoQubit &&
-                layout.zoneOf(q) == ZoneKind::Compute) {
-                idle_in_compute.push_back(q);
-            }
+        idle_keys_.clear();
+        for (const QubitId q : residents_) {
+            if (partner_epoch_[q] == epoch)
+                continue;
+            const SiteId site = site_of_[q];
+            idle_keys_.push_back(
+                (static_cast<std::uint64_t>(coord_y_[site]) << (2 * kKeyBits)) |
+                (static_cast<std::uint64_t>(coord_x_[site]) << kKeyBits) | q);
         }
-        // Farthest-from-storage qubits choose their slots first: with y
-        // growing toward storage this is ascending current y. Keeping the
-        // vertical order also keeps the parking moves AOD-compatible.
-        std::sort(idle_in_compute.begin(), idle_in_compute.end(),
-                  [&](QubitId a, QubitId b) {
-                      const auto ca = machine_.coordOf(layout.siteOf(a));
-                      const auto cb = machine_.coordOf(layout.siteOf(b));
-                      if (ca.y != cb.y)
-                          return ca.y < cb.y;
-                      if (ca.x != cb.x)
-                          return ca.x < cb.x;
-                      return a < b;
-                  });
-        for (const QubitId q : idle_in_compute) {
-            const SiteId from = layout.siteOf(q);
-            const SiteId slot =
-                storage_index_.claimSlot(machine_.coordOf(from), planned);
-            --planned[from];
-            ++planned[slot];
-            target[q] = slot;
+        // Ascending packed (y, x, id) keys reproduce the reference
+        // farthest-from-storage parking order exactly.
+        std::sort(idle_keys_.begin(), idle_keys_.end());
+        for (const std::uint64_t key : idle_keys_) {
+            const QubitId q = static_cast<QubitId>(key & kKeyMask);
+            const SiteId from = site_of_[q];
+            const SiteId slot = claimStorageSlot(coord_x_[from]);
+            plannedDec(from);
+            plannedInc(slot);
             plan.moves.push_back({q, from, slot});
             ++plan.num_parked;
         }
     }
 
     // ---- Step 2: label the interacting qubits (Fig. 4 cases). ------------
-    auto &label = label_;
-    label.assign(num_qubits, MoveLabel::Static);
-    auto &labeled = labeled_;
-    labeled.assign(num_qubits, false);
-    auto &statics_at = statics_at_;
-    statics_at.assign(machine_.numSites(), 0);
-    auto &undecided_order = undecided_order_;
-    undecided_order.clear();
-    auto &follower = follower_;
-    follower.assign(num_qubits, kNoQubit);
-
+    const auto statics_at = [&](SiteId site) {
+        return statics_epoch_[site] == epoch ? statics_at_[site] : 0;
+    };
+    const auto bump_statics = [&](SiteId site, int by) {
+        if (statics_epoch_[site] != epoch) {
+            statics_epoch_[site] = epoch;
+            statics_at_[site] = by;
+        } else {
+            statics_at_[site] += by;
+        }
+    };
+    const auto set_target = [&](QubitId q, SiteId site) {
+        target_[q] = site;
+        target_epoch_[q] = epoch;
+    };
     const auto set_label = [&](QubitId q, MoveLabel l) {
-        PM_ASSERT(!labeled[q], "qubit labeled twice within one stage");
-        label[q] = l;
-        labeled[q] = true;
+        PM_ASSERT(labeled_epoch_[q] != epoch,
+                  "qubit labeled twice within one stage");
+        labeled_epoch_[q] = epoch;
         plan.labels.emplace_back(q, l);
     };
 
+    undecided_order_.clear();
     for (const auto &gate : stage.gates) {
         const QubitId qi = gate.a;
         const QubitId qj = gate.b;
-        const SiteId si = layout.siteOf(qi);
-        const SiteId sj = layout.siteOf(qj);
-        const ZoneKind zi = machine_.zoneOf(si);
-        const ZoneKind zj = machine_.zoneOf(sj);
+        const SiteId si = site_of_[qi];
+        const SiteId sj = site_of_[qj];
+        const bool storage_i = si >= num_compute_;
+        const bool storage_j = sj >= num_compute_;
 
-        if (zi == ZoneKind::Storage && zj == ZoneKind::Storage) {
+        if (storage_i && storage_j) {
             // (b) Both in storage: the interaction site is found later.
             set_label(qi, MoveLabel::Mobile);
             set_label(qj, MoveLabel::Undecided);
-            follower[qj] = qi;
-            undecided_order.push_back(qj);
-        } else if (zi != zj) {
+            follower_[qj] = qi;
+            follower_epoch_[qj] = epoch;
+            undecided_order_.push_back(qj);
+        } else if (storage_i != storage_j) {
             // (c) One in storage, one in the compute zone.
-            const QubitId storage_q = zi == ZoneKind::Storage ? qi : qj;
-            const QubitId compute_q = zi == ZoneKind::Storage ? qj : qi;
+            const QubitId storage_q = storage_i ? qi : qj;
+            const QubitId compute_q = storage_i ? qj : qi;
+            const SiteId compute_site = storage_i ? sj : si;
             set_label(storage_q, MoveLabel::Mobile);
-            if (statics_at[layout.siteOf(compute_q)] > 0) {
+            if (statics_at(compute_site) > 0) {
                 set_label(compute_q, MoveLabel::Undecided);
-                follower[compute_q] = storage_q;
-                undecided_order.push_back(compute_q);
+                follower_[compute_q] = storage_q;
+                follower_epoch_[compute_q] = epoch;
+                undecided_order_.push_back(compute_q);
             } else {
                 set_label(compute_q, MoveLabel::Static);
-                ++statics_at[layout.siteOf(compute_q)];
-                target[storage_q] = layout.siteOf(compute_q);
+                bump_statics(compute_site, 1);
+                set_target(storage_q, compute_site);
             }
         } else {
             // (d) Both in the compute zone.
@@ -142,78 +517,79 @@ ContinuousRouter::planStageTransition(Layout &layout, const Stage &stage)
                 // Already adjacent (repeated gate): nobody moves.
                 set_label(qi, MoveLabel::Static);
                 set_label(qj, MoveLabel::Static);
-                statics_at[si] += 2;
+                bump_statics(si, 2);
                 continue;
             }
             const bool pick_first = rng_->nextBool(0.5);
             const QubitId mover = pick_first ? qi : qj;
             const QubitId stay = pick_first ? qj : qi;
+            const SiteId stay_site = pick_first ? sj : si;
             set_label(mover, MoveLabel::Mobile);
-            if (statics_at[layout.siteOf(stay)] > 0) {
+            if (statics_at(stay_site) > 0) {
                 set_label(stay, MoveLabel::Undecided);
-                follower[stay] = mover;
-                undecided_order.push_back(stay);
+                follower_[stay] = mover;
+                follower_epoch_[stay] = epoch;
+                undecided_order_.push_back(stay);
             } else {
                 set_label(stay, MoveLabel::Static);
-                ++statics_at[layout.siteOf(stay)];
-                target[mover] = layout.siteOf(stay);
+                bump_statics(stay_site, 1);
+                set_target(mover, stay_site);
             }
         }
     }
 
     // ---- Step 2.5 (storage-free mode): evict clustered idle qubits. ------
-    // An idle qubit co-located with a static qubit (its site is about to
-    // host an interaction) or with another idle qubit (unwanted blockade
-    // pair during the pulse) must scatter to a free site.
-    auto &evicted = evicted_;
-    evicted.clear();
+    evicted_.clear();
     if (!options_.use_storage) {
-        auto &first_idle_at = first_idle_at_;
-        first_idle_at.assign(machine_.numSites(), kNoQubit);
         for (QubitId q = 0; q < num_qubits; ++q) {
-            if (partner[q] != kNoQubit)
+            if (partner_epoch_[q] == epoch)
                 continue;
-            const SiteId site = layout.siteOf(q);
-            if (statics_at[site] > 0) {
-                evicted.push_back(q);
-            } else if (first_idle_at[site] != kNoQubit) {
-                evicted.push_back(q);
+            const SiteId site = site_of_[q];
+            if (statics_at(site) > 0) {
+                evicted_.push_back(q);
+            } else if (first_idle_epoch_[site] == epoch) {
+                evicted_.push_back(q);
             } else {
-                first_idle_at[site] = q;
+                first_idle_epoch_[site] = epoch;
             }
         }
     }
 
     // ---- Occupancy bookkeeping before resolving open destinations. -------
-    for (QubitId q = 0; q < num_qubits; ++q) {
-        if (labeled[q] && label[q] != MoveLabel::Static)
-            --planned[layout.siteOf(q)];
+    // Iterating plan.labels instead of every qubit is order-irrelevant:
+    // planned is only read again once all three loops settle.
+    for (const auto &[q, l] : plan.labels) {
+        if (l != MoveLabel::Static)
+            plannedDec(site_of_[q]);
     }
-    for (const QubitId q : evicted)
-        --planned[layout.siteOf(q)];
-    for (QubitId q = 0; q < num_qubits; ++q) {
-        if (labeled[q] && label[q] == MoveLabel::Mobile &&
-            target[q] != kInvalidSite) {
-            ++planned[target[q]];
-        }
+    for (const QubitId q : evicted_)
+        plannedDec(site_of_[q]);
+    for (const auto &[q, l] : plan.labels) {
+        if (l == MoveLabel::Mobile && target_epoch_[q] == epoch)
+            plannedInc(target_[q]);
     }
 
     // ---- Step 3: resolve undecided qubits, partners follow. --------------
-    for (const QubitId undecided : undecided_order) {
-        const SiteId site =
-            findEmptyComputeSite(layout.siteOf(undecided), planned);
-        planned[site] += 2;
-        target[undecided] = site;
-        const QubitId buddy = follower[undecided];
-        PM_ASSERT(buddy != kNoQubit, "undecided qubit lost its partner");
-        target[buddy] = site;
+    for (const QubitId undecided : undecided_order_) {
+        const SiteId site = findNearestFreeCompute(site_of_[undecided]);
+        if (site == kInvalidSite)
+            fatal("compute zone has no free site; enlarge the machine");
+        plannedInc(site);
+        plannedInc(site);
+        set_target(undecided, site);
+        PM_ASSERT(follower_epoch_[undecided] == epoch &&
+                      follower_[undecided] != kNoQubit,
+                  "undecided qubit lost its partner");
+        set_target(follower_[undecided], site);
     }
 
     // Evicted idle qubits scatter after interaction sites are fixed.
-    for (const QubitId q : evicted) {
-        const SiteId site = findEmptyComputeSite(layout.siteOf(q), planned);
-        planned[site] += 1;
-        target[q] = site;
+    for (const QubitId q : evicted_) {
+        const SiteId site = findNearestFreeCompute(site_of_[q]);
+        if (site == kInvalidSite)
+            fatal("compute zone has no free site; enlarge the machine");
+        plannedInc(site);
+        set_target(q, site);
         ++plan.num_evicted;
     }
 
@@ -221,18 +597,33 @@ ContinuousRouter::planStageTransition(Layout &layout, const Stage &stage)
     for (const auto &[q, l] : plan.labels) {
         if (l == MoveLabel::Static)
             continue;
-        PM_ASSERT(target[q] != kInvalidSite, "mover without a destination");
-        if (target[q] != layout.siteOf(q))
-            plan.moves.push_back({q, layout.siteOf(q), target[q]});
+        PM_ASSERT(target_epoch_[q] == epoch, "mover without a destination");
+        if (target_[q] != site_of_[q])
+            plan.moves.push_back({q, site_of_[q], target_[q]});
     }
-    for (const QubitId q : evicted)
-        plan.moves.push_back({q, layout.siteOf(q), target[q]});
+    for (const QubitId q : evicted_)
+        plan.moves.push_back({q, site_of_[q], target_[q]});
 
     // ---- Apply transactionally (all departures, then all arrivals). ------
     for (const auto &move : plan.moves)
         layout.unplace(move.qubit);
     for (const auto &move : plan.moves)
         layout.place(move.qubit, move.to);
+
+    // Each qubit moves at most once per transition (parked, labeled,
+    // and evicted are mutually exclusive), so one pass keeps the site
+    // mirror and the resident list in sync with the applied layout; the
+    // planned array already equals the settled occupancy by the
+    // inc/dec bookkeeping above.
+    for (const auto &move : plan.moves) {
+        site_of_[move.qubit] = move.to;
+        const bool was_compute = move.from < num_compute_;
+        const bool is_compute = move.to < num_compute_;
+        if (was_compute && !is_compute)
+            removeResident(move.qubit);
+        else if (!was_compute && is_compute)
+            addResident(move.qubit);
+    }
 
     for (const auto &gate : stage.gates) {
         PM_ASSERT(layout.siteOf(gate.a) == layout.siteOf(gate.b),
@@ -241,6 +632,59 @@ ContinuousRouter::planStageTransition(Layout &layout, const Stage &stage)
                   "gate pair must sit in the compute zone");
     }
     return plan;
+}
+
+// ------------------------------------------------------------------ audit
+
+bool
+ContinuousRouter::auditAgainstLayout(const Layout &layout,
+                                     std::string *why) const
+{
+    const auto fail = [&](const std::string &message) {
+        if (why != nullptr)
+            *why = message;
+        return false;
+    };
+    if (!initialized_)
+        return fail("router has no incremental state yet");
+    if (layout.numQubits() != site_of_.size())
+        return fail("qubit count mismatch against the audited layout");
+
+    std::vector<int> expected(num_sites_, 0);
+    std::size_t expected_residents = 0;
+    for (QubitId q = 0; q < site_of_.size(); ++q) {
+        const SiteId site = layout.siteOf(q);
+        if (site == kInvalidSite)
+            return fail("layout qubit " + std::to_string(q) + " is unplaced");
+        if (site_of_[q] != site) {
+            return fail("site mirror diverged at qubit " + std::to_string(q));
+        }
+        ++expected[site];
+        if (site < num_compute_)
+            ++expected_residents;
+    }
+    if (expected != planned_)
+        return fail("planned occupancy diverged from the layout");
+
+    if (residents_.size() != expected_residents)
+        return fail("resident count diverged from the layout");
+    for (std::size_t i = 0; i < residents_.size(); ++i) {
+        const QubitId q = residents_[i];
+        if (resident_pos_[q] != i)
+            return fail("resident position index diverged at slot " +
+                        std::to_string(i));
+        if (site_of_[q] >= num_compute_)
+            return fail("storage-zone qubit " + std::to_string(q) +
+                        " sits in the resident list");
+    }
+
+    for (SiteId site = 0; site < num_sites_; ++site) {
+        if (freeBit(site) != (planned_[site] == 0)) {
+            return fail("free bitmask diverged at site " +
+                        std::to_string(site));
+        }
+    }
+    return true;
 }
 
 } // namespace powermove

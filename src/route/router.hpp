@@ -20,19 +20,57 @@
  * static qubit or with another idle qubit during the pulse are evicted
  * to the nearest free compute site, which is exactly the clustering
  * hazard of Fig. 3 that forces Enola to revert.
+ *
+ * The router keeps its conflict state alive across transitions instead
+ * of rebuilding it per stage, so a transition costs O(stage width +
+ * moves) plus bit scans, not O(qubits + sites):
+ *
+ *  - The planned-occupancy array persists across transitions. After a
+ *    transition settles, planned occupancy equals the applied layout's
+ *    occupancy (every mover was decremented at its origin and
+ *    incremented at its destination), so the next transition starts
+ *    from it directly instead of re-counting every qubit.
+ *  - Free-site bitmasks (one word-packed row per compute row, one
+ *    column per storage column) are kept in lockstep with the planned
+ *    array, turning both free-site searches — the nearest-compute-site
+ *    search and the storage-slot column walk — into a handful of bit
+ *    scans over contiguous words. The nearest-site search evaluates
+ *    euclidean doubles with a (distance, y, x) comparator, so the
+ *    chosen site is unique (the row pruning bound carries a two-ulp
+ *    slack to stay conservative under floating-point rounding).
+ *  - A resident list of compute-zone qubits replaces an O(qubits) idle
+ *    scan in parking step 1: in storage mode the compute zone only
+ *    ever holds the previous stage's interacting qubits, so the scan is
+ *    O(previous stage width), not O(circuit width).
+ *  - Per-qubit and per-site scratch (partner, labels, targets, statics
+ *    counts) is epoch-stamped instead of re-assigned, so a transition
+ *    touches only the entries it actually writes.
+ *  - Site coordinates and physical positions are mirrored into SoA
+ *    arrays at construction, keeping the hot loops free of the
+ *    assertion-checked Machine lookups.
+ *
+ * The mirrors assume the layout is mutated only through this router
+ * between calls (the pipeline guarantees this: placement runs before
+ * the first transition and nothing else moves qubits). Call reset()
+ * if the layout was changed externally; auditAgainstLayout() verifies
+ * every incremental structure against a from-scratch rebuild and backs
+ * the churn property test (fast_router_state_test.cpp). The
+ * per-transition-rebuild formulation, ReferenceContinuousRouter in
+ * tests/oracles/, is the differential oracle this router must match
+ * plan for plan.
  */
 
 #ifndef POWERMOVE_ROUTE_ROUTER_HPP
 #define POWERMOVE_ROUTE_ROUTER_HPP
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "arch/layout.hpp"
 #include "arch/machine.hpp"
 #include "common/rng.hpp"
-#include "route/free_site_index.hpp"
 #include "route/move.hpp"
 #include "schedule/stage.hpp"
 
@@ -115,37 +153,119 @@ class ContinuousRouter
      * Post-conditions (validated downstream): every gate pair of the
      * stage shares one compute site; no other two qubits share a site;
      * in storage mode every idle qubit sits in the storage zone.
+     *
+     * The first call (or the first after reset()) initializes the
+     * incremental state from @p layout; later calls require that the
+     * layout was not mutated outside this router in between.
      */
     TransitionPlan planStageTransition(Layout &layout, const Stage &stage);
+
+    /**
+     * Drops the incremental state; the next plan resyncs it from its
+     * layout in O(qubits + sites / 64), reusing every buffer whose size
+     * still matches.
+     */
+    void reset() { initialized_ = false; }
+
+    /**
+     * Debug/property-test hook: rebuilds planned occupancy, the free
+     * bitmasks, the site mirror, and the resident list from @p layout
+     * and compares them to the incrementally maintained versions.
+     * Returns false (and fills @p why) on the first divergence.
+     */
+    bool auditAgainstLayout(const Layout &layout,
+                            std::string *why = nullptr) const;
 
     const RouterOptions &options() const { return options_; }
 
   private:
+    void initGeometry();
+    void initFrom(const Layout &layout);
+
+    // planned-occupancy maintenance; keeps the free bitmasks in sync.
+    void plannedInc(SiteId site);
+    void plannedDec(SiteId site);
+    void setFreeBit(SiteId site);
+    void clearFreeBit(SiteId site);
+    bool freeBit(SiteId site) const;
+
+    /** First planned-free storage row of @p column, or -1. */
+    std::int32_t firstFreeStorageRow(std::int32_t column) const;
+
     /**
-     * Nearest compute site that will be empty once all planned departures
-     * and arrivals settle (Sec. 5.2 step 3); fatal when the zone is full.
+     * The Sec. 5.2 step 1 storage slot for a qubit parking from column
+     * @p origin_x: the lexicographic (|dx|, y, x) minimum over
+     * planned-free storage slots, by bit scans over the per-column
+     * free masks. Fatal when the zone is full.
      */
-    SiteId findEmptyComputeSite(SiteId origin,
-                                const std::vector<int> &planned) const;
+    SiteId claimStorageSlot(std::int32_t origin_x) const;
+
+    /**
+     * The Sec. 5.2 step 3 site: the unique (euclidean distance, y, x)
+     * argmin over planned-free compute sites, the same choice as the
+     * ring search findNearestFreeComputeSite makes, from the same
+     * doubles with the same comparator. Returns kInvalidSite when the
+     * compute zone has no free site.
+     */
+    SiteId findNearestFreeCompute(SiteId origin) const;
+
+    // resident-list maintenance (compute-zone qubits).
+    void addResident(QubitId qubit);
+    void removeResident(QubitId qubit);
+
+    static constexpr std::size_t kNpos = ~std::size_t{0};
 
     const Machine &machine_;
     RouterOptions options_;
-    Rng own_rng_;  // used unless an external stream was supplied
-    Rng *rng_;     // &own_rng_ or the caller's stream
-    StorageSlotIndex storage_index_; // incremental Sec. 5.2 step 1 search
+    Rng own_rng_; // used unless an external stream was supplied
+    Rng *rng_;    // &own_rng_ or the caller's stream
 
-    // Scratch buffers reused across transitions to keep the planning
-    // pass allocation-free (the compile-time story of Sec. 7.2 depends
-    // on the router staying near-linear per stage).
+    // Immutable geometry mirrors (SoA; filled once at construction).
+    std::int32_t compute_cols_ = 0;
+    std::int32_t compute_rows_ = 0;
+    std::int32_t storage_cols_ = 0;
+    std::int32_t storage_rows_ = 0;
+    std::int32_t storage_top_row_ = 0;
+    std::size_t num_compute_ = 0;
+    std::size_t num_sites_ = 0;
+    std::vector<std::int32_t> coord_x_; // site -> lattice x
+    std::vector<std::int32_t> coord_y_; // site -> lattice y
+    std::vector<double> phys_x_;        // site -> physical x (um)
+    std::vector<double> phys_y_;        // site -> physical y (um)
+
+    // Persistent incremental state (valid while initialized_).
+    bool initialized_ = false;
+    std::vector<int> planned_;            // site -> settled occupancy
+    std::vector<std::uint64_t> free_rows_; // compute: per-row free bits
+    std::vector<std::uint64_t> free_cols_; // storage: per-col free bits
+    std::size_t row_words_ = 0;
+    std::size_t col_words_ = 0;
+    // All-free masks (every in-range bit set), built once: a resync
+    // copies them instead of setting the bits one by one.
+    std::vector<std::uint64_t> all_free_rows_;
+    std::vector<std::uint64_t> all_free_cols_;
+    std::vector<SiteId> site_of_;         // qubit -> site mirror
+    std::vector<QubitId> residents_;      // compute-zone qubits
+    std::vector<std::size_t> resident_pos_; // qubit -> residents_ index
+
+    // Epoch-stamped per-transition scratch (entry valid iff its stamp
+    // equals epoch_; bumping the epoch "clears" every array in O(1)).
+    // epoch_ only grows, so a resync keeps the stamped arrays as they
+    // are whenever their sizes still match.
+    std::uint64_t epoch_ = 0;
+    std::vector<std::uint64_t> partner_epoch_;
     std::vector<QubitId> partner_;
-    std::vector<int> planned_;
+    std::vector<std::uint64_t> labeled_epoch_;
+    std::vector<std::uint64_t> target_epoch_;
     std::vector<SiteId> target_;
-    std::vector<MoveLabel> label_;
-    std::vector<bool> labeled_;
-    std::vector<int> statics_at_;
+    std::vector<std::uint64_t> follower_epoch_;
     std::vector<QubitId> follower_;
-    std::vector<QubitId> first_idle_at_;
-    std::vector<QubitId> idle_in_compute_;
+    std::vector<std::uint64_t> statics_epoch_;
+    std::vector<int> statics_at_;
+    std::vector<std::uint64_t> first_idle_epoch_;
+
+    // Plain per-transition scratch.
+    std::vector<std::uint64_t> idle_keys_; // packed (y, x, qubit)
     std::vector<QubitId> undecided_order_;
     std::vector<QubitId> evicted_;
 };

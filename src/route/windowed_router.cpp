@@ -44,7 +44,10 @@ WindowedRouter::planStageTransition(Layout &layout, const Stage &stage)
             shuffle_rng.shuffle(candidate_stage_.gates);
         }
 
+        // Every candidate starts from the live layout: copy it into the
+        // scratch and resync the inner router's incremental state to it.
         scratch_->assignFrom(layout);
+        inner_.reset();
         candidate_rng_ = Rng(route_seed);
         TransitionPlan plan =
             inner_.planStageTransition(*scratch_, candidate_stage_);

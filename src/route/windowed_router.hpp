@@ -70,7 +70,9 @@ class WindowedRouter
 
     // The inner router draws its randomized decisions from
     // candidate_rng_, reseeded before every candidate so each ordering
-    // is routed under an independent, reproducible stream.
+    // is routed under an independent, reproducible stream. It is reset
+    // before every candidate too: its incremental state then resyncs
+    // from the scratch layout, reusing its buffers.
     Rng candidate_rng_;
     ContinuousRouter inner_;
     std::optional<Layout> scratch_; // sized lazily to the circuit width

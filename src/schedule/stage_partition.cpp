@@ -80,11 +80,12 @@ pairKey(const CzGate &gate)
 }
 
 /**
- * The greedy stage assignment of partitionIntoStages computed by a
- * qubit scan, without the conflict graph. Two ingredients make the
- * result bit-identical:
+ * The greedy stage assignment of paper Alg. 1 — Welsh-Powell coloring
+ * of the conflict graph — computed by a qubit scan, without the graph.
+ * Two ingredients make the result bit-identical to coloring the
+ * materialized graph (the oracle in tests/oracles/):
  *
- *  1. The scan order reproduces verticesByDegreeDesc exactly: conflict
+ *  1. The scan order is the graph's descending-degree order: conflict
  *     degrees come from per-qubit gate counts — deg(g) = (cnt[a] - 1) +
  *     (cnt[b] - 1) - (pairs[{a,b}] - 1), the last term undoing the
  *     double count of gates sharing *both* qubits — and a counting sort
@@ -93,8 +94,8 @@ pairKey(const CzGate &gate)
  *  2. The forbidden colors of a gate are the union of the stage sets of
  *     its two qubits — precisely the colors of its already-colored
  *     graph neighbors — so taking the first free bit of that union is
- *     the same "smallest color unused among neighbors" choice
- *     greedyColoring makes.
+ *     the "smallest color unused among neighbors" choice of greedy
+ *     coloring.
  *
  * @param used scratch stage sets; left at their final state so callers
  *             (the Balanced rebalance) can reuse them.
@@ -128,7 +129,7 @@ greedyScanAssignment(const CzBlock &block, std::size_t num_qubits,
     }
 
     // Counting sort, descending degree, ascending gate index within a
-    // degree (the stable_sort tie break of verticesByDegreeDesc).
+    // degree (the Welsh-Powell order with a stable tie break).
     std::vector<std::vector<std::uint32_t>> buckets(max_degree + 1);
     for (std::size_t g = 0; g < num_gates; ++g)
         buckets[degree[g]].push_back(static_cast<std::uint32_t>(g));
@@ -222,68 +223,6 @@ rebalanceWidths(const CzBlock &block, std::vector<std::uint32_t> &stage_of,
 
 } // namespace
 
-Graph
-buildInteractionGraph(const CzBlock &block, std::size_t num_qubits)
-{
-    const std::size_t num_gates = block.gates.size();
-    Graph graph(num_gates);
-
-    // Index gates by qubit, then connect every two gates sharing one.
-    std::vector<std::vector<Graph::Vertex>> gates_on_qubit(num_qubits);
-    for (std::size_t g = 0; g < num_gates; ++g) {
-        const auto &gate = block.gates[g];
-        PM_ASSERT(gate.a < num_qubits && gate.b < num_qubits,
-                  "gate qubit outside circuit width");
-        gates_on_qubit[gate.a].push_back(static_cast<Graph::Vertex>(g));
-        gates_on_qubit[gate.b].push_back(static_cast<Graph::Vertex>(g));
-    }
-    for (std::size_t q = 0; q < num_qubits; ++q) {
-        const auto &sharers = gates_on_qubit[q];
-        for (std::size_t i = 0; i < sharers.size(); ++i) {
-            for (std::size_t j = i + 1; j < sharers.size(); ++j) {
-                // A pair sharing both qubits sits in two sharer lists;
-                // expand it only from the lower one so the edge reaches
-                // addEdge exactly once instead of leaning on its
-                // linear-scan duplicate rejection.
-                const auto other_i =
-                    block.gates[sharers[i]].partnerOf(static_cast<QubitId>(q));
-                const auto other_j =
-                    block.gates[sharers[j]].partnerOf(static_cast<QubitId>(q));
-                if (other_i == other_j && other_i < q)
-                    continue;
-                const bool inserted = graph.addEdge(sharers[i], sharers[j]);
-                // addEdge also rejects duplicates (by an O(degree) scan),
-                // so the guard above is output-invisible; this assert is
-                // what keeps it from silently regressing.
-                PM_ASSERT(inserted,
-                          "clique expansion emitted a duplicate conflict");
-            }
-        }
-    }
-    return graph;
-}
-
-std::vector<Stage>
-partitionIntoStages(const CzBlock &block, std::size_t num_qubits)
-{
-    if (block.gates.empty())
-        return {};
-    if (block.gates.size() == 1)
-        return {Stage{block.gates}};
-
-    const Graph graph = buildInteractionGraph(block, num_qubits);
-    const auto order = verticesByDegreeDesc(graph);
-    const auto coloring = greedyColoring(graph, order);
-
-    std::vector<Stage> stages(numColors(coloring));
-    for (std::size_t g = 0; g < block.gates.size(); ++g)
-        stages[coloring[g]].gates.push_back(block.gates[g]);
-
-    for (const auto &stage : stages)
-        PM_ASSERT(stage.qubitsDisjoint(), "stage partition produced overlap");
-    return stages;
-}
-
 std::vector<Stage>
 partitionIntoStagesLinear(const CzBlock &block, std::size_t num_qubits)
 {
@@ -316,8 +255,7 @@ partitionIntoStagesBy(StagePartitionStrategy strategy, const CzBlock &block,
                       std::size_t num_qubits)
 {
     switch (strategy) {
-    case StagePartitionStrategy::Coloring:
-        return partitionIntoStages(block, num_qubits);
+    case StagePartitionStrategy::Coloring: // same assignment, see header
     case StagePartitionStrategy::Linear:
         return partitionIntoStagesLinear(block, num_qubits);
     case StagePartitionStrategy::Balanced:

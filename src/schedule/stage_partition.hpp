@@ -9,17 +9,18 @@
  * descending vertex-degree order (Welsh-Powell), which is near-optimal
  * for these line-graph-like instances.
  *
- * Three implementations sit behind StagePartitionStrategy:
+ * Two implementations sit behind StagePartitionStrategy:
  *
- *  - partitionIntoStages (Coloring): materializes the conflict graph —
- *    a clique per qubit, O(k^2) edges for a qubit used in k gates —
- *    then colors it. The paper's formulation and the reference.
- *  - partitionIntoStagesLinear (Linear): the same greedy coloring by a
- *    qubit scan that never builds the graph. A gate conflicts only
- *    through its two qubits, so a per-qubit bitset of already-used
- *    stage indices gives the forbidden set in O(stages/64) words; the
- *    result is bit-identical to Coloring in O(gates * stages/64) time
- *    and O(num_qubits) bitsets of extra space.
+ *  - partitionIntoStagesLinear (Linear, and its alias Coloring): the
+ *    greedy coloring by a qubit scan that never builds the graph. A
+ *    gate conflicts only through its two qubits, so a per-qubit bitset
+ *    of already-used stage indices gives the forbidden set in
+ *    O(stages/64) words; O(gates * stages/64) time and O(num_qubits)
+ *    bitsets of extra space. The paper's formulation — materialize the
+ *    conflict graph (a clique per qubit, O(k^2) edges for a qubit used
+ *    in k gates), then color it — is the test oracle in
+ *    tests/oracles/reference_partition.hpp, and this scan matches it
+ *    stage for stage.
  *  - partitionIntoStagesBalanced (Balanced): the Linear scan followed
  *    by a deterministic width-rebalancing sweep that migrates gates
  *    from over-full stages into emptier qubit-disjoint stages. Stage
@@ -33,47 +34,29 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "common/graph.hpp"
 #include "compiler/strategies.hpp"
 #include "schedule/stage.hpp"
 
 namespace powermove {
 
 /**
- * Builds the interaction graph of a CZ block: one vertex per gate, one
- * edge between every two gates sharing at least one qubit. Gate pairs
- * sharing *both* qubits are deduplicated up front (the pair is expanded
- * only from its lower shared qubit), so every conflict reaches
- * Graph::addEdge exactly once.
- */
-Graph buildInteractionGraph(const CzBlock &block, std::size_t num_qubits);
-
-/**
- * Partitions a commutable CZ block into stages (Algorithm 1) via the
- * materialized conflict graph.
+ * Partitions a commutable CZ block into stages (Algorithm 1) by the
+ * graph-free qubit scan.
  *
  * @param block      the gates to partition
- * @param num_qubits circuit width (for the qubit-indexed gate lists)
+ * @param num_qubits circuit width (for the per-qubit stage sets)
  * @return stages of disjoint-qubit gates; their concatenation is a
  *         permutation of the block's gates.
- */
-std::vector<Stage> partitionIntoStages(const CzBlock &block,
-                                       std::size_t num_qubits);
-
-/**
- * Graph-free qubit-scan partitioner: produces a stage assignment
- * bit-identical to partitionIntoStages (same greedy order, same colors)
- * without materializing the conflict graph.
  */
 std::vector<Stage> partitionIntoStagesLinear(const CzBlock &block,
                                              std::size_t num_qubits);
 
 /**
  * Width-balanced partitioner: the Linear assignment plus a rebalancing
- * sweep. Returns the same number of stages as partitionIntoStages with
- * the same gate multiset and qubit-disjoint stages, but ties broken
- * toward emptier stages so the maximum stage width never grows (and
- * usually shrinks).
+ * sweep. Returns the same number of stages as partitionIntoStagesLinear
+ * with the same gate multiset and qubit-disjoint stages, but ties
+ * broken toward emptier stages so the maximum stage width never grows
+ * (and usually shrinks).
  */
 std::vector<Stage> partitionIntoStagesBalanced(const CzBlock &block,
                                                std::size_t num_qubits);

@@ -137,8 +137,8 @@ seedFingerprintJob(const Circuit &circuit, const MachineConfig &config,
 {
     CompilerOptions canonical = options;
     canonical.profile_passes = CompilerOptions{}.profile_passes;
-    // The fast path is bit-identical to the reference router at equal
-    // seeds, so it must draw the same seed.
+    // `fast` is an alias of the continuous router, so it must draw the
+    // same seed.
     if (canonical.routing == RoutingStrategy::Fast)
         canonical.routing = RoutingStrategy::Continuous;
     return fingerprintJob(circuit, config, canonical);

@@ -126,10 +126,10 @@ std::uint64_t fingerprintJob(const Circuit &circuit,
  * emits, so a job profiled once for analysis and re-run unprofiled in
  * production has to draw the same randomized-decision stream.
  * RoutingStrategy::Fast is normalized to Continuous for the same
- * reason: the fast path is bit-identical to the reference router at
- * equal seeds (differential-tested), so `--routing=fast` must draw the
- * same stream and reproduce the reference schedule exactly — the CLI
- * end-to-end job cmp's the emitted ISA JSON of both paths.
+ * reason: `fast` is an alias of the continuous router, so
+ * `--routing=fast` must draw the same stream and reproduce the
+ * continuous schedule exactly — the CLI end-to-end job cmp's the
+ * emitted ISA JSON of both.
  */
 std::uint64_t seedFingerprintJob(const Circuit &circuit,
                                  const MachineConfig &config,

@@ -1,6 +1,6 @@
-/** @file Property test for the fast router's incremental structures.
+/** @file Property test for the continuous router's incremental structures.
  *
- * The fast router keeps planned occupancy, free-site bitmasks, a
+ * The continuous router keeps planned occupancy, free-site bitmasks, a
  * qubit-to-site mirror, and a compute-resident list alive across
  * transitions instead of rebuilding them. This test churns the router
  * through long random park/retrieve/move sequences and, after every
@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "route/fast_router.hpp"
+#include "route/router.hpp"
 #include "schedule/stage.hpp"
 
 namespace powermove {
@@ -53,7 +53,7 @@ TEST_P(FastRouterStateTest, IncrementalStateMatchesRebuildAfterEveryChurn)
     const auto [use_storage, seed] = GetParam();
     const std::size_t n = 30;
     const Machine machine(MachineConfig::forQubits(n));
-    FastContinuousRouter router(machine, RouterOptions{use_storage, seed});
+    ContinuousRouter router(machine, RouterOptions{use_storage, seed});
 
     Layout layout(machine, n);
     placeRowMajor(layout,
@@ -79,7 +79,7 @@ TEST(FastRouterStatePressureTest, SmallMachineStaysConsistent)
 {
     const std::size_t n = 8;
     const Machine machine(MachineConfig::forQubits(n));
-    FastContinuousRouter router(machine, RouterOptions{true, 5});
+    ContinuousRouter router(machine, RouterOptions{true, 5});
     Layout layout(machine, n);
     placeRowMajor(layout, ZoneKind::Storage);
 
@@ -102,7 +102,7 @@ TEST(FastRouterStateResetTest, AuditHoldsAfterResetFromExternalChange)
 {
     const std::size_t n = 16;
     const Machine machine(MachineConfig::forQubits(n));
-    FastContinuousRouter router(machine, RouterOptions{true, 9});
+    ContinuousRouter router(machine, RouterOptions{true, 9});
     Layout layout(machine, n);
     placeRowMajor(layout, ZoneKind::Storage);
 

@@ -1,11 +1,14 @@
-/** @file Differential lock: FastContinuousRouter == ContinuousRouter.
+/** @file Differential lock: ContinuousRouter == ReferenceContinuousRouter.
  *
- * The fast path promises bit-identical plans — same moves in the same
- * order, same labels, same counters, same RNG consumption — so every
- * test here drives the two routers side by side from identical inputs
- * and compares the outputs exactly. Coverage spans the Table 2 suite
- * (full pipeline through scheduleToJson) and randomized stage
- * sequences in both zone configurations (router level, plan by plan).
+ * The library's incremental continuous router promises bit-identical
+ * plans to the per-transition-rebuild oracle (tests/oracles/) — same
+ * moves in the same order, same labels, same counters, same RNG
+ * consumption — so every test here drives the two routers side by side
+ * from identical inputs and compares the outputs exactly. Coverage
+ * spans randomized stage sequences in both zone configurations (router
+ * level, plan by plan) and the Table 2 suite, where the `fast` alias
+ * must emit the same program as `continuous` (the full pipeline against
+ * the oracle is pipeline_test.cpp's legacy regression).
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +18,7 @@
 #include "common/rng.hpp"
 #include "compiler/powermove.hpp"
 #include "isa/json.hpp"
-#include "route/fast_router.hpp"
+#include "oracles/reference_router.hpp"
 #include "route/router.hpp"
 #include "workloads/suite.hpp"
 
@@ -66,8 +69,8 @@ TEST_P(FastRouterDifferential, RandomStageSequencesMatchPlanByPlan)
 
     Rng reference_stream(seed);
     Rng fast_stream(seed);
-    ContinuousRouter reference(machine, options, reference_stream);
-    FastContinuousRouter fast(machine, options, fast_stream);
+    ReferenceContinuousRouter reference(machine, options, reference_stream);
+    ContinuousRouter fast(machine, options, fast_stream);
 
     Layout reference_layout(machine, n);
     Layout fast_layout(machine, n);
@@ -95,10 +98,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8)));
 
 /**
- * Acceptance lock: across the whole Table 2 suite, in both zone
- * configurations, --routing=fast emits the same machine program as the
- * reference router, bit for bit (serialized instruction streams compare
- * every field of every instruction plus the initial sites).
+ * Alias lock: across the whole Table 2 suite, in both zone
+ * configurations, --routing=fast emits the same machine program as
+ * --routing=continuous, bit for bit (serialized instruction streams
+ * compare every field of every instruction plus the initial sites).
  */
 TEST(FastRouterTable2Test, FullPipelineBitIdenticalOnTable2)
 {
@@ -120,7 +123,7 @@ TEST(FastRouterTable2Test, FullPipelineBitIdenticalOnTable2)
             EXPECT_EQ(scheduleToJson(reference.schedule),
                       scheduleToJson(fast.schedule))
                 << spec.name << (use_storage ? " with" : " without")
-                << " storage diverged from the reference router";
+                << " storage: the fast alias diverged from continuous";
         }
     }
 }
@@ -132,8 +135,8 @@ TEST(FastRouterEdgeTest, RepeatedAndAdjacentGatesMatch)
     const Machine machine(MachineConfig::forQubits(n));
     const RouterOptions options{true, 99};
     Rng ref_stream(5), fast_stream(5);
-    ContinuousRouter reference(machine, options, ref_stream);
-    FastContinuousRouter fast(machine, options, fast_stream);
+    ReferenceContinuousRouter reference(machine, options, ref_stream);
+    ContinuousRouter fast(machine, options, fast_stream);
     Layout ref_layout(machine, n), fast_layout(machine, n);
     placeRowMajor(ref_layout, ZoneKind::Storage);
     fast_layout.assignFrom(ref_layout);
@@ -158,15 +161,15 @@ TEST(FastRouterResetTest, ResetResyncsAfterExternalMutation)
 {
     const std::size_t n = 12;
     const Machine machine(MachineConfig::forQubits(n));
-    FastContinuousRouter fast(machine, RouterOptions{true, 7});
-    ContinuousRouter reference(machine, RouterOptions{true, 7});
+    ContinuousRouter fast(machine, RouterOptions{true, 7});
+    ReferenceContinuousRouter reference(machine, RouterOptions{true, 7});
 
     Layout fast_layout(machine, n), ref_layout(machine, n);
     placeRowMajor(fast_layout, ZoneKind::Storage);
     fast.planStageTransition(fast_layout, Stage{{CzGate{0, 1}}});
 
     // Mutate the layout behind the router's back, then resync both
-    // sides: after reset() the fast router must agree with a fresh
+    // sides: after reset() the incremental router must agree with a fresh
     // reference router on the same layout.
     fast_layout.moveTo(2, machine.storageSites().back());
     fast.reset();

@@ -260,8 +260,8 @@ TEST(FingerprintTest, JobFingerprintCombinesAllThreeParts)
 
 /**
  * Schedule-neutral options must not reach the derived seed: profiling
- * never changes the emitted schedule, and the fast routing path is
- * bit-identical to the reference router at equal seeds — so both
+ * never changes the emitted schedule, and `fast` is an alias of the
+ * continuous router — so both
  * normalize away in seedFingerprintJob() while still addressing
  * distinct cache entries via fingerprintJob(). This is what makes
  * `--routing=fast` reproduce `--routing=continuous` byte for byte all

@@ -107,7 +107,7 @@ TEST_P(PipelineFuzz, PowerMoveSchedulesValidate)
         << "seed=" << param.seed;
     EXPECT_GT(result.metrics.fidelity(), 0.0);
     if (param.use_storage && param.routing != RoutingStrategy::Reuse) {
-        // Continuous semantics (shared by the fast path and every
+        // Continuous semantics (shared by the `fast` alias and every
         // windowed candidate) keep every idle qubit out of the compute
         // zone during pulses; atom reuse deliberately trades excitation
         // exposures for saved storage round trips.
@@ -271,8 +271,8 @@ makeCases()
                                      kResidencies[(cases.size() + group) %
                                                   std::size(kResidencies)]});
                 }
-                // The incremental fast path sees the same axis sweep as
-                // the reference it must mirror.
+                // The `fast` alias sees the same axis sweep as the
+                // router it names.
                 cases.push_back(
                     {seed++, n, storage, aods, RoutingStrategy::Fast, 4,
                      next_placement(), next_partition()});

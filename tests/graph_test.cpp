@@ -1,10 +1,12 @@
-/** @file Unit and property tests for the graph library. */
+/** @file Unit and property tests for the graph library and the greedy
+ * coloring of the partition oracle (tests/oracles/). */
 
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
 #include "common/graph.hpp"
 #include "common/rng.hpp"
+#include "oracles/reference_partition.hpp"
 
 namespace powermove {
 namespace {

@@ -9,8 +9,9 @@
 #include "compiler/powermove.hpp"
 #include "isa/json.hpp"
 #include "isa/validator.hpp"
+#include "oracles/reference_partition.hpp"
+#include "oracles/reference_router.hpp"
 #include "route/grouping.hpp"
-#include "route/router.hpp"
 #include "schedule/stage_order.hpp"
 #include "schedule/stage_partition.hpp"
 #include "workloads/suite.hpp"
@@ -20,9 +21,11 @@ namespace {
 
 /**
  * The pre-pipeline monolithic compiler, reproduced verbatim from the
- * seed's PowerMoveCompiler::compile() out of the same public building
- * blocks. The pipeline regression below holds the refactored compiler
- * to this reference bit-for-bit under default options.
+ * seed's PowerMoveCompiler::compile() out of the same building blocks,
+ * with the graph-coloring partition and the per-transition-rebuild
+ * router it used (the oracles in tests/oracles/). The pipeline
+ * regression below holds the compiler to this reference bit-for-bit
+ * under default options.
  */
 MachineSchedule
 legacyCompile(const Machine &machine, const Circuit &circuit,
@@ -37,7 +40,8 @@ legacyCompile(const Machine &machine, const Circuit &circuit,
         initial_sites[q] = layout.siteOf(q);
 
     MachineSchedule schedule(machine, std::move(initial_sites));
-    ContinuousRouter router(machine, {options.use_storage, options.seed});
+    ReferenceContinuousRouter router(machine,
+                                     {options.use_storage, options.seed});
     const StageOrderOptions order_options{options.stage_order_alpha};
 
     std::size_t block_index = 0;

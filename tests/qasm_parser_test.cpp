@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "common/error.hpp"
 #include "qasm/parser.hpp"
@@ -171,6 +172,83 @@ TEST(ParserTest, MissingSemicolonRejected)
 {
     EXPECT_THROW(parseProgram("qreg q[2]"), ParseError);
     EXPECT_THROW(parseProgram("qreg q[2]; h q[0]"), ParseError);
+}
+
+/** `rz(<expr>) q[0];` on line 2, the parameter starting at column 4. */
+std::string
+rzProgram(const std::string &expr)
+{
+    return "qreg q[1];\nrz(" + expr + ") q[0];";
+}
+
+/** @p count copies of @p text back to back. */
+std::string
+repeat(const std::string &text, std::size_t count)
+{
+    std::string out;
+    for (std::size_t i = 0; i < count; ++i)
+        out += text;
+    return out;
+}
+
+// Regression: 5000 nested parentheses used to overflow the stack of the
+// recursive descent (SIGSEGV) instead of raising a typed error.
+TEST(ParserDepthTest, DeeplyNestedParenthesesRaiseParseError)
+{
+    try {
+        parseProgram(rzProgram(repeat("(", 5000) + "1" + repeat(")", 5000)));
+        FAIL() << "expected ParseError";
+    } catch (const ParseError &error) {
+        EXPECT_EQ(error.line(), 2u);
+        // The first parenthesis past the limit: column 4 opens level 1.
+        EXPECT_EQ(error.column(), 4u + kMaxExprDepth);
+        EXPECT_NE(std::string(error.what()).find("nested deeper"),
+                  std::string::npos);
+    }
+}
+
+TEST(ParserDepthTest, EveryNestingFormCountsTowardTheLimit)
+{
+    const std::size_t over = kMaxExprDepth + 1;
+    EXPECT_THROW(parseProgram(rzProgram(repeat("-", over) + "1")),
+                 ParseError);
+    EXPECT_THROW(parseProgram(rzProgram(repeat("2^", over) + "1")),
+                 ParseError);
+    EXPECT_THROW(parseProgram(rzProgram(repeat("sin(", over) + "1" +
+                                        repeat(")", over))),
+                 ParseError);
+    // A left-leaning chain builds one tree level per operator without
+    // any recursion in the parser; its depth is still bounded.
+    EXPECT_THROW(parseProgram(rzProgram("1" + repeat("+1", over))),
+                 ParseError);
+    EXPECT_THROW(parseProgram(rzProgram("1" + repeat("*1", over))),
+                 ParseError);
+    // Chains inside nested groups add up: 200 levels of parentheses each
+    // holding a 2-term sum would be 400 deep.
+    EXPECT_THROW(parseProgram(rzProgram(repeat("(1+", 200) + "1" +
+                                        repeat(")", 200))),
+                 ParseError);
+    EXPECT_THROW(parseProgram(rzProgram(repeat("(", 200) + "1" +
+                                        repeat("+1)", 200))),
+                 ParseError);
+}
+
+TEST(ParserDepthTest, ExpressionsAtTheLimitParseAndEvaluate)
+{
+    // A sum of kMaxExprDepth terms has depth exactly kMaxExprDepth.
+    const auto sum =
+        parseProgram(rzProgram("1" + repeat("+1", kMaxExprDepth - 1)));
+    const auto &call = std::get<GateCall>(sum.statements[1]);
+    EXPECT_DOUBLE_EQ(evaluateExpr(call.params[0], {}),
+                     static_cast<double>(kMaxExprDepth));
+
+    // Each parenthesis adds a level on top of the literal's own.
+    const std::size_t parens = kMaxExprDepth - 1;
+    EXPECT_NO_THROW(parseProgram(
+        rzProgram(repeat("(", parens) + "1" + repeat(")", parens))));
+    EXPECT_THROW(parseProgram(rzProgram(repeat("(", parens + 1) + "1" +
+                                        repeat(")", parens + 1))),
+                 ParseError);
 }
 
 } // namespace

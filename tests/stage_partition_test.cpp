@@ -1,10 +1,11 @@
 /** @file Tests for Algorithm 1 (edge-coloring stage partition).
  *
- * Covers the three StagePartitionStrategy implementations: the paper's
- * graph coloring, the graph-free linear scan (locked bit-identical to
- * coloring, differentially over the Table 2 suite plus depth-2 VQE),
- * and the width-balanced variant (same stage count, qubit-disjoint,
- * coverage-complete), plus randomized-block partition properties.
+ * Covers the paper's graph coloring (the oracle in tests/oracles/),
+ * the library's graph-free linear scan (locked bit-identical to the
+ * oracle, differentially over the Table 2 suite plus depth-2 VQE), the
+ * width-balanced variant (same stage count, qubit-disjoint,
+ * coverage-complete), the strategy dispatch (`coloring` is an alias of
+ * `linear`), plus randomized-block partition properties.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 
 #include "circuit/circuit.hpp"
 #include "common/rng.hpp"
+#include "oracles/reference_partition.hpp"
 #include "schedule/stage_partition.hpp"
 #include "workloads/qaoa.hpp"
 #include "workloads/qft.hpp"

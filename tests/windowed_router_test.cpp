@@ -11,16 +11,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/geometry.hpp"
 #include "common/rng.hpp"
 #include "compiler/powermove.hpp"
+#include "isa/json.hpp"
 #include "isa/validator.hpp"
 #include "route/router.hpp"
 #include "route/windowed_router.hpp"
+#include "service/fingerprint.hpp"
 #include "workloads/suite.hpp"
 
 namespace powermove {
@@ -187,6 +192,35 @@ TEST(WindowedRouterPipelineTest, CompilesTable2EntryAndValidates)
     const auto result = PowerMoveCompiler(machine, options).compile(circuit);
     EXPECT_NO_THROW(validateAgainstCircuit(result.schedule, circuit));
     EXPECT_GT(result.num_stages, 0u);
+}
+
+/**
+ * Pins the windowed schedules themselves, not just their properties:
+ * every Table 2 circuit compiled with --routing=windowed (default
+ * window), with and without the storage zone, hashed as the FNV-1a
+ * digest of the concatenated ISA JSON. Any change to the windowed
+ * search, the router it drives, or the RNG draws either makes moves
+ * this digest — so a refactor that claims "same schedules" must leave
+ * it untouched.
+ */
+TEST(WindowedRouterPinTest, Table2SchedulesMatchRecordedDigest)
+{
+    service::Fnv1a hash;
+    for (const bool use_storage : {true, false}) {
+        for (const BenchmarkSpec &spec : table2Suite()) {
+            const Machine machine(spec.machine_config);
+            CompilerOptions options;
+            options.routing = RoutingStrategy::Windowed;
+            options.use_storage = use_storage;
+            const auto result =
+                PowerMoveCompiler(machine, options).compile(spec.build());
+            const std::string json = scheduleToJson(result.schedule);
+            hash.addBytes(json.data(), json.size());
+        }
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016" PRIx64, hash.digest());
+    EXPECT_STREQ(hex, "0fe20a2e5da27aa4");
 }
 
 TEST(WindowedRouterGuardTest, WindowOfZeroIsRejected)

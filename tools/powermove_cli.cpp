@@ -39,15 +39,14 @@
  *   --placement-refine-iters N  routing-aware local-search budget in
  *                  sweeps (default 32; 0 = greedy layout only)
  *   --stage-partition S  CZ-block stage partition: linear (default, the
- *                  bit-identical graph-free scan), coloring (the
- *                  paper's Sec. 4.1 edge coloring), or balanced
+ *                  paper's Sec. 4.1 edge coloring by a graph-free
+ *                  scan), coloring (alias of linear), or balanced
  *                  (linear + stage-width rebalance)
  *   --routing R    stage-transition routing: continuous (default, the
- *                  paper's Sec. 5 router), reuse (gate-aware atom
- *                  reuse, src/reuse/), fast (bit-identical incremental
- *                  fast path, src/route/fast_router.*), or windowed
- *                  (best-of-N gate orderings, src/route/
- *                  windowed_router.*)
+ *                  paper's Sec. 5 router, src/route/router.*), reuse
+ *                  (gate-aware atom reuse, src/reuse/), fast (alias of
+ *                  continuous), or windowed (best-of-N gate orderings,
+ *                  src/route/windowed_router.*)
  *   --residency P  reuse residency (cache replacement) policy: lookahead
  *                  (default), lru, lti, or fidelity (--routing reuse
  *                  only; src/reuse/policy.*)
@@ -191,13 +190,13 @@ printUsage(std::FILE *stream)
         "                 0 = greedy only)\n"
         "  --stage-partition S\n"
         "                 CZ-block stage partition: linear (default,\n"
-        "                 bit-identical graph-free scan), coloring (the\n"
-        "                 paper's edge coloring), or balanced (linear +\n"
-        "                 stage-width rebalance)\n"
+        "                 the paper's edge coloring by a graph-free\n"
+        "                 scan), coloring (alias of linear), or balanced\n"
+        "                 (linear + stage-width rebalance)\n"
         "  --routing R    stage-transition routing: continuous (default),\n"
-        "                 reuse (gate-aware atom reuse), fast\n"
-        "                 (bit-identical incremental fast path), or\n"
-        "                 windowed (best-of-N gate orderings)\n"
+        "                 reuse (gate-aware atom reuse), fast (alias of\n"
+        "                 continuous), or windowed (best-of-N gate\n"
+        "                 orderings)\n"
         "  --residency P  reuse residency (cache replacement) policy:\n"
         "                 lookahead (default), lru, lti, or fidelity\n"
         "                 (--routing reuse only)\n"
