@@ -13,6 +13,9 @@
  * by the storage zone; a qubit in transit counts as unprotected, and a
  * qubit only counts as stored during an instruction when it is in
  * storage both before and after it.
+ *
+ * Only qubits outside storage and the movers are visited, so each
+ * instruction costs O(moves + gates + compute-zone residents).
  */
 
 #ifndef POWERMOVE_FIDELITY_EVALUATOR_HPP

@@ -17,6 +17,9 @@
  * transient co-residence while atoms ride an AOD mid-transition is
  * allowed (atoms in mobile traps hover independently of SLM occupancy).
  *
+ * Occupancy is kept incrementally, so each instruction costs O(moves +
+ * gates), not O(sites); a full scan runs only to name a violation.
+ *
  * validateAgainstCircuit() additionally proves completeness: the pulses
  * execute exactly the source circuit's CZ gates, block by block and in
  * block order, and the 1Q gate count matches.

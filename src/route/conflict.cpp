@@ -1,5 +1,9 @@
 #include "route/conflict.hpp"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 namespace powermove {
 
 namespace {
@@ -8,6 +12,24 @@ int
 sign(std::int32_t value)
 {
     return (value > 0) - (value < 0);
+}
+
+/**
+ * True if the start -> end map over @p spans preserves order exactly:
+ * equal starts share one end, and ends strictly increase with starts.
+ * That is the pairwise rule sign(s1 - s2) == sign(e1 - e2) in one sort.
+ */
+bool
+preservesOrder(std::vector<std::pair<std::int32_t, std::int32_t>> &spans)
+{
+    std::sort(spans.begin(), spans.end());
+    for (std::size_t i = 1; i < spans.size(); ++i) {
+        const auto &[start, end] = spans[i];
+        const auto &[prev_start, prev_end] = spans[i - 1];
+        if (start == prev_start ? end != prev_end : end <= prev_end)
+            return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -43,13 +65,18 @@ conflictsWithGroup(const Machine &machine, const CollMove &group,
 bool
 isValidCollMove(const Machine &machine, const CollMove &group)
 {
-    for (std::size_t i = 0; i < group.moves.size(); ++i) {
-        for (std::size_t j = i + 1; j < group.moves.size(); ++j) {
-            if (movesConflict(machine, group.moves[i], group.moves[j]))
-                return false;
-        }
+    if (group.moves.size() < 2)
+        return true;
+    std::vector<std::pair<std::int32_t, std::int32_t>> xs, ys;
+    xs.reserve(group.moves.size());
+    ys.reserve(group.moves.size());
+    for (const auto &move : group.moves) {
+        const SiteCoord start = machine.coordOf(move.from);
+        const SiteCoord end = machine.coordOf(move.to);
+        xs.emplace_back(start.x, end.x);
+        ys.emplace_back(start.y, end.y);
     }
-    return true;
+    return preservesOrder(xs) && preservesOrder(ys);
 }
 
 } // namespace powermove

@@ -27,7 +27,10 @@ bool movesConflict(const Machine &machine, const QubitMove &m1,
 bool conflictsWithGroup(const Machine &machine, const CollMove &group,
                         const QubitMove &candidate);
 
-/** True if all members of @p group are pairwise compatible. */
+/**
+ * True if all members of @p group are pairwise compatible; O(k log k)
+ * for k moves (two sorts instead of k^2 / 2 pair tests).
+ */
 bool isValidCollMove(const Machine &machine, const CollMove &group);
 
 } // namespace powermove

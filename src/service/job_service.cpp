@@ -117,6 +117,9 @@ JobService::submit(JobRequest request)
                 QueueEntry{pending.priority, pending.seq, fingerprint});
         }
         pending.waiters.push_back(std::move(waiter));
+        // Under the shard lock: once it drops, a worker may resolve the
+        // job, and a late Admitted would overwrite its terminal state.
+        recordState(id, JobState::Admitted);
         lock.unlock();
         {
             const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
@@ -126,7 +129,6 @@ JobService::submit(JobRequest request)
             metric_->tier_total[static_cast<std::size_t>(
                                     TierIndex::Coalesced)]
                 ->add(1);
-        recordState(id, JobState::Admitted);
         shard.work_ready.notify_one();
         return JobTicket{id, std::move(future)};
     }
@@ -178,9 +180,9 @@ JobService::submit(JobRequest request)
     ++shard.queued_jobs;
     if (shard.depth_gauge != nullptr)
         shard.depth_gauge->set(static_cast<double>(shard.queued_jobs));
+    recordState(id, JobState::Admitted); // under the lock, as above
     lock.unlock();
 
-    recordState(id, JobState::Admitted);
     shard.work_ready.notify_one();
     return JobTicket{id, std::move(future)};
 }

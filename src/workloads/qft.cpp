@@ -1,5 +1,6 @@
 #include "workloads/qft.hpp"
 
+#include <cmath>
 #include <numbers>
 
 namespace powermove {
@@ -18,8 +19,10 @@ makeQft(std::size_t num_qubits)
             circuit.append(CzGate{j, k});
         // Deferred Rz corrections of the CP decompositions.
         for (QubitId j = k + 1; j < n; ++j) {
+            // pi / 2^(j-k+1), exact; a 64-bit shift would overflow
+            // beyond 63 qubits.
             const double angle =
-                std::numbers::pi / static_cast<double>(1ULL << (j - k + 1));
+                std::ldexp(std::numbers::pi, -static_cast<int>(j - k + 1));
             circuit.append(OneQGate{OneQKind::Rz, j, angle});
             circuit.append(OneQGate{OneQKind::Rz, k, angle});
         }

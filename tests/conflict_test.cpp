@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "oracles/reference_validator.hpp"
 #include "route/conflict.hpp"
 
 namespace powermove {
@@ -126,6 +131,66 @@ TEST_F(ConflictTest, GroupHelpers)
 TEST_F(ConflictTest, EmptyGroupIsValid)
 {
     EXPECT_TRUE(isValidCollMove(machine_, CollMove{}));
+}
+
+TEST_F(ConflictTest, SortedGroupCheckMatchesPairwiseRule)
+{
+    // Random groups on the 6x6 compute grid, where ties on start and end
+    // rows and columns are common. Half the groups are arbitrary; the
+    // other half follow an order-preserving map (valid by construction),
+    // and half of those get one end perturbed, so both verdicts occur
+    // often.
+    const std::int32_t side = 6;
+    Rng rng(7);
+    const auto coordinate = [&] {
+        return static_cast<std::int32_t>(rng.nextBelow(side));
+    };
+    // m sorted distinct values of 0..side-1.
+    const auto sorted_sample = [&](std::size_t m) {
+        std::vector<std::int32_t> values(side);
+        for (std::int32_t v = 0; v < side; ++v)
+            values[v] = v;
+        rng.shuffle(values);
+        values.resize(m);
+        std::sort(values.begin(), values.end());
+        return values;
+    };
+    std::size_t valid = 0;
+    std::size_t invalid = 0;
+    for (int trial = 0; trial < 20000; ++trial) {
+        const std::size_t k = 2 + rng.nextBelow(9);
+        CollMove group;
+        if (rng.nextBool(0.5)) {
+            for (std::size_t i = 0; i < k; ++i)
+                group.moves.push_back(
+                    move(static_cast<QubitId>(i), {coordinate(), coordinate()},
+                         {coordinate(), coordinate()}));
+        } else {
+            // Column starts[i] goes to column ends[i], likewise for rows.
+            const std::size_t mx = 1 + rng.nextBelow(side);
+            const std::size_t my = 1 + rng.nextBelow(side);
+            const auto x_starts = sorted_sample(mx);
+            const auto x_ends = sorted_sample(mx);
+            const auto y_starts = sorted_sample(my);
+            const auto y_ends = sorted_sample(my);
+            for (std::size_t i = 0; i < k; ++i) {
+                const std::size_t cx = rng.nextBelow(mx);
+                const std::size_t cy = rng.nextBelow(my);
+                group.moves.push_back(move(static_cast<QubitId>(i),
+                                           {x_starts[cx], y_starts[cy]},
+                                           {x_ends[cx], y_ends[cy]}));
+            }
+            if (rng.nextBool(0.5))
+                group.moves[rng.nextBelow(k)].to =
+                    machine_.siteAt({coordinate(), coordinate()});
+        }
+        const bool expected = referenceIsValidCollMove(machine_, group);
+        ASSERT_EQ(isValidCollMove(machine_, group), expected)
+            << "trial " << trial;
+        ++(expected ? valid : invalid);
+    }
+    EXPECT_GT(valid, 4000u);
+    EXPECT_GT(invalid, 4000u);
 }
 
 } // namespace

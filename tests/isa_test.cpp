@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "isa/validator.hpp"
+#include "oracles/reference_validator.hpp"
 
 namespace powermove {
 namespace {
@@ -20,6 +21,27 @@ class IsaTest : public ::testing::Test
         AodBatch batch;
         batch.groups.push_back(CollMove{std::move(moves)});
         return batch;
+    }
+
+    /**
+     * The validator's rejection message for @p schedule ("" if it
+     * accepts), checked to equal the full-scan oracle's.
+     */
+    static std::string
+    rejectionOf(const MachineSchedule &schedule)
+    {
+        const auto message = [](auto &&validate) -> std::string {
+            try {
+                validate();
+            } catch (const ValidationError &e) {
+                return e.what();
+            }
+            return {};
+        };
+        const std::string got =
+            message([&] { validateSchedule(schedule); });
+        EXPECT_EQ(got, message([&] { referenceValidateSchedule(schedule); }));
+        return got;
     }
 
     Machine machine_;
@@ -226,6 +248,84 @@ TEST_F(IsaTest, ValidateAgainstCircuitDetectsBlockOrderViolation)
     schedule.addMoveBatch(batchOf({{1, 1, 0}}));
     schedule.addRydberg({CzGate{0, 1}}, 0); // then block 0: out of order
     EXPECT_THROW(validateAgainstCircuit(schedule, circuit), ValidationError);
+}
+
+// Edge cases of the validator's incremental counters (over-capacity
+// sites and compute sites holding exactly two qubits), each held to the
+// full-scan oracle's verdict and message.
+
+TEST_F(IsaTest, TransientStorageOverCapacityBetweenPulsesIsAccepted)
+{
+    const auto storage = machine_.storageSites();
+    MachineSchedule schedule(machine_, {0, 1, storage[0], storage[1]});
+    schedule.addMoveBatch(batchOf({{1, 1, 0}}));
+    schedule.addRydberg({CzGate{0, 1}}, 0);
+    schedule.addMoveBatch(batchOf({{3, storage[1], storage[0]}})); // 2 here
+    schedule.addMoveBatch(batchOf({{2, storage[0], storage[2]}})); // and 1
+    schedule.addRydberg({CzGate{0, 1}}, 0);
+    EXPECT_EQ(rejectionOf(schedule), "");
+}
+
+TEST_F(IsaTest, ThirdQubitOnAGateSiteIsACapacityError)
+{
+    MachineSchedule schedule(machine_, {0, 1, 2});
+    schedule.addMoveBatch(batchOf({{1, 1, 0}}));
+    schedule.addMoveBatch(batchOf({{2, 2, 0}})); // pair site goes 2 -> 3
+    schedule.addRydberg({CzGate{0, 1}}, 0);
+    EXPECT_NE(rejectionOf(schedule).find("holds 3 qubits (capacity 2)"),
+              std::string::npos);
+}
+
+TEST_F(IsaTest, ThreeToTwoDropLeavesAnUnscheduledPair)
+{
+    MachineSchedule schedule(machine_, {0, 1, 2, 3, 4});
+    schedule.addMoveBatch(batchOf({{1, 1, 0}}));
+    schedule.addMoveBatch(batchOf({{2, 2, 0}})); // site 0 holds 0, 1, 2
+    schedule.addMoveBatch(batchOf({{0, 0, 5}})); // 3 -> 2: 1 and 2 stay
+    schedule.addMoveBatch(batchOf({{4, 4, 3}}));
+    schedule.addRydberg({CzGate{3, 4}}, 0);
+    EXPECT_NE(rejectionOf(schedule).find(
+                  "qubits 1 and 2 are co-located during a pulse without a "
+                  "scheduled gate"),
+              std::string::npos);
+}
+
+TEST_F(IsaTest, OverCapacityAfterTheLastInstructionIsCaught)
+{
+    const auto storage = machine_.storageSites();
+    MachineSchedule schedule(machine_, {0, 1, storage[1]});
+    schedule.addMoveBatch(batchOf({{1, 1, 0}}));
+    schedule.addRydberg({CzGate{0, 1}}, 0);
+    schedule.addMoveBatch(batchOf({{0, 0, storage[0]}}));
+    schedule.addMoveBatch(batchOf({{1, 0, storage[0]}})); // no pulse after
+    EXPECT_NE(rejectionOf(schedule).find("holds 2 qubits (capacity 1)"),
+              std::string::npos);
+}
+
+// Ids inside instructions are range-checked before anything indexes by
+// them, so a bad id is a ValidationError, not a crash.
+
+TEST_F(IsaTest, OffLatticeSiteInsideAGroupIsAValidationError)
+{
+    const SiteId beyond = static_cast<SiteId>(machine_.numSites() + 7);
+    MachineSchedule to_side(machine_, {0, 2});
+    to_side.addMoveBatch(batchOf({{0, 0, 5}, {1, 2, beyond}}));
+    EXPECT_NE(rejectionOf(to_side).find("move targets a non-existent site"),
+              std::string::npos);
+
+    MachineSchedule from_side(machine_, {0, 2});
+    from_side.addMoveBatch(batchOf({{0, 0, 5}, {1, beyond, 3}}));
+    EXPECT_NE(rejectionOf(from_side).find("move targets a non-existent site"),
+              std::string::npos);
+}
+
+TEST_F(IsaTest, GateOnAnUnknownQubitIsAValidationError)
+{
+    MachineSchedule schedule(machine_, {0, 1});
+    schedule.addMoveBatch(batchOf({{1, 1, 0}}));
+    schedule.addRydberg({CzGate{0, 7}}, 0);
+    EXPECT_NE(rejectionOf(schedule).find("gate addresses an unknown qubit"),
+              std::string::npos);
 }
 
 } // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numbers>
+
 #include "circuit/stats.hpp"
 #include "common/error.hpp"
 #include "workloads/bv.hpp"
@@ -64,6 +68,23 @@ TEST(QftTest, GateCountsAndBlockStructure)
     // Every stage of every block is a single gate: fully sequential.
     const auto stats = computeStats(circuit);
     EXPECT_EQ(stats.stage_lower_bound, circuit.numCzGates());
+}
+
+TEST(QftTest, CorrectionAnglesHalveWithDistanceBeyond63Qubits)
+{
+    // The Rz correction for CP(j, k) is pi / 2^(j-k+1); at 70 qubits the
+    // distance exceeds a 64-bit shift, and the angle must keep halving.
+    const Circuit circuit = makeQft(70);
+    double smallest = 1.0;
+    for (const auto &moment : circuit.moments()) {
+        if (const auto *layer = std::get_if<OneQLayer>(&moment)) {
+            for (const auto &gate : layer->gates) {
+                if (gate.kind == OneQKind::Rz)
+                    smallest = std::min(smallest, gate.angle);
+            }
+        }
+    }
+    EXPECT_EQ(smallest, std::ldexp(std::numbers::pi, -70));
 }
 
 TEST(BvTest, SecretControlsGateCount)
