@@ -10,9 +10,10 @@
  *
  *   bare  a direct PowerMoveCompiler loop — no service, no
  *         instrumentation — the floor the service layers sit on
- *   off   CompilationService with obs == nullptr (the shipped default)
- *   on    CompilationService with a full Observability bundle and pass
- *         profiling enabled
+ *   off   a one-shard, one-worker JobService with obs == nullptr (the
+ *         shipped default)
+ *   on    the same JobService with a full Observability bundle and
+ *         pass profiling enabled
  *
  * The services are built once, outside the timing, with the memory
  * cache disabled (cache_capacity = 0) and no disk tier, so every timed
@@ -27,11 +28,14 @@
  * pairing cancels the frequency scaling / noisy-neighbor drift that
  * min-of-N across three separate measurement windows cannot (a quiet
  * window for one configuration otherwise reads as overhead in the
- * others). Gates:
+ * others). 41 rounds: a timed batch is about 10 ms, so on a busy host a
+ * single round's ratio swings by several percent, and only a median
+ * over many pairs resolves the 2% bound. Gates:
  *
  *   off / bare < 1.02   the whole service layer — queue, fingerprint,
- *                       cache bookkeeping, AND the disabled-obs
- *                       branches — stays within 2% of raw compilation
+ *                       job records, cache bookkeeping, AND the
+ *                       disabled-obs branches — stays within 2% of raw
+ *                       compilation
  *   on  / off  < 1.25   full instrumentation (metrics + spans + pass
  *                       profiling) stays within a generous 25%
  *
@@ -61,7 +65,7 @@
 #include "harness.hpp"
 #include "obs/observability.hpp"
 #include "report/table.hpp"
-#include "service/service.hpp"
+#include "service/job_service.hpp"
 #include "workloads/qaoa.hpp"
 #include "workloads/suite.hpp"
 
@@ -142,11 +146,12 @@ makeJobs(const std::vector<BenchmarkSpec> &specs,
  * A single-worker service with every cache tier off, so each timed
  * batch compiles every job fresh and repetitions do identical work.
  */
-std::unique_ptr<service::CompilationService>
+std::unique_ptr<service::JobService>
 makeService(std::shared_ptr<obs::Observability> obs)
 {
-    service::ServiceOptions options;
-    options.num_workers = 1;
+    service::JobServiceOptions options;
+    options.num_shards = 1;
+    options.workers_per_shard = 1;
     options.cache_capacity = 0;
     // Compile with the verbatim seed, like the bare loop does: the
     // default per-job seed derivation would produce a *different*
@@ -155,7 +160,7 @@ makeService(std::shared_ptr<obs::Observability> obs)
     // paths.
     options.derive_job_seeds = false;
     options.obs = std::move(obs);
-    return std::make_unique<service::CompilationService>(options);
+    return std::make_unique<service::JobService>(options);
 }
 
 /**
@@ -165,15 +170,20 @@ makeService(std::shared_ptr<obs::Observability> obs)
  * of the service overhead under test.
  */
 void
-runBatch(service::CompilationService &svc,
-         std::vector<service::CompileJob> jobs)
+runBatch(service::JobService &svc, std::vector<service::CompileJob> jobs)
 {
-    const std::vector<service::BatchEntry> entries =
-        svc.compileBatch(std::move(jobs));
-    for (const service::BatchEntry &entry : entries)
-        if (!entry.ok())
+    std::vector<service::JobTicket> tickets;
+    tickets.reserve(jobs.size());
+    for (service::CompileJob &job : jobs)
+        tickets.push_back(svc.submit(std::move(job)));
+    for (service::JobTicket &ticket : tickets) {
+        try {
+            (void)ticket.result.get();
+        } catch (const std::exception &error) {
             std::fprintf(stderr, "micro_obs: job failed: %s\n",
-                         entry.error.c_str());
+                         error.what());
+        }
+    }
 }
 
 /** Median of the per-round ratios nom[i] / den[i]. */
@@ -211,7 +221,7 @@ main(int argc, char **argv)
 
     const std::vector<BenchmarkSpec> specs = makeSpecs(smoke);
     const std::vector<Circuit> circuits = buildCircuits(specs);
-    const int repeats = smoke ? 7 : 9;
+    const int repeats = 41;
 
     // The enabled run keeps one bundle for the whole measurement —
     // long-lived registries are the deployment shape, and

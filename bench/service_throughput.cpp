@@ -1,16 +1,16 @@
 /**
  * @file
- * Service throughput harness: worker scaling, an async JobService soak,
- * and warm-vs-cold persistent disk-cache rows.
+ * Service throughput harness: worker scaling, a JobService soak, and
+ * warm-vs-cold persistent disk-cache rows.
  *
  * Three sections:
  *
- *  1. Worker scaling — the Table 2 suite through the synchronous
- *     CompilationService at 1/2/4/8 workers: cold batch wall time,
- *     aggregate throughput, speedup over serial, and a warm second pass
- *     that must be served entirely from the memory cache. A cross-pool
- *     determinism check asserts every pool size reproduces the serial
- *     run's fidelity bit for bit.
+ *  1. Worker scaling — the Table 2 suite through a one-shard JobService
+ *     at 1/2/4/8 workers: cold batch wall time, aggregate throughput,
+ *     speedup over serial, and a warm second pass that must be served
+ *     entirely from the memory cache. A cross-pool determinism check
+ *     asserts every pool size reproduces the serial run's fidelity bit
+ *     for bit.
  *  2. JobService soak — tens of thousands of async submissions (mostly
  *     duplicates of the distinct suite, with randomized priorities and
  *     occasional generous deadlines) through the sharded JobService;
@@ -52,13 +52,11 @@
 #include "common/rng.hpp"
 #include "report/table.hpp"
 #include "service/job_service.hpp"
-#include "service/service.hpp"
 #include "workloads/suite.hpp"
 
 namespace {
 
 using namespace powermove;
-using service::CompilationService;
 using service::JobService;
 
 double
@@ -137,7 +135,29 @@ struct DiskSummary
     double required = 0.0;
 };
 
-/** Section 1: CompilationService worker scaling + determinism gate. */
+/**
+ * Submits every job, then waits for each in order; a failed job prints
+ * its error and leaves its slot empty (no result).
+ */
+std::vector<service::JobResult>
+runBatch(JobService &svc, const std::vector<service::CompileJob> &jobs)
+{
+    std::vector<service::JobTicket> tickets;
+    tickets.reserve(jobs.size());
+    for (const service::CompileJob &job : jobs)
+        tickets.push_back(svc.submit(job));
+    std::vector<service::JobResult> results(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        try {
+            results[i] = tickets[i].result.get();
+        } catch (const std::exception &error) {
+            std::fprintf(stderr, "job %zu failed: %s\n", i, error.what());
+        }
+    }
+    return results;
+}
+
+/** Section 1: one-shard JobService worker scaling + determinism gate. */
 int
 runScaling(const std::vector<service::CompileJob> &jobs, int repeats,
            std::vector<ScalingRow> &rows)
@@ -158,35 +178,38 @@ runScaling(const std::vector<service::CompileJob> &jobs, int repeats,
         std::size_t warm_hits = 0;
 
         for (int repeat = 0; repeat < repeats; ++repeat) {
-            service::ServiceOptions pool;
-            pool.num_workers = workers;
+            service::JobServiceOptions pool;
+            pool.num_shards = 1;
+            pool.workers_per_shard = workers;
             pool.cache_capacity = 2 * jobs.size();
-            CompilationService svc(pool);
+            JobService svc(pool);
 
             const auto cold_start = std::chrono::steady_clock::now();
-            const auto cold = svc.compileBatch(jobs);
+            const auto cold = runBatch(svc, jobs);
             const auto cold_stop = std::chrono::steady_clock::now();
             best_cold_ms =
                 std::min(best_cold_ms, wallMillis(cold_start, cold_stop));
 
             const auto warm_start = std::chrono::steady_clock::now();
-            const auto warm = svc.compileBatch(jobs);
+            const auto warm = runBatch(svc, jobs);
             const auto warm_stop = std::chrono::steady_clock::now();
             warm_ms = wallMillis(warm_start, warm_stop);
 
             fidelity.clear();
             warm_hits = 0;
             for (std::size_t i = 0; i < jobs.size(); ++i) {
-                if (!cold[i].ok() || !warm[i].ok()) {
-                    std::fprintf(stderr, "job %zu failed: %s\n", i,
-                                 (cold[i].ok() ? warm[i] : cold[i])
-                                     .error.c_str());
+                if (!cold[i].result || !warm[i].result)
                     return 1;
-                }
-                fidelity.push_back(
-                    cold[i].result.result->metrics.fidelity());
-                if (warm[i].result.from_cache)
+                fidelity.push_back(cold[i].result->metrics.fidelity());
+                if (warm[i].source == service::ResultSource::Memory)
                     ++warm_hits;
+            }
+            if (warm_hits != jobs.size()) {
+                std::fprintf(stderr,
+                             "warm pass: only %zu/%zu served from memory "
+                             "(x%zu)\n",
+                             warm_hits, jobs.size(), workers);
+                return 1;
             }
         }
 

@@ -3,7 +3,7 @@
  * PowerMove compiler configuration.
  *
  * Fingerprint invariant: every field of CompilerOptions must be hashed
- * by service::fingerprintOptions() — the batch service's compile cache
+ * by service::fingerprintOptions() — the compilation service's cache
  * addresses results by that hash, so an unhashed field would let two
  * different configurations share a cache entry. fingerprint.cpp guards
  * the invariant with a sizeof static_assert and fingerprint_test.cpp
@@ -40,16 +40,16 @@ struct CompilerOptions
     /**
      * Seed for the router's randomized mobile/static choice.
      *
-     * Determinism rule for batched compilation: a job's randomized
+     * Determinism rule for service compilation: a job's randomized
      * decisions must depend only on (seed, job content) — never on which
-     * worker thread runs it or on queue interleaving. The batch service
+     * worker thread runs it or on queue interleaving. The service
      * therefore compiles each job with a *derived* seed,
      * service::deriveJobSeed(seed, job fingerprint), which mixes this
      * base seed with the content address of (circuit, machine config,
      * options). Identical jobs get identical streams — so serial and
      * 8-worker runs produce bit-identical results — while distinct jobs
      * get decorrelated streams from one base seed. Use
-     * service::effectiveOptions() to replay any batched job directly
+     * service::effectiveOptions() to replay any service job directly
      * through PowerMoveCompiler.
      */
     std::uint64_t seed = 0xC0FFEE;

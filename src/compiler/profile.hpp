@@ -4,7 +4,7 @@
  *
  * Every pipeline pass is timed and may publish named counters; the
  * resulting PassProfiles travel inside CompileResult so that callers —
- * the CLI's --profile flag, the batch service's aggregate stats, and
+ * the CLI's --profile flag, the compilation service's aggregate stats, and
  * bench/micro_passes — can attribute compile time to individual passes.
  *
  * Wall times are measurement noise by nature; everything else (the
@@ -133,7 +133,7 @@ class PassProfiler
 
 /**
  * Accumulates @p from into @p into: wall times and invocations add up,
- * counters merge by name. Used by the batch service to aggregate pass
+ * counters merge by name. Used by the compilation service to aggregate pass
  * totals across every job it compiles.
  */
 void mergePassProfiles(std::vector<PassProfile> &into,

@@ -4,11 +4,11 @@
  *
  * One Observability instance groups the three signal planes — a
  * MetricsRegistry, a TraceCollector, and a Logger — behind a single
- * shared_ptr that ServiceOptions / JobServiceOptions / DiskCacheOptions
- * carry. A null bundle means "observability off": every instrumented
- * call site guards on the pointer, so the disabled path costs one
- * branch and the compile pipeline itself is never touched (its
- * PassProfiles are folded in at job resolution).
+ * shared_ptr that JobServiceOptions / DiskCacheOptions carry. A null
+ * bundle means "observability off": every instrumented call site
+ * guards on the pointer, so the disabled path costs one branch and the
+ * compile pipeline itself is never touched (its PassProfiles are
+ * folded in at job resolution).
  *
  * PeriodicReporter drives the "stats line every N ms" surface: it owns
  * one background thread invoking a caller-supplied callback on a fixed

@@ -5,10 +5,9 @@
  * Keys are job fingerprints (service/fingerprint.hpp); values are
  * shared, immutable CompileResults, so evicting an entry never
  * invalidates a result already handed to a client. The cache is a plain
- * data structure with *no internal locking* — CompilationService
- * guards it with its own mutex so that lookup-miss / mark-in-flight can
- * be one atomic step. Hit, miss, and eviction counters feed
- * ServiceStats.
+ * data structure with *no internal locking* — each JobService shard
+ * guards its cache with the shard mutex so that lookup-miss /
+ * mark-in-flight can be one atomic step.
  */
 
 #ifndef POWERMOVE_SERVICE_CACHE_HPP
@@ -50,19 +49,13 @@ class CompileCache
      */
     explicit CompileCache(std::size_t capacity) : capacity_(capacity) {}
 
-    /**
-     * The cached entry for @p key, refreshing its recency; falsy on a
-     * miss. Counts one hit or one miss.
-     */
+    /** The cached entry for @p key, refreshing its recency; falsy on a miss. */
     CachedCompile
     lookup(std::uint64_t key)
     {
         const auto it = slots_.find(key);
-        if (it == slots_.end()) {
-            ++misses_;
+        if (it == slots_.end())
             return {};
-        }
-        ++hits_;
         order_.splice(order_.begin(), order_, it->second.position);
         return it->second.value;
     }
@@ -90,21 +83,6 @@ class CompileCache
         }
     }
 
-    /** Drops every entry (counters are kept). */
-    void
-    clear()
-    {
-        slots_.clear();
-        order_.clear();
-    }
-
-    std::size_t size() const { return slots_.size(); }
-    std::size_t capacity() const { return capacity_; }
-
-    /** Lookups that found a resident entry. */
-    std::size_t hits() const { return hits_; }
-    /** Lookups that found nothing. */
-    std::size_t misses() const { return misses_; }
     /** Entries dropped to respect the capacity bound. */
     std::size_t evictions() const { return evictions_; }
 
@@ -118,8 +96,6 @@ class CompileCache
     std::size_t capacity_;
     std::list<std::uint64_t> order_; // front = most recently used
     std::unordered_map<std::uint64_t, Slot> slots_;
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
     std::size_t evictions_ = 0;
 };
 

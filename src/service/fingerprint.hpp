@@ -2,7 +2,7 @@
  * @file
  * Content-addressed fingerprints of compilation jobs.
  *
- * The batch service deduplicates work by hashing everything that
+ * The compilation service deduplicates work by hashing everything that
  * determines a compilation's outcome: the circuit's gate list, the
  * machine shape (including every hardware parameter), and the compiler
  * options. Two jobs with equal fingerprints produce bit-identical
@@ -138,7 +138,7 @@ std::uint64_t seedFingerprintJob(const Circuit &circuit,
 /**
  * The on-disk cache address of a job. The persistent cache is shared
  * across processes, and two services may disagree on
- * ServiceOptions::derive_job_seeds — the same job fingerprint then
+ * JobServiceOptions::derive_job_seeds — the same job fingerprint then
  * names two *different* schedules (derived vs. verbatim seed). The
  * seeding rule therefore participates in the disk key, while the
  * in-memory key stays the plain fingerprint (one service applies one
@@ -148,7 +148,7 @@ std::uint64_t diskCacheKey(std::uint64_t job_fingerprint,
                            bool derive_job_seeds);
 
 /**
- * Derives the RNG seed a batched job actually compiles with.
+ * Derives the RNG seed a service job actually compiles with.
  *
  * Rule (see CompilerOptions::seed): a job's randomized decisions must
  * depend only on (base seed, job content), never on which worker thread

@@ -116,6 +116,7 @@ JobService::submit(JobRequest request)
             shard.queue.push(
                 QueueEntry{pending.priority, pending.seq, fingerprint});
         }
+        waiter.coalesced = true;
         pending.waiters.push_back(std::move(waiter));
         // Under the shard lock: once it drops, a worker may resolve the
         // job, and a late Admitted would overwrite its terminal state.
@@ -220,6 +221,7 @@ JobService::stats() const
         stats.disk_hits = disk_hits_;
         stats.compiled = compiled_;
         stats.failed = failed_;
+        stats.pass_totals = pass_totals_;
     }
     std::size_t min_depth = std::numeric_limits<std::size_t>::max();
     std::size_t max_depth = 0;
@@ -544,12 +546,15 @@ JobService::workerLoop(Shard &shard)
         {
             const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
             expired_ += expired_waiters.size();
-            if (error)
+            if (error) {
                 ++failed_;
-            else if (from_disk)
+            } else if (from_disk) {
                 ++disk_hits_;
-            else
+            } else {
                 ++compiled_;
+                if (!result->pass_profiles.empty())
+                    mergePassProfiles(pass_totals_, result->pass_profiles);
+            }
         }
         if (metric_ != nullptr) {
             // Tier attribution for the job that reached a worker: the
@@ -585,33 +590,35 @@ JobService::workerLoop(Shard &shard)
             }
         }
 
-        JobResult outcome{machine, result, fingerprint, from_disk,
-                          from_disk ? ResultSource::Disk
-                                    : ResultSource::Compiled};
-        for (std::size_t w = 0; w < waiters.size(); ++w) {
-            Waiter &waiter = waiters[w];
+        JobResult outcome{machine, result, fingerprint, from_disk};
+        for (Waiter &waiter : waiters) {
             if (error) {
                 recordState(waiter.id, JobState::Failed, error_text);
-                traceJob(waiter.id, {}, nullptr, w == 0 ? &io : nullptr);
+                traceJob(waiter.id, {}, nullptr,
+                         waiter.coalesced ? nullptr : &io);
                 waiter.promise.set_exception(error);
                 continue;
             }
             recordState(waiter.id,
                         from_disk ? JobState::Cached : JobState::Done, {},
                         from_disk ? "disk" : std::string());
-            // The first waiter's lane carries the per-pass spans and the
-            // real disk I/O spans; coalesced lanes show lifecycle only.
-            if (from_disk)
-                traceJob(waiter.id, "disk", nullptr,
-                         w == 0 ? &io : nullptr);
-            else if (w == 0)
+            // The waiter that created the entry is served by the disk or
+            // the compile and its lane carries the per-pass spans and
+            // the real disk I/O spans; every waiter that attached to it
+            // was counted as coalesced at submit, resolves as Coalesced
+            // (even when the creator expired in the queue), and its
+            // lane shows lifecycle only.
+            if (waiter.coalesced) {
+                traceJob(waiter.id, "coalesced");
+                outcome.source = ResultSource::Coalesced;
+            } else if (from_disk) {
+                traceJob(waiter.id, "disk", nullptr, &io);
+                outcome.source = ResultSource::Disk;
+            } else {
                 traceJob(waiter.id, "compiled", &result->pass_profiles,
                          &io);
-            else
-                traceJob(waiter.id, "coalesced");
-            outcome.source = from_disk ? ResultSource::Disk
-                             : w == 0  ? ResultSource::Compiled
-                                       : ResultSource::Coalesced;
+                outcome.source = ResultSource::Compiled;
+            }
             waiter.promise.set_value(outcome);
         }
 

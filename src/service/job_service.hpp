@@ -1,14 +1,26 @@
 /**
  * @file
- * Async job service: priorities, deadlines, admission control, and
- * fingerprint-sharded worker pools over the compile/cache core.
+ * The compilation service: priorities, deadlines, admission control,
+ * and fingerprint-sharded worker pools over a content-addressed result
+ * cache.
  *
- * Where CompilationService is a batch front-end (submit, block on the
- * future), JobService is the production server shape: submit() returns
- * immediately with a job ID plus a future, every lifecycle transition
- * lands in a queryable per-job timeline (service/timeline.hpp), and the
- * service pushes back instead of buffering unboundedly.
+ * submit() returns immediately with a job ID plus a future, every
+ * lifecycle transition lands in a queryable per-job timeline
+ * (service/timeline.hpp), and the service pushes back instead of
+ * buffering unboundedly.
  *
+ *  - Tiers: submit() fingerprints the job (service/fingerprint.hpp) and,
+ *    under its shard's lock, resolves it against the fast tiers: an
+ *    identical job already *in flight* (the new future attaches to it —
+ *    no duplicate work), a memory-cached result (the future is ready
+ *    immediately), or a fresh entry queued for a worker. A worker
+ *    consults the optional persistent disk cache
+ *    (service/disk_cache.hpp) and compiles only on a full miss, then
+ *    fulfills every attached future: the submission that created the
+ *    entry is attributed Compiled or Disk, every later one Coalesced.
+ *    Successful results enter the LRU memory cache and the disk cache;
+ *    failures propagate through each waiting future and are never
+ *    cached.
  *  - Priority: higher-priority jobs pop first within their shard; ties
  *    run in submission order. A duplicate submission of an in-flight
  *    fingerprint at a higher priority promotes the queued job
@@ -30,12 +42,21 @@
  *    never contend on one queue or one cache lock. All shards share
  *    one persistent DiskCache (its index lock covers bookkeeping only,
  *    never file I/O or deserialization).
+ *  - Machines are interned per shard by config fingerprint and handed
+ *    out as shared_ptrs, because a MachineSchedule references its
+ *    Machine: a JobResult keeps its machine alive no matter what the
+ *    service does afterwards, and a config nothing references any more
+ *    is rebuilt on next use.
  *
- * Determinism matches CompilationService: each job compiles with the
- * deriveJobSeed() rule, so results are independent of shard count,
- * worker count, priority order, and cache state — effectiveOptions()
- * replays any job bit-identically outside the service, and a result
- * served from disk is byte-identical to a fresh compile.
+ * Determinism: each job compiles with the deriveJobSeed() rule
+ * (service/job.hpp), so results are independent of shard count, worker
+ * count, priority order, and cache state — effectiveOptions() replays
+ * any job bit-identically outside the service, and a result served
+ * from disk is byte-identical to a fresh compile.
+ *
+ * Thread safety: every public member function may be called from any
+ * thread. The Machine, Circuit, and CompileResult objects handed out
+ * are immutable and safe to read concurrently.
  */
 
 #ifndef POWERMOVE_SERVICE_JOB_SERVICE_HPP
@@ -56,10 +77,12 @@
 #include <unordered_map>
 #include <vector>
 
+#include "arch/machine.hpp"
 #include "common/error.hpp"
+#include "service/cache.hpp"
 #include "service/disk_cache.hpp"
+#include "service/job.hpp"
 #include "service/observe.hpp"
-#include "service/service.hpp"
 #include "service/timeline.hpp"
 
 namespace powermove::service {
@@ -136,7 +159,11 @@ struct JobServiceOptions
     std::string cache_dir;
     /** Disk-cache byte budget. */
     std::uint64_t disk_cache_bytes = 256ull << 20;
-    /** Apply the deriveJobSeed() rule (see ServiceOptions). */
+    /**
+     * Apply the deriveJobSeed() rule (the default). Disable to compile
+     * every job with its verbatim CompilerOptions::seed, matching a
+     * direct PowerMoveCompiler invocation.
+     */
     bool derive_job_seeds = true;
     /**
      * Finished-job records retained for status() queries; the oldest
@@ -181,9 +208,15 @@ struct JobServiceStats
     std::size_t workers_per_shard = 0;
     /** Disk-tier counters; all zero without a cache_dir. */
     DiskCacheStats disk;
+    /**
+     * Per-pass profiles aggregated over every profiled job compiled on
+     * a worker (cache hits re-run nothing and add nothing), in pipeline
+     * order. Empty until a profiled job completes.
+     */
+    std::vector<PassProfile> pass_totals;
 };
 
-/** Async, sharded, admission-controlled compilation server. */
+/** Async, sharded, admission-controlled, cache-fronted compiler. */
 class JobService
 {
   public:
@@ -231,6 +264,8 @@ class JobService
         /** Meaningful only when has_deadline. */
         Clock::time_point deadline;
         bool has_deadline = false;
+        /** Attached to an existing entry (counted as coalesced). */
+        bool coalesced = false;
     };
 
     struct PendingJob
@@ -331,6 +366,7 @@ class JobService
     std::size_t disk_hits_ = 0;
     std::size_t compiled_ = 0;
     std::size_t failed_ = 0;
+    std::vector<PassProfile> pass_totals_;
 };
 
 } // namespace powermove::service

@@ -25,8 +25,7 @@
  *   powermove_pass_counter_total{pass=.,counter=.}
  *                                            counter, folded from the
  *                                            PassProfile counters
- *   powermove_shard_queue_depth{shard=...}   gauge (JobService)
- *   powermove_queue_depth                    gauge (CompilationService)
+ *   powermove_shard_queue_depth{shard=...}   gauge, queued jobs per shard
  *   powermove_shard_imbalance                gauge, max-min queue depth
  *   powermove_memory_cache_evictions_total   counter
  *   powermove_disk_cache_*                   see service/disk_cache.cpp

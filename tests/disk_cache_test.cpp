@@ -2,7 +2,7 @@
  * @file
  * Tests for the persistent on-disk compile cache: exact round-trips,
  * restart persistence, corruption tolerance, byte-budget eviction, and
- * cross-instance sharing through the CompilationService.
+ * cross-instance sharing through the JobService.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,7 @@
 #include "isa/validator.hpp"
 #include "service/disk_cache.hpp"
 #include "service/fingerprint.hpp"
-#include "service/service.hpp"
+#include "service/job_service.hpp"
 
 namespace powermove::service {
 namespace {
@@ -72,6 +72,24 @@ smallJob(std::size_t variant = 1)
         circuit.barrier();
     }
     return CompileJob{std::move(circuit), MachineConfig::forQubits(4), {}};
+}
+
+/** One shard of @p workers workers over the disk cache at @p dir. */
+JobServiceOptions
+diskServiceOptions(std::size_t workers, const std::string &dir)
+{
+    JobServiceOptions options;
+    options.num_shards = 1;
+    options.workers_per_shard = workers;
+    options.cache_dir = dir;
+    return options;
+}
+
+/** Submits @p job and waits for its result. */
+JobResult
+run(JobService &svc, const CompileJob &job)
+{
+    return svc.submit(job).result.get();
 }
 
 /** Compiles @p job exactly as the service would (derived seed). */
@@ -292,33 +310,31 @@ TEST(DiskCacheTest, ServiceWarmRestartServesBitIdenticalFromDisk)
     const std::string fresh_bytes =
         serializeResultWitness(compileDirect(job, machine));
 
-    ServiceOptions options;
-    options.num_workers = 2;
-    options.cache_dir = dir.str();
+    const JobServiceOptions options = diskServiceOptions(2, dir.str());
     {
-        CompilationService cold(options);
-        const JobResult out = cold.submit(job).get();
+        JobService cold(options);
+        const JobResult out = run(cold, job);
         EXPECT_EQ(out.source, ResultSource::Compiled);
         EXPECT_EQ(serializeResultWitness(*out.result), fresh_bytes);
         EXPECT_EQ(cold.stats().disk.stores, 1u);
     } // service gone; memory cache gone; only the disk entry remains
 
-    CompilationService warm(options);
-    const JobResult out = warm.submit(job).get();
+    JobService warm(options);
+    const JobResult out = run(warm, job);
     EXPECT_TRUE(out.from_cache);
     EXPECT_EQ(out.source, ResultSource::Disk);
     // The acceptance bar: compiled-fresh and served-from-disk results
     // are byte-identical under the canonical encoding.
     EXPECT_EQ(serializeResultWitness(*out.result), fresh_bytes);
 
-    const ServiceStats stats = warm.stats();
+    const JobServiceStats stats = warm.stats();
     EXPECT_EQ(stats.disk_hits, 1u);
-    EXPECT_EQ(stats.misses, 0u);
-    EXPECT_EQ(stats.jobs_completed, 0u); // nothing compiled
+    EXPECT_EQ(stats.compiled, 0u); // nothing compiled
+    EXPECT_EQ(stats.failed, 0u);
     EXPECT_EQ(stats.disk.hits, 1u);
 
     // Second submission is now a memory hit, not another disk read.
-    const JobResult again = warm.submit(job).get();
+    const JobResult again = run(warm, job);
     EXPECT_EQ(again.source, ResultSource::Memory);
     EXPECT_EQ(warm.stats().disk.hits, 1u);
 }
@@ -326,24 +342,21 @@ TEST(DiskCacheTest, ServiceWarmRestartServesBitIdenticalFromDisk)
 TEST(DiskCacheTest, TwoLiveServicesShareOneCacheDirectory)
 {
     const TempDir dir("shared");
-    ServiceOptions options;
-    options.num_workers = 2;
-    options.cache_dir = dir.str();
+    const JobServiceOptions options = diskServiceOptions(2, dir.str());
 
     // Both instances are alive at once, as two processes would be.
-    CompilationService a(options);
-    CompilationService b(options);
+    JobService a(options);
+    JobService b(options);
 
     std::vector<std::string> via_a(4);
     std::vector<std::string> via_b(4);
     std::thread feeder([&] {
         for (std::size_t v = 0; v < via_b.size(); ++v)
-            via_b[v] = serializeResultWitness(
-                *b.submit(smallJob(v + 1)).get().result);
+            via_b[v] =
+                serializeResultWitness(*run(b, smallJob(v + 1)).result);
     });
     for (std::size_t v = 0; v < via_a.size(); ++v)
-        via_a[v] = serializeResultWitness(
-            *a.submit(smallJob(v + 1)).get().result);
+        via_a[v] = serializeResultWitness(*run(a, smallJob(v + 1)).result);
     feeder.join();
 
     // Wherever each result came from — fresh, raced, or read back from
@@ -352,9 +365,9 @@ TEST(DiskCacheTest, TwoLiveServicesShareOneCacheDirectory)
         EXPECT_EQ(via_a[v], via_b[v]) << "variant " << (v + 1);
 
     // A third, cold instance sees the merged population.
-    CompilationService c(options);
+    JobService c(options);
     for (std::size_t v = 0; v < via_a.size(); ++v) {
-        const JobResult out = c.submit(smallJob(v + 1)).get();
+        const JobResult out = run(c, smallJob(v + 1));
         EXPECT_EQ(out.source, ResultSource::Disk) << "variant " << (v + 1);
         EXPECT_EQ(serializeResultWitness(*out.result), via_a[v]);
     }
@@ -373,20 +386,18 @@ TEST(DiskCacheTest, DeriveToggleNeverAliasesDiskEntries)
     const TempDir dir("derive_toggle");
     const CompileJob job = smallJob();
 
-    ServiceOptions derived;
-    derived.num_workers = 1;
-    derived.cache_dir = dir.str();
-    ServiceOptions verbatim = derived;
+    const JobServiceOptions derived = diskServiceOptions(1, dir.str());
+    JobServiceOptions verbatim = derived;
     verbatim.derive_job_seeds = false;
 
     {
-        CompilationService svc(derived);
-        (void)svc.submit(job).get();
+        JobService svc(derived);
+        (void)run(svc, job);
         EXPECT_EQ(svc.stats().disk.stores, 1u);
     }
     {
-        CompilationService svc(verbatim);
-        const JobResult out = svc.submit(job).get();
+        JobService svc(verbatim);
+        const JobResult out = run(svc, job);
         // Compiled fresh — a miss, not a cross-rule disk hit — even
         // though the derived-seed entry for this very fingerprint is
         // sitting in the directory.

@@ -251,20 +251,108 @@ TEST(JobServiceTest, DuplicateSubmissionInheritsTheHigherPriority)
     options.workers_per_shard = 1;
     options.cache_capacity = 0;
 
-    JobService svc(options);
-    (void)svc.submit(smallJob(12)); // occupy the worker
-    JobTicket first = svc.submit(smallJob(3), /*priority=*/-1);
-    JobTicket boost = svc.submit(smallJob(3), /*priority=*/9);
+    for (int attempt = 0; attempt < 8; ++attempt) {
+        JobService svc(options);
+        (void)svc.submit(smallJob(12)); // occupy the worker
+        JobTicket first = svc.submit(smallJob(3), /*priority=*/-1);
+        JobTicket boost = svc.submit(smallJob(3), /*priority=*/9);
 
-    const JobResult a = first.result.get();
-    const JobResult b = boost.result.get();
-    // Both resolve from the same compilation: one Compiled, one
-    // Coalesced, sharing the result object.
-    EXPECT_EQ(a.result.get(), b.result.get());
-    EXPECT_EQ(a.source, ResultSource::Compiled);
-    EXPECT_EQ(b.source, ResultSource::Coalesced);
-    EXPECT_EQ(svc.stats().coalesced, 1u);
-    svc.waitIdle();
+        const JobResult a = first.result.get();
+        const JobResult b = boost.result.get();
+        svc.waitIdle();
+        // The decoy and the first job may both have finished before the
+        // duplicate arrived, leaving nothing to attach to; retry until
+        // the duplicate lands while the first job is still pending.
+        if (svc.stats().coalesced == 0)
+            continue;
+
+        // Both resolve from the same compilation: one Compiled, one
+        // Coalesced, sharing the result object.
+        EXPECT_EQ(a.result.get(), b.result.get());
+        EXPECT_EQ(a.source, ResultSource::Compiled);
+        EXPECT_EQ(b.source, ResultSource::Coalesced);
+        EXPECT_EQ(svc.stats().coalesced, 1u);
+        return;
+    }
+    FAIL() << "the duplicate never found the first job pending";
+}
+
+TEST(JobServiceTest, WaiterCoalescedOntoADiskReadIsCoalesced)
+{
+    // One attribution rule for every tier: the submission that created
+    // the entry is served by the disk (or the compile); every waiter
+    // that attached to it is Coalesced, matching stats().coalesced.
+    const TempDir dir("disk_coalesce");
+    JobServiceOptions options;
+    options.num_shards = 1;
+    options.workers_per_shard = 1;
+    options.cache_dir = dir.str();
+    {
+        JobService cold(options);
+        (void)cold.submit(smallJob(3)).result.get();
+    }
+
+    for (int attempt = 0; attempt < 8; ++attempt) {
+        JobService warm(options);
+        (void)warm.submit(smallJob(12 + attempt)); // occupy the worker
+        JobTicket first = warm.submit(smallJob(3));
+        JobTicket second = warm.submit(smallJob(3));
+
+        const JobResult a = first.result.get();
+        const JobResult b = second.result.get();
+        warm.waitIdle();
+        const JobServiceStats stats = warm.stats();
+        // The worker may have served the disk read before the duplicate
+        // arrived (the duplicate is then a memory hit); retry.
+        if (stats.coalesced == 0)
+            continue;
+
+        EXPECT_EQ(a.source, ResultSource::Disk);
+        EXPECT_EQ(b.source, ResultSource::Coalesced);
+        EXPECT_TRUE(b.from_cache);
+        EXPECT_EQ(a.result.get(), b.result.get());
+        EXPECT_EQ(stats.coalesced, 1u);
+        EXPECT_EQ(stats.disk_hits, 1u);
+        EXPECT_EQ(stats.memory_hits, 0u);
+        // Every submission is counted in exactly one tier.
+        EXPECT_EQ(stats.coalesced + stats.memory_hits + stats.disk_hits +
+                      stats.compiled + stats.failed,
+                  stats.submitted);
+        return;
+    }
+    FAIL() << "the duplicate never found the disk read pending";
+}
+
+TEST(JobServiceTest, CoalescedWaiterStaysCoalescedWhenItsCreatorExpires)
+{
+    JobServiceOptions options;
+    options.num_shards = 1;
+    options.workers_per_shard = 1;
+    options.cache_capacity = 0;
+
+    for (int attempt = 0; attempt < 8; ++attempt) {
+        JobService svc(options);
+        (void)svc.submit(smallJob(12)); // occupy the worker
+        // The creator expires the moment a worker looks; its duplicate
+        // has no deadline and is compiled for.
+        JobTicket creator =
+            svc.submit(smallJob(4), /*priority=*/0, /*deadline_ms=*/1e-6);
+        JobTicket duplicate = svc.submit(smallJob(4));
+
+        EXPECT_THROW(creator.result.get(), ExpiredError);
+        const JobResult out = duplicate.result.get();
+        svc.waitIdle();
+        // The creator may have expired before the duplicate arrived,
+        // leaving nothing to attach to; retry.
+        if (svc.stats().coalesced == 0)
+            continue;
+
+        EXPECT_EQ(out.source, ResultSource::Coalesced);
+        ASSERT_TRUE(out.result);
+        EXPECT_EQ(svc.stats().expired, 1u);
+        return;
+    }
+    FAIL() << "the duplicate never found the creator queued";
 }
 
 TEST(JobServiceTest, ExpiredDeadlineFailsWhileQueuedJobs)

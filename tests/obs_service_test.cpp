@@ -19,7 +19,6 @@
 #include "common/error.hpp"
 #include "obs/observability.hpp"
 #include "service/job_service.hpp"
-#include "service/service.hpp"
 
 namespace powermove::service {
 namespace {
@@ -347,42 +346,6 @@ TEST(ObsServiceTest, TraceCarriesOnePassSpanPerCompiledJob)
     EXPECT_GE(countOccurrences(json, "\"name\":\"queued\""), 2u);
     EXPECT_GE(countOccurrences(json, "\"name\":\"running\""), 2u);
     EXPECT_GE(countOccurrences(json, "\"source\":\"compiled\""), 2u);
-}
-
-TEST(ObsServiceTest, BatchServiceSharesTheCatalog)
-{
-    auto bundle = makeBundle();
-    ServiceOptions options;
-    options.num_workers = 1;
-    options.obs = bundle;
-    CompilationService svc(options);
-
-    std::vector<CompileJob> jobs;
-    jobs.push_back(smallJob(1));
-    jobs.push_back(smallJob(2));
-    const std::vector<BatchEntry> first = svc.compileBatch(std::move(jobs));
-    for (const BatchEntry &entry : first)
-        EXPECT_TRUE(entry.ok());
-    // A repeat of job 1 is a memory hit.
-    (void)svc.submit(smallJob(1)).get();
-
-    EXPECT_EQ(bundle->metrics.counter("powermove_jobs_submitted_total")
-                  .value(),
-              3u);
-    EXPECT_EQ(tierCount(bundle->metrics, TierIndex::Memory), 1u);
-    EXPECT_EQ(tierCount(bundle->metrics, TierIndex::Miss), 2u);
-    // Each fresh compile folded one observation into every pass.
-    for (std::size_t p = 0; p < kNumPasses; ++p) {
-        const std::string pass(passName(static_cast<PassId>(p)));
-        EXPECT_EQ(bundle->metrics
-                      .histogram("powermove_pass_wall_us", {},
-                                 {{"pass", pass}})
-                      .count(),
-                  2u)
-            << pass;
-    }
-    const std::string text = bundle->metrics.toPrometheusText();
-    EXPECT_NE(text.find("powermove_queue_depth"), std::string::npos);
 }
 
 } // namespace

@@ -49,21 +49,24 @@ TEST(ScaleTest, EnolaValidatesAtScale)
 
 TEST(ScaleTest, CompileTimeGrowsSubQuadratically)
 {
-    // Min-of-3 compile times at n and 4n: a clean quadratic would give
+    // Min-of-9 compile times at n and 4n: a clean quadratic would give
     // a 16x ratio; require comfortably less (the grouping pass is the
-    // only super-linear component and its constant is tiny).
-    const auto measure = [](std::size_t n) {
-        const Machine machine(MachineConfig::forQubits(n));
-        const Circuit circuit = makeQaoaRegular(n, 3, 1, 80);
-        const PowerMoveCompiler compiler(machine, {true, 1});
-        double best = 1e300;
-        for (int i = 0; i < 3; ++i)
-            best = std::min(best,
-                            compiler.compile(circuit).compile_time.micros());
-        return best;
-    };
-    const double small = measure(100);
-    const double large = measure(400);
+    // only super-linear component and its constant is tiny). The two
+    // sizes alternate, so one load spike cannot land on one side only.
+    const Machine small_machine(MachineConfig::forQubits(100));
+    const Machine large_machine(MachineConfig::forQubits(400));
+    const Circuit small_circuit = makeQaoaRegular(100, 3, 1, 80);
+    const Circuit large_circuit = makeQaoaRegular(400, 3, 1, 80);
+    const PowerMoveCompiler small_compiler(small_machine, {true, 1});
+    const PowerMoveCompiler large_compiler(large_machine, {true, 1});
+    double small = 1e300;
+    double large = 1e300;
+    for (int i = 0; i < 9; ++i) {
+        small = std::min(
+            small, small_compiler.compile(small_circuit).compile_time.micros());
+        large = std::min(
+            large, large_compiler.compile(large_circuit).compile_time.micros());
+    }
     EXPECT_LT(large, small * 13.0)
         << "compile time scaled by " << large / small << " over a 4x input";
 }

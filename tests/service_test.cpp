@@ -1,8 +1,14 @@
-/** @file Tests for the batch compilation service. */
+/**
+ * @file
+ * Tests for the compilation service's compile/cache core: tier
+ * attribution, LRU eviction, machine interning, error propagation,
+ * exactly-once compilation of duplicates, pass totals, and
+ * determinism across worker counts.
+ */
 
 #include <gtest/gtest.h>
 
-#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -10,8 +16,9 @@
 #include "compiler/powermove.hpp"
 #include "isa/json.hpp"
 #include "isa/validator.hpp"
+#include "obs/observability.hpp"
 #include "service/fingerprint.hpp"
-#include "service/service.hpp"
+#include "service/job_service.hpp"
 #include "workloads/suite.hpp"
 
 namespace powermove::service {
@@ -65,28 +72,49 @@ expectIdenticalMetrics(const CompileResult &a, const CompileResult &b)
     }
 }
 
-/** ServiceOptions with just the pool size and cache capacity set. */
-ServiceOptions
+/** One shard of @p workers workers with a @p cache_capacity cache. */
+JobServiceOptions
 poolOptions(std::size_t workers, std::size_t cache_capacity)
 {
-    ServiceOptions options;
-    options.num_workers = workers;
+    JobServiceOptions options;
+    options.num_shards = 1;
+    options.workers_per_shard = workers;
     options.cache_capacity = cache_capacity;
     return options;
 }
 
+/** Submits @p job and waits for its result (rethrows its failure). */
+JobResult
+run(JobService &svc, const CompileJob &job)
+{
+    return svc.submit(job).result.get();
+}
+
+/** Submits every job, then waits for all of them, in order. */
+std::vector<JobResult>
+runAll(JobService &svc, const std::vector<CompileJob> &jobs)
+{
+    std::vector<JobTicket> tickets;
+    for (const CompileJob &job : jobs)
+        tickets.push_back(svc.submit(job));
+    std::vector<JobResult> results;
+    for (JobTicket &ticket : tickets)
+        results.push_back(ticket.result.get());
+    return results;
+}
+
 TEST(ServiceTest, SubmitMatchesDirectCompileWithEffectiveOptions)
 {
-    CompilationService svc(poolOptions(2, 16));
+    JobService svc(poolOptions(2, 16));
     const CompileJob job = smallJob();
-    const JobResult out = svc.submit(job).get();
+    const JobResult out = run(svc, job);
     ASSERT_TRUE(out.result);
     EXPECT_FALSE(out.from_cache);
     EXPECT_EQ(out.fingerprint, jobFingerprint(job));
     validateAgainstCircuit(out.result->schedule, job.circuit);
 
     // The documented replay rule: effectiveOptions() reproduces the
-    // batched compilation bit-identically outside the service.
+    // service's compilation bit-identically outside the service.
     const Machine machine(job.machine);
     const PowerMoveCompiler direct(machine, effectiveOptions(job));
     expectIdenticalMetrics(*out.result, direct.compile(job.circuit));
@@ -94,74 +122,79 @@ TEST(ServiceTest, SubmitMatchesDirectCompileWithEffectiveOptions)
 
 TEST(ServiceTest, SecondSubmissionIsServedFromCache)
 {
-    CompilationService svc(poolOptions(2, 16));
+    JobService svc(poolOptions(2, 16));
     const CompileJob job = smallJob();
 
-    const JobResult first = svc.submit(job).get();
+    const JobResult first = run(svc, job);
     EXPECT_FALSE(first.from_cache);
 
-    const JobResult second = svc.submit(job).get();
+    const JobResult second = run(svc, job);
     EXPECT_TRUE(second.from_cache);
+    EXPECT_EQ(second.source, ResultSource::Memory);
     EXPECT_EQ(second.result.get(), first.result.get()); // shared, not copied
     EXPECT_EQ(second.machine.get(), first.machine.get());
 
-    const ServiceStats stats = svc.stats();
-    EXPECT_EQ(stats.jobs_submitted, 2u);
-    EXPECT_EQ(stats.jobs_completed, 1u);
+    const JobServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.submitted, 2u);
+    EXPECT_EQ(stats.compiled, 1u);
     EXPECT_EQ(stats.memory_hits, 1u);
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.machines_built, 1u);
 }
 
 TEST(ServiceTest, DifferentOptionsAreDifferentCacheEntries)
 {
-    CompilationService svc(poolOptions(2, 16));
-    CompileJob job = smallJob();
-    (void)svc.submit(job).get();
+    JobService svc(poolOptions(2, 16));
+    (void)run(svc, smallJob());
 
     CompileJob reseeded = smallJob();
     reseeded.options.seed += 1;
-    const JobResult out = svc.submit(reseeded).get();
+    const JobResult out = run(svc, reseeded);
     EXPECT_FALSE(out.from_cache);
 
-    const ServiceStats stats = svc.stats();
+    const JobServiceStats stats = svc.stats();
     EXPECT_EQ(stats.memory_hits, 0u);
-    EXPECT_EQ(stats.misses, 2u);
-    EXPECT_EQ(stats.jobs_completed, 2u);
+    EXPECT_EQ(stats.compiled, 2u);
 }
 
 TEST(ServiceTest, LruEvictionDropsTheColdestEntry)
 {
-    CompilationService svc(poolOptions(1, 2)); // room for two results
-    (void)svc.submit(smallJob(1)).get();
-    (void)svc.submit(smallJob(2)).get();
-    (void)svc.submit(smallJob(3)).get(); // evicts job 1
-    EXPECT_EQ(svc.stats().cache_evictions, 1u);
-    EXPECT_EQ(svc.stats().cache_entries, 2u);
+    auto bundle = std::make_shared<obs::Observability>(
+        obs::ObservabilityOptions{obs::LogLevel::Off, stderr});
+    JobServiceOptions options = poolOptions(1, 2); // room for two results
+    options.obs = bundle;
+    JobService svc(options);
+    const obs::Counter &evictions =
+        bundle->metrics.counter("powermove_memory_cache_evictions_total");
+
+    (void)run(svc, smallJob(1));
+    (void)run(svc, smallJob(2));
+    (void)run(svc, smallJob(3)); // evicts job 1
+    EXPECT_EQ(evictions.value(), 1u);
 
     // Job 1 was evicted: resubmission misses and recompiles (and in turn
     // evicts job 2, the new least-recently-used entry).
-    const JobResult again = svc.submit(smallJob(1)).get();
-    EXPECT_FALSE(again.from_cache);
-    EXPECT_EQ(svc.stats().cache_evictions, 2u);
+    EXPECT_EQ(run(svc, smallJob(1)).source, ResultSource::Compiled);
+    EXPECT_EQ(evictions.value(), 2u);
 
-    // Job 3 stayed resident.
-    EXPECT_TRUE(svc.submit(smallJob(3)).get().from_cache);
+    // Job 3 stayed resident; job 2 is gone.
+    EXPECT_EQ(run(svc, smallJob(3)).source, ResultSource::Memory);
+    EXPECT_EQ(run(svc, smallJob(2)).source, ResultSource::Compiled);
+    EXPECT_EQ(svc.stats().compiled, 5u);
 }
 
 TEST(ServiceTest, ZeroCapacityDisablesCaching)
 {
-    CompilationService svc(poolOptions(2, 0));
-    (void)svc.submit(smallJob()).get();
-    const JobResult second = svc.submit(smallJob()).get();
+    JobService svc(poolOptions(2, 0));
+    (void)run(svc, smallJob());
+    const JobResult second = run(svc, smallJob());
     EXPECT_FALSE(second.from_cache);
-    EXPECT_EQ(svc.stats().jobs_completed, 2u);
-    EXPECT_EQ(svc.stats().cache_entries, 0u);
+    EXPECT_EQ(second.source, ResultSource::Compiled);
+    EXPECT_EQ(svc.stats().compiled, 2u);
+    EXPECT_EQ(svc.stats().memory_hits, 0u);
 }
 
 TEST(ServiceTest, ConfigErrorPropagatesThroughTheFuture)
 {
-    CompilationService svc(poolOptions(2, 16));
+    JobService svc(poolOptions(2, 16));
 
     // 9 qubits cannot fit a 2x2 compute zone in storage-free mode.
     Circuit circuit(9);
@@ -169,109 +202,112 @@ TEST(ServiceTest, ConfigErrorPropagatesThroughTheFuture)
     CompileJob job{circuit, MachineConfig::forQubits(4), {}};
     job.options.use_storage = false;
 
-    EXPECT_THROW(svc.submit(job).get(), ConfigError);
-    EXPECT_EQ(svc.stats().jobs_failed, 1u);
+    EXPECT_THROW(run(svc, job), ConfigError);
+    EXPECT_EQ(svc.stats().failed, 1u);
 
     // Failures are never cached: resubmission fails afresh.
-    EXPECT_THROW(svc.submit(job).get(), ConfigError);
-    EXPECT_EQ(svc.stats().jobs_failed, 2u);
+    EXPECT_THROW(run(svc, job), ConfigError);
+    EXPECT_EQ(svc.stats().failed, 2u);
 }
 
 TEST(ServiceTest, CompilerConstructionErrorAlsoPropagates)
 {
-    CompilationService svc(poolOptions(2, 16));
+    JobService svc(poolOptions(2, 16));
     CompileJob job = smallJob();
     job.options.num_aods = 0; // rejected by PowerMoveCompiler's ctor
-    EXPECT_THROW(svc.submit(job).get(), ConfigError);
+    EXPECT_THROW(run(svc, job), ConfigError);
 }
 
 TEST(ServiceTest, IdenticalSubmissionsCompileExactlyOnce)
 {
-    CompilationService svc(poolOptions(2, 16));
+    JobService svc(poolOptions(2, 16));
     const CompileJob job = smallJob();
 
-    std::vector<std::future<JobResult>> futures;
+    std::vector<JobTicket> tickets;
     for (int i = 0; i < 16; ++i)
-        futures.push_back(svc.submit(job));
-    for (auto &future : futures)
-        EXPECT_TRUE(future.get().result != nullptr);
+        tickets.push_back(svc.submit(job));
+    for (JobTicket &ticket : tickets)
+        EXPECT_TRUE(ticket.result.get().result != nullptr);
 
     // Every duplicate either coalesced onto the in-flight job or hit the
     // cache; exactly one compilation ever ran.
-    const ServiceStats stats = svc.stats();
-    EXPECT_EQ(stats.jobs_submitted, 16u);
-    EXPECT_EQ(stats.jobs_completed, 1u);
+    const JobServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.submitted, 16u);
+    EXPECT_EQ(stats.compiled, 1u);
     EXPECT_EQ(stats.coalesced + stats.memory_hits, 15u);
 }
 
-TEST(ServiceTest, CompileBatchReportsPerJobOutcomes)
+TEST(ServiceTest, OneFailedJobNeverHidesTheOthers)
 {
-    CompilationService svc(poolOptions(2, 16));
+    JobService svc(poolOptions(2, 16));
 
     Circuit too_big(9);
     too_big.append(CzGate{0, 1});
     CompileJob bad{too_big, MachineConfig::forQubits(4), {}};
     bad.options.use_storage = false;
 
-    std::vector<CompileJob> jobs;
-    jobs.push_back(smallJob(1));
-    jobs.push_back(bad);
-    jobs.push_back(smallJob(2));
-
-    const std::vector<BatchEntry> entries = svc.compileBatch(std::move(jobs));
-    ASSERT_EQ(entries.size(), 3u);
-    EXPECT_TRUE(entries[0].ok());
-    EXPECT_FALSE(entries[1].ok());
-    EXPECT_NE(entries[1].error.find("too small"), std::string::npos);
-    EXPECT_TRUE(entries[2].ok());
+    JobTicket first = svc.submit(smallJob(1));
+    JobTicket failing = svc.submit(bad);
+    JobTicket last = svc.submit(smallJob(2));
+    EXPECT_TRUE(first.result.get().result != nullptr);
+    try {
+        (void)failing.result.get();
+        ADD_FAILURE() << "the oversized job compiled";
+    } catch (const ConfigError &error) {
+        EXPECT_NE(std::string(error.what()).find("too small"),
+                  std::string::npos);
+    }
+    EXPECT_TRUE(last.result.get().result != nullptr);
 }
 
 TEST(ServiceTest, MachinesAreInternedAcrossJobs)
 {
-    CompilationService svc(poolOptions(2, 16));
-    const JobResult a = svc.submit(smallJob(1)).get();
-    const JobResult b = svc.submit(smallJob(2)).get();
+    JobService svc(poolOptions(2, 16));
+    const JobResult a = run(svc, smallJob(1));
+    const JobResult b = run(svc, smallJob(2));
     EXPECT_EQ(a.machine.get(), b.machine.get());
-    EXPECT_EQ(svc.stats().machines_built, 1u);
 }
 
 TEST(ServiceTest, MachinesExpireOnceNothingReferencesThem)
 {
-    CompilationService svc(poolOptions(1, 1)); // cache holds exactly one result
+    JobService svc(poolOptions(1, 1)); // cache holds exactly one result
 
     // Job on config X; its JobResult (the only client ref) is dropped
     // immediately, leaving the cache entry as the machine's sole owner.
-    (void)svc.submit(smallJob(1)).get();
-    EXPECT_EQ(svc.stats().machines_built, 1u);
+    std::weak_ptr<const Machine> machine_x = run(svc, smallJob(1)).machine;
+    EXPECT_FALSE(machine_x.expired());
 
-    // A cached hit must still carry a live machine. Scoped so this
-    // JobResult's machine reference dies before the eviction below.
+    // A cached hit must still carry the same live machine. Scoped so
+    // this JobResult's machine reference dies before the eviction below.
     {
-        const JobResult hit = svc.submit(smallJob(1)).get();
+        const JobResult hit = run(svc, smallJob(1));
         ASSERT_TRUE(hit.from_cache);
         ASSERT_TRUE(hit.machine);
+        EXPECT_EQ(hit.machine, machine_x.lock());
         EXPECT_EQ(hit.machine->config().compute_cols, 2);
     }
 
     // Config Y evicts X's entry; with no cache entry and no client
-    // holding X's machine, the weak intern expires, and compiling for X
-    // again rebuilds it.
+    // holding X's machine, the weak intern expires...
     Circuit nine(9);
     nine.append(CzGate{0, 8});
-    (void)svc.submit(CompileJob{nine, MachineConfig::forQubits(9), {}}).get();
-    EXPECT_EQ(svc.stats().machines_built, 2u);
+    (void)run(svc, CompileJob{nine, MachineConfig::forQubits(9), {}});
+    EXPECT_TRUE(machine_x.expired());
 
-    (void)svc.submit(smallJob(2)).get(); // config X once more
-    EXPECT_EQ(svc.stats().machines_built, 3u);
+    // ...and compiling for X again builds a fresh machine.
+    const JobResult again = run(svc, smallJob(2)); // config X once more
+    ASSERT_TRUE(again.machine);
+    EXPECT_EQ(again.machine->config().compute_cols, 2);
+    EXPECT_TRUE(machine_x.expired());
 }
 
 TEST(ServiceTest, CachedResultOutlivesEvictionAndService)
 {
     JobResult kept;
     {
-        CompilationService svc(poolOptions(1, 1));
-        kept = svc.submit(smallJob(1)).get();
-        (void)svc.submit(smallJob(2)).get(); // evicts job 1's entry
+        JobService svc(poolOptions(1, 1));
+        kept = run(svc, smallJob(1));
+        (void)run(svc, smallJob(2)); // evicts job 1's entry
     }
     // The schedule's machine reference must survive both the eviction
     // and the service's destruction because the JobResult co-owns it.
@@ -282,15 +318,16 @@ TEST(ServiceTest, CachedResultOutlivesEvictionAndService)
 
 TEST(ServiceTest, WaitIdleDrainsTheQueue)
 {
-    CompilationService svc(poolOptions(4, 64));
-    std::vector<std::future<JobResult>> futures;
+    JobService svc(poolOptions(4, 64));
+    std::vector<JobTicket> tickets;
     for (std::size_t v = 1; v <= 12; ++v)
-        futures.push_back(svc.submit(smallJob(v)));
+        tickets.push_back(svc.submit(smallJob(v)));
     svc.waitIdle();
-    const ServiceStats stats = svc.stats();
-    EXPECT_EQ(stats.jobs_completed + stats.jobs_failed, 12u);
-    for (auto &future : futures)
-        EXPECT_TRUE(future.get().result != nullptr);
+    const JobServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.compiled + stats.failed, 12u);
+    EXPECT_EQ(stats.queued, 0u);
+    for (JobTicket &ticket : tickets)
+        EXPECT_TRUE(ticket.result.get().result != nullptr);
 }
 
 /**
@@ -304,19 +341,16 @@ TEST(ServiceTest, FullSuiteSerialVsEightWorkersBitIdentical)
         jobs.push_back(CompileJob{spec.build(), spec.machine_config, {}});
     ASSERT_EQ(jobs.size(), 23u);
 
-    CompilationService serial(poolOptions(1, 64));
-    CompilationService parallel(poolOptions(8, 64));
-    const auto serial_out = serial.compileBatch(jobs);
-    const auto parallel_out = parallel.compileBatch(jobs);
+    JobService serial(poolOptions(1, 64));
+    JobService parallel(poolOptions(8, 64));
+    const std::vector<JobResult> serial_out = runAll(serial, jobs);
+    const std::vector<JobResult> parallel_out = runAll(parallel, jobs);
 
     ASSERT_EQ(serial_out.size(), parallel_out.size());
-    for (std::size_t i = 0; i < serial_out.size(); ++i) {
-        ASSERT_TRUE(serial_out[i].ok()) << serial_out[i].error;
-        ASSERT_TRUE(parallel_out[i].ok()) << parallel_out[i].error;
-        expectIdenticalMetrics(*serial_out[i].result.result,
-                               *parallel_out[i].result.result);
-    }
-    EXPECT_EQ(parallel.stats().jobs_completed, 23u);
+    for (std::size_t i = 0; i < serial_out.size(); ++i)
+        expectIdenticalMetrics(*serial_out[i].result,
+                               *parallel_out[i].result);
+    EXPECT_EQ(parallel.stats().compiled, 23u);
 }
 
 /**
@@ -327,14 +361,14 @@ TEST(ServiceTest, FullSuiteSerialVsEightWorkersBitIdentical)
  */
 TEST(ServiceTest, ProfileTogglingNeverChangesTheSchedule)
 {
-    CompilationService svc(poolOptions(2, 16));
+    JobService svc(poolOptions(2, 16));
 
     const CompileJob profiled = smallJob();
     CompileJob unprofiled = smallJob();
     unprofiled.options.profile_passes = false;
 
-    const JobResult on = svc.submit(profiled).get();
-    const JobResult off = svc.submit(unprofiled).get();
+    const JobResult on = run(svc, profiled);
+    const JobResult off = run(svc, unprofiled);
 
     // Distinct cache entries (no conflated payloads)...
     EXPECT_NE(on.fingerprint, off.fingerprint);
@@ -351,23 +385,31 @@ TEST(ServiceTest, ProfileTogglingNeverChangesTheSchedule)
               effectiveOptions(unprofiled).seed);
 }
 
-/** Pass totals aggregate over worker-compiled jobs, not cache hits. */
+/**
+ * Pass totals aggregate over profiled worker-compiled jobs, not cache
+ * hits or unprofiled compiles.
+ */
 TEST(ServiceTest, PassTotalsAggregateAcrossJobs)
 {
-    CompilationService svc(poolOptions(2, 16));
+    JobService svc(poolOptions(2, 16));
     EXPECT_TRUE(svc.stats().pass_totals.empty());
 
-    (void)svc.submit(smallJob(1)).get();
+    CompileJob unprofiled = smallJob(3);
+    unprofiled.options.profile_passes = false;
+    (void)run(svc, unprofiled); // no profile: totals stay empty
+    EXPECT_TRUE(svc.stats().pass_totals.empty());
+
+    (void)run(svc, smallJob(1));
     const auto after_one = svc.stats().pass_totals;
     ASSERT_FALSE(after_one.empty());
     EXPECT_EQ(after_one.front().pass, PassId::Placement);
     EXPECT_EQ(after_one.front().invocations, 1u);
 
-    (void)svc.submit(smallJob(1)).get(); // cache hit: totals unchanged
+    (void)run(svc, smallJob(1)); // cache hit: totals unchanged
     ASSERT_EQ(svc.stats().pass_totals.size(), after_one.size());
     EXPECT_EQ(svc.stats().pass_totals.front().invocations, 1u);
 
-    (void)svc.submit(smallJob(2)).get(); // fresh compile: placement again
+    (void)run(svc, smallJob(2)); // fresh compile: placement again
     EXPECT_EQ(svc.stats().pass_totals.front().invocations, 2u);
 }
 
@@ -378,24 +420,24 @@ TEST(ServiceTest, ConcurrentSuiteStress)
     for (const BenchmarkSpec &spec : table2Suite())
         jobs.push_back(CompileJob{spec.build(), spec.machine_config, {}});
 
-    CompilationService svc(poolOptions(8, 64));
+    JobService svc(poolOptions(8, 64));
     constexpr std::size_t kSubmitters = 4;
-    std::vector<std::vector<std::future<JobResult>>> futures(kSubmitters);
+    std::vector<std::vector<JobTicket>> tickets(kSubmitters);
     {
         std::vector<std::thread> submitters;
         for (std::size_t t = 0; t < kSubmitters; ++t) {
             submitters.emplace_back([&, t] {
                 for (const CompileJob &job : jobs)
-                    futures[t].push_back(svc.submit(job));
+                    tickets[t].push_back(svc.submit(job));
             });
         }
         for (std::thread &submitter : submitters)
             submitter.join();
     }
 
-    for (auto &lane : futures) {
+    for (auto &lane : tickets) {
         for (std::size_t i = 0; i < lane.size(); ++i) {
-            const JobResult out = lane[i].get();
+            const JobResult out = lane[i].result.get();
             ASSERT_TRUE(out.result);
             validateAgainstCircuit(out.result->schedule, jobs[i].circuit);
         }
@@ -403,12 +445,12 @@ TEST(ServiceTest, ConcurrentSuiteStress)
 
     // Each distinct job compiled exactly once no matter how submissions
     // interleaved with completions.
-    const ServiceStats stats = svc.stats();
-    EXPECT_EQ(stats.jobs_submitted, kSubmitters * jobs.size());
-    EXPECT_EQ(stats.jobs_completed, jobs.size());
+    const JobServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.submitted, kSubmitters * jobs.size());
+    EXPECT_EQ(stats.compiled, jobs.size());
     EXPECT_EQ(stats.coalesced + stats.memory_hits,
               (kSubmitters - 1) * jobs.size());
-    EXPECT_EQ(stats.jobs_failed, 0u);
+    EXPECT_EQ(stats.failed, 0u);
 }
 
 } // namespace

@@ -3,7 +3,8 @@
  * The `powermove` command-line front-end.
  *
  * Reads one or more OpenQASM 2.0 files, compiles them concurrently
- * through the batch CompilationService, writes one ISA JSON document
+ * through the JobService (one shard, --jobs workers), writes one ISA
+ * JSON document
  * per input (`<stem>.isa.json`), and prints a fidelity/summary report
  * per circuit. Duplicate inputs (or re-runs against a warm service) are
  * deduplicated by the content-addressed cache.
@@ -15,19 +16,15 @@
  *
  * Options:
  *   --jobs N       worker threads (default: one per hardware thread)
- *   --jobs-async   route jobs through the async JobService (priority,
- *                  deadline, and admission-control aware) instead of
- *                  the blocking batch service
  *   --cache-dir DIR  persistent on-disk compile cache: results survive
  *                  restarts and are shared across processes pointed at
  *                  the same directory
  *   --priority P   job priority for every input (higher runs earlier;
- *                  may be negative; --jobs-async only)
+ *                  may be negative)
  *   --deadline-ms D  per-job queue-wait bound in milliseconds; jobs
- *                  still queued past it expire (--jobs-async only)
- *   --max-queue N  per-shard admission bound: queued jobs beyond it are
- *                  rejected (default 1024, 0 = unbounded;
- *                  --jobs-async only)
+ *                  still queued past it expire
+ *   --max-queue N  admission bound: queued jobs beyond it are rejected
+ *                  (default 1024, 0 = unbounded)
  *   --num-aods N   independent AOD arrays per compilation (default 1)
  *   --no-storage   storage-free configuration (all qubits in compute)
  *   --seed S       base RNG seed (per-job streams are derived from it)
@@ -65,19 +62,17 @@
  *                  service-wide per-pass totals) before exiting
  *
  * Observability (any of these turns instrumentation on; without them
- * the services run with observability disabled — one branch per site):
+ * the service runs with observability disabled — one branch per site):
  *   --metrics-out PATH   write the metric registry as Prometheus text
  *                  exposition on exit
  *   --metrics-json PATH  write the same registry as JSON on exit
  *   --trace-out PATH  write per-job spans as Chrome trace-event JSON
- *                  (loadable in Perfetto / chrome://tracing); implies
- *                  --jobs-async, since spans stitch JobService
- *                  timelines
+ *                  (loadable in Perfetto / chrome://tracing)
  *   --log-level L  structured logfmt logging to stderr at trace, debug,
  *                  info, warn, error, or off (default info when any
  *                  observability flag is set)
  *   --slow-job-ms D  log a warn-level slow_job line for any job whose
- *                  submit-to-terminal time is >= D ms (async only)
+ *                  submit-to-terminal time is >= D ms
  *   --stats-every-ms N  log one info-level stats line every N ms (and a
  *                  final one on shutdown)
  *   --stats-json PATH  write the tiered service counters as JSON on
@@ -108,7 +103,6 @@
 #include "qasm/converter.hpp"
 #include "report/summary.hpp"
 #include "service/job_service.hpp"
-#include "service/service.hpp"
 
 namespace {
 
@@ -124,15 +118,13 @@ struct CliOptions
     bool print_stats = false;
     bool print_profile = false;
     std::string out_dir;
-    /** Route jobs through the async JobService instead of the batch one. */
-    bool async = false;
     /** Persistent disk-cache directory; empty disables the disk tier. */
     std::string cache_dir;
-    /** Priority applied to every submission (--jobs-async only). */
+    /** Priority applied to every submission. */
     int priority = 0;
-    /** Queue-wait deadline per job in ms; 0 = none (--jobs-async only). */
+    /** Queue-wait deadline per job in ms; 0 = none. */
     double deadline_ms = 0.0;
-    /** Per-shard admission bound; 0 = unbounded (--jobs-async only). */
+    /** Admission bound; 0 = unbounded. */
     std::size_t max_queue = 1024;
     /** Prometheus text exposition destination; empty = no export. */
     std::string metrics_out;
@@ -145,7 +137,7 @@ struct CliOptions
     /** Structured-log threshold; meaningful when log_level_set. */
     obs::LogLevel log_level = obs::LogLevel::Info;
     bool log_level_set = false;
-    /** slow_job warn threshold in ms; 0 disables (--jobs-async only). */
+    /** slow_job warn threshold in ms; 0 disables. */
     double slow_job_ms = 0.0;
     /** Periodic stats-line interval in ms; 0 disables. */
     std::size_t stats_every_ms = 0;
@@ -159,25 +151,22 @@ printUsage(std::FILE *stream)
         "usage: powermove [options] <file.qasm>...\n"
         "\n"
         "Compiles OpenQASM 2.0 circuits for a zoned neutral-atom machine\n"
-        "through a thread-pooled, cache-fronted batch service, emitting\n"
+        "through a thread-pooled, cache-fronted job service, emitting\n"
         "<stem>.isa.json plus a fidelity summary per input.\n"
         "\n"
         "Value-taking options accept --flag VALUE and --flag=VALUE.\n"
         "\n"
         "options:\n"
         "  --jobs N       worker threads (default: hardware concurrency)\n"
-        "  --jobs-async   use the async JobService (priorities, deadlines,\n"
-        "                 admission control, sharded workers)\n"
         "  --cache-dir DIR\n"
         "                 persistent on-disk compile cache shared across\n"
         "                 runs and processes\n"
         "  --priority P   per-input job priority, higher runs earlier\n"
-        "                 (--jobs-async only; may be negative)\n"
+        "                 (may be negative)\n"
         "  --deadline-ms D\n"
         "                 queue-wait bound per job in milliseconds\n"
-        "                 (--jobs-async only; 0 = none)\n"
-        "  --max-queue N  per-shard admission bound, 0 = unbounded\n"
-        "                 (--jobs-async only; default 1024)\n"
+        "                 (0 = none)\n"
+        "  --max-queue N  admission bound, 0 = unbounded (default 1024)\n"
         "  --num-aods N   independent AOD arrays (default 1)\n"
         "  --no-storage   storage-free configuration\n"
         "  --seed S       base RNG seed (default 0xC0FFEE)\n"
@@ -222,12 +211,10 @@ printUsage(std::FILE *stream)
         "                 write metrics as JSON\n"
         "  --trace-out PATH\n"
         "                 write per-job spans as Chrome trace-event JSON\n"
-        "                 (implies --jobs-async)\n"
         "  --log-level L  logfmt logging to stderr: trace, debug, info,\n"
         "                 warn, error, or off\n"
         "  --slow-job-ms D\n"
         "                 warn-log jobs slower than D ms end to end\n"
-        "                 (--jobs-async only)\n"
         "  --stats-every-ms N\n"
         "                 log a stats line every N ms\n"
         "  --stats-json PATH\n"
@@ -357,8 +344,6 @@ parseArgs(int argc, char **argv, CliOptions &cli)
             if (!numeric("--jobs", i, value))
                 return false;
             cli.jobs = static_cast<std::size_t>(value);
-        } else if (arg == "--jobs-async") {
-            cli.async = true;
         } else if (arg == "--cache-dir") {
             if (!take_value("--cache-dir", i, text))
                 return false;
@@ -607,23 +592,7 @@ appendJsonCount(std::string &out, std::string_view indent,
     out += last ? "\n" : ",\n";
 }
 
-/** The shared disk-tier sub-object of both --stats-json shapes. */
-void
-appendDiskStatsJson(std::string &out, const service::DiskCacheStats &disk,
-                    bool last)
-{
-    out += "  \"disk\": {\n";
-    appendJsonCount(out, "    ", "hits", disk.hits);
-    appendJsonCount(out, "    ", "misses", disk.misses);
-    appendJsonCount(out, "    ", "stores", disk.stores);
-    appendJsonCount(out, "    ", "corrupt", disk.corrupt);
-    appendJsonCount(out, "    ", "evictions", disk.evictions);
-    appendJsonCount(out, "    ", "entries", disk.entries);
-    appendJsonCount(out, "    ", "bytes", disk.bytes, true);
-    out += last ? "  }\n" : "  },\n";
-}
-
-/** JobServiceStats as a JSON document (--stats-json, async mode). */
+/** JobServiceStats as a JSON document (--stats-json). */
 std::string
 statsToJson(const service::JobServiceStats &stats)
 {
@@ -639,44 +608,15 @@ statsToJson(const service::JobServiceStats &stats)
     appendJsonCount(out, "  ", "rejected", stats.rejected);
     appendJsonCount(out, "  ", "expired", stats.expired);
     appendJsonCount(out, "  ", "queued", stats.queued);
-    appendDiskStatsJson(out, stats.disk, true);
-    out += "}\n";
-    return out;
-}
-
-/** ServiceStats as a JSON document (--stats-json, batch mode). */
-std::string
-statsToJson(const service::ServiceStats &stats)
-{
-    std::string out = "{\n  \"service\": \"batch\",\n";
-    appendJsonCount(out, "  ", "num_workers", stats.num_workers);
-    appendJsonCount(out, "  ", "jobs_submitted", stats.jobs_submitted);
-    appendJsonCount(out, "  ", "jobs_completed", stats.jobs_completed);
-    appendJsonCount(out, "  ", "jobs_failed", stats.jobs_failed);
-    appendJsonCount(out, "  ", "coalesced", stats.coalesced);
-    appendJsonCount(out, "  ", "memory_hits", stats.memory_hits);
-    appendJsonCount(out, "  ", "disk_hits", stats.disk_hits);
-    appendJsonCount(out, "  ", "misses", stats.misses);
-    appendJsonCount(out, "  ", "cache_evictions", stats.cache_evictions);
-    appendJsonCount(out, "  ", "cache_entries", stats.cache_entries);
-    appendJsonCount(out, "  ", "machines_built", stats.machines_built);
-    appendDiskStatsJson(out, stats.disk, false);
-    out += "  \"pass_totals\": [";
-    for (std::size_t p = 0; p < stats.pass_totals.size(); ++p) {
-        const PassProfile &profile = stats.pass_totals[p];
-        char entry[160];
-        std::snprintf(entry, sizeof(entry),
-                      "%s\n    {\"pass\": \"%.*s\", \"wall_us\": %.3f, "
-                      "\"invocations\": %llu}",
-                      p == 0 ? "" : ",",
-                      static_cast<int>(passName(profile.pass).size()),
-                      passName(profile.pass).data(),
-                      profile.wall_time.micros(),
-                      static_cast<unsigned long long>(profile.invocations));
-        out += entry;
-    }
-    out += stats.pass_totals.empty() ? "]\n" : "\n  ]\n";
-    out += "}\n";
+    out += "  \"disk\": {\n";
+    appendJsonCount(out, "    ", "hits", stats.disk.hits);
+    appendJsonCount(out, "    ", "misses", stats.disk.misses);
+    appendJsonCount(out, "    ", "stores", stats.disk.stores);
+    appendJsonCount(out, "    ", "corrupt", stats.disk.corrupt);
+    appendJsonCount(out, "    ", "evictions", stats.disk.evictions);
+    appendJsonCount(out, "    ", "entries", stats.disk.entries);
+    appendJsonCount(out, "    ", "bytes", stats.disk.bytes, true);
+    out += "  }\n}\n";
     return out;
 }
 
@@ -700,7 +640,7 @@ main(int argc, char **argv)
     }
 
     // Any observability flag builds the shared bundle; without one the
-    // services run with instrumentation fully disabled.
+    // service runs with instrumentation fully disabled.
     const bool want_obs = !cli.metrics_out.empty() ||
                           !cli.metrics_json.empty() ||
                           !cli.trace_out.empty() || cli.log_level_set ||
@@ -712,39 +652,17 @@ main(int argc, char **argv)
             obs_options.log_level = cli.log_level;
         bundle = std::make_shared<obs::Observability>(obs_options);
     }
-    // Trace spans stitch per-job timelines, which only the JobService
-    // keeps; --trace-out therefore routes through it.
-    if (!cli.trace_out.empty())
-        cli.async = true;
-
-    // Exactly one of the two services exists, per --jobs-async. Both
-    // resolve futures of the same JobResult type, so the reporting loop
-    // below is shared.
-    std::unique_ptr<service::CompilationService> svc;
-    std::unique_ptr<service::JobService> async_svc;
-    if (cli.async) {
-        service::JobServiceOptions options;
-        options.cache_capacity = 256;
-        options.max_queue = cli.max_queue;
-        options.cache_dir = cli.cache_dir;
-        options.obs = bundle;
-        options.slow_job_ms = cli.slow_job_ms;
-        if (cli.jobs != 0) {
-            // --jobs bounds total workers in async mode too: one shard
-            // per worker up to 4 shards, the rest as per-shard workers.
-            options.num_shards = std::min<std::size_t>(cli.jobs, 4);
-            options.workers_per_shard =
-                std::max<std::size_t>(1, cli.jobs / options.num_shards);
-        }
-        async_svc = std::make_unique<service::JobService>(options);
-    } else {
-        service::ServiceOptions options;
-        options.num_workers = cli.jobs;
-        options.cache_capacity = 256;
-        options.cache_dir = cli.cache_dir;
-        options.obs = bundle;
-        svc = std::make_unique<service::CompilationService>(options);
-    }
+    // One shard, so --jobs N means exactly N workers (0 = one per
+    // hardware thread).
+    service::JobServiceOptions options;
+    options.num_shards = 1;
+    options.workers_per_shard = cli.jobs;
+    options.cache_capacity = 256;
+    options.max_queue = cli.max_queue;
+    options.cache_dir = cli.cache_dir;
+    options.obs = bundle;
+    options.slow_job_ms = cli.slow_job_ms;
+    service::JobService svc(options);
 
     // One stats line every --stats-every-ms, plus a final one at
     // shutdown (the reporter fires once on destruction if it never
@@ -753,42 +671,17 @@ main(int argc, char **argv)
     if (cli.stats_every_ms > 0)
         reporter = std::make_unique<obs::PeriodicReporter>(
             std::chrono::milliseconds(cli.stats_every_ms), [&] {
-                if (async_svc) {
-                    const service::JobServiceStats s = async_svc->stats();
-                    bundle->log.info("stats",
-                                     {{"submitted", s.submitted},
-                                      {"queued", s.queued},
-                                      {"coalesced", s.coalesced},
-                                      {"memory_hits", s.memory_hits},
-                                      {"disk_hits", s.disk_hits},
-                                      {"compiled", s.compiled},
-                                      {"failed", s.failed},
-                                      {"rejected", s.rejected},
-                                      {"expired", s.expired}});
-                } else {
-                    const service::ServiceStats s = svc->stats();
-                    bundle->log.info("stats",
-                                     {{"submitted", s.jobs_submitted},
-                                      {"completed", s.jobs_completed},
-                                      {"failed", s.jobs_failed},
-                                      {"coalesced", s.coalesced},
-                                      {"memory_hits", s.memory_hits},
-                                      {"disk_hits", s.disk_hits},
-                                      {"misses", s.misses}});
-                }
+                const service::JobServiceStats s = svc.stats();
+                bundle->log.info("stats", {{"submitted", s.submitted},
+                                           {"queued", s.queued},
+                                           {"coalesced", s.coalesced},
+                                           {"memory_hits", s.memory_hits},
+                                           {"disk_hits", s.disk_hits},
+                                           {"compiled", s.compiled},
+                                           {"failed", s.failed},
+                                           {"rejected", s.rejected},
+                                           {"expired", s.expired}});
             });
-
-    const auto submit_job = [&](Circuit circuit, const MachineConfig &config) {
-        if (async_svc) {
-            service::JobRequest request;
-            request.job =
-                service::CompileJob{std::move(circuit), config, cli.compiler};
-            request.priority = cli.priority;
-            request.deadline_ms = cli.deadline_ms;
-            return async_svc->submit(std::move(request)).result;
-        }
-        return svc->submit(std::move(circuit), config, cli.compiler);
-    };
 
     // Load every input and submit it immediately, so the pool compiles
     // early files while later ones are still being parsed.
@@ -814,7 +707,12 @@ main(int argc, char **argv)
             const MachineConfig config =
                 MachineConfig::forQubits(circuit.numQubits());
             flight.circuit = circuit;
-            flight.future = submit_job(std::move(circuit), config);
+            service::JobRequest request;
+            request.job =
+                service::CompileJob{std::move(circuit), config, cli.compiler};
+            request.priority = cli.priority;
+            request.deadline_ms = cli.deadline_ms;
+            flight.future = svc.submit(std::move(request)).result;
         } catch (const std::exception &e) {
             flight.load_error = e.what();
         }
@@ -869,8 +767,8 @@ main(int argc, char **argv)
         }
     }
 
-    if (cli.print_stats && async_svc) {
-        const service::JobServiceStats stats = async_svc->stats();
+    if (cli.print_stats) {
+        const service::JobServiceStats stats = svc.stats();
         std::printf("job service: %zu shards x %zu workers; %zu submitted; "
                     "tiers: %zu coalesced / %zu memory / %zu disk / "
                     "%zu compiled; %zu failed, %zu rejected, %zu expired\n",
@@ -886,36 +784,15 @@ main(int argc, char **argv)
                         stats.disk.corrupt, stats.disk.evictions,
                         stats.disk.entries,
                         static_cast<unsigned long long>(stats.disk.bytes));
-    } else if (cli.print_stats) {
-        const service::ServiceStats stats = svc->stats();
-        std::printf("service: %zu workers; %zu submitted, %zu compiled, "
-                    "%zu failed; tiers: %zu coalesced / %zu memory / "
-                    "%zu disk / %zu miss; %zu evicted (%zu resident); "
-                    "%zu machines\n",
-                    stats.num_workers, stats.jobs_submitted,
-                    stats.jobs_completed, stats.jobs_failed, stats.coalesced,
-                    stats.memory_hits, stats.disk_hits, stats.misses,
-                    stats.cache_evictions, stats.cache_entries,
-                    stats.machines_built);
-        if (!cli.cache_dir.empty())
-            std::printf("disk cache: %zu hit / %zu miss / %zu stored / "
-                        "%zu corrupt / %zu evicted (%zu entries, %llu "
-                        "bytes)\n",
-                        stats.disk.hits, stats.disk.misses, stats.disk.stores,
-                        stats.disk.corrupt, stats.disk.evictions,
-                        stats.disk.entries,
-                        static_cast<unsigned long long>(stats.disk.bytes));
-        if (cli.print_profile) {
+        if (cli.print_profile)
             std::printf("service pass totals:\n%s",
                         formatPassProfiles(stats.pass_totals).c_str());
-        }
     }
 
     // Machine-readable exports, after the final stats line so the
     // registry snapshot includes everything the run observed.
     reporter.reset();
-    if (async_svc != nullptr)
-        (void)async_svc->stats(); // refreshes the shard-imbalance gauge
+    (void)svc.stats(); // refreshes the shard-imbalance gauge
     if (bundle != nullptr) {
         if (!cli.metrics_out.empty() &&
             !writeTextFile(cli.metrics_out,
@@ -929,10 +806,7 @@ main(int argc, char **argv)
             ++failures;
     }
     if (!cli.stats_json.empty()) {
-        const std::string json = async_svc != nullptr
-                                     ? statsToJson(async_svc->stats())
-                                     : statsToJson(svc->stats());
-        if (!writeTextFile(cli.stats_json, json))
+        if (!writeTextFile(cli.stats_json, statsToJson(svc.stats())))
             ++failures;
     }
     return failures == 0 ? 0 : 1;
