@@ -75,11 +75,9 @@ main()
         EnolaOptions with_storage;
         with_storage.use_storage = true;
         run_enola("enola + storage (Fig 3e/f)", with_storage);
-        CompilerOptions balanced;
-        balanced.num_aods = 4;
-        run("full, 4 AODs (in-order)", balanced);
-        balanced.aod_batch_policy = AodBatchPolicy::DurationBalanced;
-        run("full, 4 AODs (balanced)", balanced);
+        CompilerOptions four_aods;
+        four_aods.num_aods = 4;
+        run("full, 4 AODs (in-order)", four_aods);
     }
     std::printf("%s", table.toString().c_str());
     return 0;

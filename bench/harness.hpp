@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -120,6 +121,26 @@ onceWallMicros(Fn &&fn)
     fn();
     const auto stop = std::chrono::steady_clock::now();
     return std::chrono::duration<double, std::micro>(stop - start).count();
+}
+
+/**
+ * One timed call of fn(), in microseconds of CPU time spent by the
+ * whole process, every thread included (CLOCK_PROCESS_CPUTIME_ID). It
+ * still counts work handed to the process's own worker threads, but
+ * not the time other processes hold the cores, so a busy host shows up
+ * as noise rather than as a slowdown of the code under test.
+ */
+template <typename Fn>
+double
+onceProcessCpuMicros(Fn &&fn)
+{
+    timespec start{};
+    timespec stop{};
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &start);
+    fn();
+    ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &stop);
+    return static_cast<double>(stop.tv_sec - start.tv_sec) * 1e6 +
+           static_cast<double>(stop.tv_nsec - start.tv_nsec) / 1e3;
 }
 
 /** Times fn() @p repeats times; see wallStatsFromSamples. */

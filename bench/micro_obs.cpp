@@ -28,9 +28,13 @@
  * pairing cancels the frequency scaling / noisy-neighbor drift that
  * min-of-N across three separate measurement windows cannot (a quiet
  * window for one configuration otherwise reads as overhead in the
- * others). 41 rounds: a timed batch is about 10 ms, so on a busy host a
- * single round's ratio swings by several percent, and only a median
- * over many pairs resolves the 2% bound. Gates:
+ * others). A round reads the process's CPU time, not wall time: the
+ * service compiles on its worker thread, which process CPU time
+ * counts, while the time other tenants hold the cores is not counted,
+ * so a busy host cannot read as service overhead. 41 rounds: a timed
+ * batch is about 10 ms, so a single round's ratio still swings by
+ * several percent, and only a median over many pairs resolves the 2%
+ * bound. Gates:
  *
  *   off / bare < 1.02   the whole service layer — queue, fingerprint,
  *                       job records, cache bookkeeping, AND the
@@ -252,13 +256,13 @@ main(int argc, char **argv)
     off_us.reserve(static_cast<std::size_t>(repeats));
     on_us.reserve(static_cast<std::size_t>(repeats));
     for (int i = 0; i < repeats; ++i) {
-        bare_us.push_back(bench::onceWallMicros(
+        bare_us.push_back(bench::onceProcessCpuMicros(
             [&] { runBare(specs, circuits, false); }));
         std::vector<service::CompileJob> off_batch = plain_jobs;
-        off_us.push_back(bench::onceWallMicros(
+        off_us.push_back(bench::onceProcessCpuMicros(
             [&] { runBatch(*svc_off, std::move(off_batch)); }));
         std::vector<service::CompileJob> on_batch = profiled_jobs;
-        on_us.push_back(bench::onceWallMicros(
+        on_us.push_back(bench::onceProcessCpuMicros(
             [&] { runBatch(*svc_on, std::move(on_batch)); }));
     }
     const bench::WallStats bare =
@@ -280,8 +284,8 @@ main(int argc, char **argv)
     const double kOffBound = 1.02;
     const double kOnBound = 1.25;
 
-    TextTable table({"config", "min ms", "p50 ms", "p95 ms", "vs",
-                     "med ratio", "bound"});
+    TextTable table({"config", "cpu min ms", "cpu p50 ms", "cpu p95 ms",
+                     "vs", "med ratio", "bound"});
     const auto row = [&](const char *name, const bench::WallStats &stats,
                          const char *vs, double ratio, double bound) {
         table.addRow({name, bench::fmt(stats.min_us / 1000.0, "%.2f"),

@@ -1,25 +1,21 @@
 /**
  * @file
- * Stage-partition strategy comparison and differential harness.
+ * Stage-partition differential and timing harness.
  *
  * For every Table 2 benchmark, all of its CZ gates are merged into one
  * commutable block and replicated at several depth multipliers (deep
  * blocks are where the graph coloring's per-qubit clique expansion —
  * O(k^2) edges for a qubit used in k gates — dominates compile time).
- * Each block is partitioned three ways:
+ * Each block is partitioned two ways:
  *
  *   coloring   the paper's materialized-graph coloring, the test oracle
- *              in tests/oracles/ (not in the library; the library's
- *              `--stage-partition=coloring` is an alias of `linear`)
- *   linear     the library's graph-free qubit scan (the default)
- *   balanced   the linear scan plus the width rebalance
+ *              in tests/oracles/ (not in the library)
+ *   linear     the library's graph-free qubit scan, the only partition
+ *              the pipeline runs
  *
  * The harness times the partition alone, checks `linear` is
- * bit-identical to `coloring` (same greedy order, same colors), checks
- * `balanced` keeps the stage count with qubit-disjoint
- * coverage-complete stages without widening any stage, and reports the
- * linear-vs-coloring speedup plus the max-stage-width reduction
- * balanced buys. Depth-1 rows also time Enola's iterated-MIS
+ * bit-identical to `coloring` (same greedy order, same colors), and
+ * reports the linear-vs-coloring speedup. Depth-1 rows also time Enola's iterated-MIS
  * extraction — the paper's Sec. 7.2 compile-time comparison the
  * pre-rewrite Google-Benchmark harness carried (deeper rows skip it;
  * iterated MIS is quadratic in stages and would dominate the run).
@@ -100,7 +96,6 @@ enum Partitioner
 {
     kColoring,
     kLinear,
-    kBalanced,
     kNumPartitioners
 };
 
@@ -113,7 +108,6 @@ struct PartitionerInfo
 constexpr PartitionerInfo kPartitioners[kNumPartitioners] = {
     {"coloring", &partitionIntoStages},
     {"linear", &partitionIntoStagesLinear},
-    {"balanced", &partitionIntoStagesBalanced},
 };
 
 std::size_t
@@ -135,18 +129,6 @@ sameStages(const std::vector<Stage> &a, const std::vector<Stage> &b)
             return false;
     }
     return true;
-}
-
-/** Gates of @p stages as a sorted multiset for coverage comparison. */
-std::vector<CzGate>
-sortedGates(const std::vector<Stage> &stages)
-{
-    std::vector<CzGate> all;
-    for (const Stage &stage : stages)
-        for (const CzGate &gate : stage.gates)
-            all.push_back(gate);
-    std::sort(all.begin(), all.end());
-    return all;
 }
 
 using bench::fmt;
@@ -181,7 +163,8 @@ main(int argc, char **argv)
         smoke ? std::vector<std::size_t>{1, 8}
               : std::vector<std::size_t>{1, 4, 16};
 
-    std::printf("=== Stage-partition strategies across Table 2 x depth%s "
+    std::printf("=== Stage partition (linear vs coloring oracle) across "
+                "Table 2 x depth%s "
                 "===\n\n",
                 smoke ? " (smoke subset)" : "");
 
@@ -195,17 +178,14 @@ main(int argc, char **argv)
     };
     std::vector<Record> records;
     std::size_t linear_mismatches = 0;
-    std::size_t balanced_mismatches = 0;
     std::size_t checked = 0;
 
     const std::size_t deepest = depths.back();
     std::vector<double> deepest_speedups;
-    int width_reduced = 0;
-    int width_total = 0;
 
     TextTable table({"Benchmark", "depth", "gates", "coloring(us)",
-                     "linear(us)", "speedup", "balanced(us)", "mis(us)",
-                     "stages", "maxw col>bal"});
+                     "linear(us)", "speedup", "mis(us)", "stages",
+                     "maxw"});
     const std::vector<Entry> entries = makeEntries(smoke);
     for (const Entry &entry : entries) {
         for (const std::size_t depth : depths) {
@@ -243,7 +223,6 @@ main(int argc, char **argv)
 
             const auto &coloring = stages[kColoring];
             const auto &linear = stages[kLinear];
-            const auto &balanced = stages[kBalanced];
 
             ++checked;
             if (!sameStages(coloring, linear)) {
@@ -253,38 +232,20 @@ main(int argc, char **argv)
                              key_base.c_str(), linear.size(), coloring.size());
                 ++linear_mismatches;
             }
-            bool balanced_ok =
-                balanced.size() == coloring.size() &&
-                sortedGates(balanced) == sortedGates(coloring) &&
-                maxStageWidth(balanced) <= maxStageWidth(coloring);
-            for (const Stage &stage : balanced)
-                balanced_ok = balanced_ok && stage.qubitsDisjoint();
-            if (!balanced_ok) {
-                std::fprintf(stderr,
-                             "%s: balanced broke count/coverage/"
-                             "disjointness/width (%zu vs %zu stages)\n",
-                             key_base.c_str(), balanced.size(),
-                             coloring.size());
-                ++balanced_mismatches;
-            }
 
             const double speedup = micros[kLinear] > 0.0
                                        ? micros[kColoring] / micros[kLinear]
                                        : 0.0;
             if (depth == deepest)
                 deepest_speedups.push_back(speedup);
-            width_reduced +=
-                maxStageWidth(balanced) < maxStageWidth(coloring) ? 1 : 0;
-            ++width_total;
 
             table.addRow(
                 {entry.name, "x" + std::to_string(depth),
                  std::to_string(block.gates.size()),
                  fmt(micros[kColoring], "%.1f"), fmt(micros[kLinear], "%.1f"),
-                 fmt(speedup, "%.1fx"), fmt(micros[kBalanced], "%.1f"),
-                 mis_cell, std::to_string(coloring.size()),
-                 std::to_string(maxStageWidth(coloring)) + ">" +
-                     std::to_string(maxStageWidth(balanced))});
+                 fmt(speedup, "%.1fx"), mis_cell,
+                 std::to_string(coloring.size()),
+                 std::to_string(maxStageWidth(coloring))});
         }
     }
     std::printf("%s\n", table.toString().c_str());
@@ -300,12 +261,8 @@ main(int argc, char **argv)
                 "max %.1fx\n",
                 deepest, min_speedup, median_speedup,
                 deepest_speedups.empty() ? 0.0 : deepest_speedups.back());
-    std::printf("linear bit-identical to coloring on %zu/%zu blocks; "
-                "balanced valid on %zu/%zu, max stage width reduced on "
-                "%d/%d\n",
-                checked - linear_mismatches, checked,
-                checked - balanced_mismatches, checked, width_reduced,
-                width_total);
+    std::printf("linear bit-identical to coloring on %zu/%zu blocks\n",
+                checked - linear_mismatches, checked);
 
     if (!json_path.empty()) {
         std::ofstream out(json_path);
@@ -328,9 +285,9 @@ main(int argc, char **argv)
         std::printf("\nsummary written: %s\n", json_path.c_str());
     }
 
-    if (linear_mismatches + balanced_mismatches > 0) {
+    if (linear_mismatches > 0) {
         std::fprintf(stderr, "%zu differential check(s) failed\n",
-                     linear_mismatches + balanced_mismatches);
+                     linear_mismatches);
         return 1;
     }
     return 0;

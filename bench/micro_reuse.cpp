@@ -6,7 +6,7 @@
  * canonical multi-block workload where atom reuse pays between
  * entanglement layers — under the continuous router and under the
  * reuse router with each residency policy
- * (`--residency=lookahead|lru|lti|fidelity`), validates every schedule
+ * (`--residency=lookahead|lti|fidelity`), validates every schedule
  * against its source circuit, and prints the per-row and per-family
  * comparison: planned moves, reuse hits, holds, and the fidelity ratio
  * against the continuous baseline.
@@ -76,7 +76,6 @@ makeEntries(bool smoke)
 
 constexpr ResidencyPolicy kPolicies[] = {
     ResidencyPolicy::Lookahead,
-    ResidencyPolicy::Lru,
     ResidencyPolicy::Lti,
     ResidencyPolicy::Fidelity,
 };
@@ -202,7 +201,7 @@ main(int argc, char **argv)
 
     std::printf(
         "=== Residency policies: continuous vs reuse x "
-        "{lookahead, lru, lti, fidelity}%s ===\n\n",
+        "{lookahead, lti, fidelity}%s ===\n\n",
         smoke ? " (smoke subset)" : "");
 
     TextTable table({"Benchmark", "Policy", "Moves", "Hits", "Held",

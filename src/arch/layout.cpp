@@ -139,65 +139,17 @@ Layout::countInZone(ZoneKind zone) const
     return count;
 }
 
-namespace {
-
-/** Zone site list (row-major), checked to hold every layout qubit. */
-std::vector<SiteId>
-zoneSitesChecked(const Layout &layout, ZoneKind zone)
-{
-    const auto &machine = layout.machine();
-    auto sites = zone == ZoneKind::Compute ? machine.computeSites()
-                                           : machine.storageSites();
-    if (layout.numQubits() > sites.size())
-        fatal("zone too small to hold " + std::to_string(layout.numQubits()) +
-              " qubits (" + std::to_string(sites.size()) + " sites)");
-    return sites;
-}
-
-} // namespace
-
 void
 placeRowMajor(Layout &layout, ZoneKind zone)
 {
-    const auto sites = zoneSitesChecked(layout, zone);
+    const auto &machine = layout.machine();
+    const auto sites = zone == ZoneKind::Compute ? machine.computeSites()
+                                                 : machine.storageSites();
+    if (layout.numQubits() > sites.size())
+        fatal("zone too small to hold " + std::to_string(layout.numQubits()) +
+              " qubits (" + std::to_string(sites.size()) + " sites)");
     for (QubitId q = 0; q < layout.numQubits(); ++q)
         layout.place(q, sites[q]);
-}
-
-void
-placeColumnInterleaved(Layout &layout, ZoneKind zone)
-{
-    const auto sites = zoneSitesChecked(layout, zone);
-    const auto &config = layout.machine().config();
-    const auto cols = static_cast<std::size_t>(
-        zone == ZoneKind::Compute ? config.compute_cols
-                                  : config.storage_cols);
-    PM_ASSERT(cols > 0, "zone has no columns");
-    const std::size_t rows = sites.size() / cols;
-    for (QubitId q = 0; q < layout.numQubits(); ++q) {
-        // Column-major walk: (row = q mod rows, col = q / rows) mapped
-        // into the row-major site list.
-        const std::size_t index = (q % rows) * cols + q / rows;
-        layout.place(q, sites[index]);
-    }
-}
-
-void
-placeByUsageFrequency(Layout &layout, ZoneKind zone,
-                      const std::vector<std::size_t> &weights)
-{
-    PM_ASSERT(weights.size() == layout.numQubits(),
-              "one weight per qubit required");
-    const auto sites = zoneSitesChecked(layout, zone);
-    std::vector<QubitId> ranked(layout.numQubits());
-    for (QubitId q = 0; q < layout.numQubits(); ++q)
-        ranked[q] = q;
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [&](QubitId a, QubitId b) {
-                         return weights[a] > weights[b];
-                     });
-    for (std::size_t rank = 0; rank < ranked.size(); ++rank)
-        layout.place(ranked[rank], sites[rank]);
 }
 
 } // namespace powermove

@@ -98,25 +98,6 @@ class Layout
  */
 void placeRowMajor(Layout &layout, ZoneKind zone);
 
-/**
- * Places qubits column by column (the transpose of placeRowMajor):
- * qubit q takes row q mod rows of column q / rows, one per site.
- * Consecutive qubit ids — which circuit generators tend to couple —
- * share a column, so their storage parking and retrieval moves run
- * vertically along one column instead of spreading across a row.
- */
-void placeColumnInterleaved(Layout &layout, ZoneKind zone);
-
-/**
- * Places qubits into the zone's row-major site order by descending
- * @p weights (ties toward the lower qubit id), one per site. Since the
- * storage zone's row-major order starts at the row closest to the
- * compute zone, the most-weighted qubits get the shortest shuttle
- * across the inter-zone gap. @p weights must have one entry per qubit.
- */
-void placeByUsageFrequency(Layout &layout, ZoneKind zone,
-                           const std::vector<std::size_t> &weights);
-
 } // namespace powermove
 
 #endif // POWERMOVE_ARCH_LAYOUT_HPP

@@ -46,18 +46,4 @@ batchForAods(std::vector<CollMove> ordered_groups, std::size_t num_aods)
     return batches;
 }
 
-std::vector<AodBatch>
-batchForAods(const Machine &machine, std::vector<CollMove> ordered_groups,
-             std::size_t num_aods, AodBatchPolicy policy)
-{
-    if (policy == AodBatchPolicy::DurationBalanced && num_aods > 1) {
-        std::stable_sort(
-            ordered_groups.begin(), ordered_groups.end(),
-            [&machine](const CollMove &a, const CollMove &b) {
-                return a.maxDistance(machine) > b.maxDistance(machine);
-            });
-    }
-    return batchForAods(std::move(ordered_groups), num_aods);
-}
-
 } // namespace powermove

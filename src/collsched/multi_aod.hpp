@@ -34,36 +34,13 @@ struct AodBatch
     Duration duration(const Machine &machine) const;
 };
 
-/** How the ordered Coll-Move sequence is split across AOD arrays. */
-enum class AodBatchPolicy : std::uint8_t
-{
-    /**
-     * The paper's scheme: consecutive chunks of n groups, preserving the
-     * intra-stage (storage-dwell) order exactly.
-     */
-    InOrder,
-    /**
-     * Extension: stable-sort groups by descending move duration before
-     * chunking. A batch lasts as long as its slowest member, so pairing
-     * similar durations minimizes the summed batch time — at the cost of
-     * perturbing the storage-dwell order within the transition.
-     */
-    DurationBalanced,
-};
-
 /**
  * Chunks the ordered Coll-Move sequence into parallel batches of at most
- * @p num_aods groups (paper Sec. 6.2). @p num_aods must be positive.
- * The machine reference is only used by the DurationBalanced policy.
+ * @p num_aods groups (paper Sec. 6.2), preserving the intra-stage
+ * (storage-dwell) order exactly. @p num_aods must be positive.
  */
 std::vector<AodBatch> batchForAods(std::vector<CollMove> ordered_groups,
                                    std::size_t num_aods);
-
-/** Policy-selecting overload. */
-std::vector<AodBatch> batchForAods(const Machine &machine,
-                                   std::vector<CollMove> ordered_groups,
-                                   std::size_t num_aods,
-                                   AodBatchPolicy policy);
 
 } // namespace powermove
 

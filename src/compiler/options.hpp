@@ -14,9 +14,9 @@
 #ifndef POWERMOVE_COMPILER_OPTIONS_HPP
 #define POWERMOVE_COMPILER_OPTIONS_HPP
 
+#include <cstddef>
 #include <cstdint>
 
-#include "collsched/multi_aod.hpp"
 #include "compiler/strategies.hpp"
 
 namespace powermove {
@@ -31,7 +31,11 @@ struct CompilerOptions
      */
     bool use_storage = true;
 
-    /** Number of independent AOD arrays (paper Sec. 6.2, Fig. 7). */
+    /**
+     * Number of independent AOD arrays (paper Sec. 6.2, Fig. 7). The
+     * ordered Coll-Moves of a transition run on them in consecutive
+     * chunks of num_aods.
+     */
     std::size_t num_aods = 1;
 
     /** Stage-ordering weight alpha in (0, 1] (paper Sec. 4.2). */
@@ -66,17 +70,6 @@ struct CompilerOptions
     std::uint32_t placement_refine_iters = 32;
 
     /**
-     * How each commutable CZ block is split into Rydberg stages.
-     * Linear (the default) is the graph-free qubit scan that reproduces
-     * the paper's Sec. 4.1 edge coloring bit-for-bit without
-     * materializing the conflict graph — same schedules, linear time on
-     * deep blocks; Coloring is that reference edge coloring; Balanced
-     * additionally rebalances stage widths while keeping the stage
-     * count (src/schedule/stage_partition.hpp).
-     */
-    StagePartitionStrategy stage_partition = StagePartitionStrategy::Linear;
-
-    /**
      * Stage ordering within each CZ block. ZoneAware runs the Sec. 4.2
      * stage scheduler; AsPartitioned keeps the raw edge-coloring order
      * (the component-ablation baseline).
@@ -90,13 +83,6 @@ struct CompilerOptions
      * component-ablation baseline).
      */
     CollMoveOrderStrategy coll_move_order = CollMoveOrderStrategy::StorageDwell;
-
-    /**
-     * How Coll-Moves are split across AOD arrays: InOrder is the paper's
-     * consecutive chunking; DurationBalanced (extension) sorts groups by
-     * move duration first, trading storage-dwell order for makespan.
-     */
-    AodBatchPolicy aod_batch_policy = AodBatchPolicy::InOrder;
 
     /**
      * How the RoutingPass plans stage transitions. Continuous is the
@@ -122,8 +108,8 @@ struct CompilerOptions
      * viewed as a cache of atoms over storage. Lookahead (the default)
      * is the fixed reuse_lookahead window with holds force-released at
      * every block boundary, bit-identical to the pre-policy router;
-     * Lru / Lti / Fidelity let residency persist across blocks and
-     * evict by recency, next-use distance, or the fidelity cost model
+     * Lti / Fidelity let residency persist across blocks and evict by
+     * next-use distance or by the fidelity cost model
      * (src/reuse/policy.hpp). Ignored by every other routing strategy.
      */
     ResidencyPolicy residency = ResidencyPolicy::Lookahead;

@@ -29,40 +29,6 @@ class RowMajorPlacement final : public PlacementMethod
     }
 };
 
-class ColumnInterleavedPlacement final : public PlacementMethod
-{
-  public:
-    void
-    place(Layout &layout, ZoneKind zone, const Circuit &,
-          PassProfiler &) const override
-    {
-        placeColumnInterleaved(layout, zone);
-    }
-};
-
-class UsageFrequencyPlacement final : public PlacementMethod
-{
-  public:
-    void
-    place(Layout &layout, ZoneKind zone, const Circuit &circuit,
-          PassProfiler &) const override
-    {
-        // Weight = CZ-gate count: each CZ forces the qubit toward the
-        // compute zone, so heavy qubits should start nearest to it.
-        std::vector<std::size_t> weights(circuit.numQubits(), 0);
-        for (const Moment &moment : circuit.moments()) {
-            const auto *block = std::get_if<CzBlock>(&moment);
-            if (block == nullptr)
-                continue;
-            for (const CzGate &gate : block->gates) {
-                ++weights[gate.a];
-                ++weights[gate.b];
-            }
-        }
-        placeByUsageFrequency(layout, zone, weights);
-    }
-};
-
 class RoutingAwarePlacement final : public PlacementMethod
 {
   public:
@@ -96,28 +62,6 @@ class RoutingAwarePlacement final : public PlacementMethod
 
   private:
     RoutingAwarePlacementOptions options_;
-};
-
-// ---------------------------------------------- stage-partition strategies
-
-// One class, not one per enum value: stage_partition.cpp already owns
-// the strategy dispatch (partitionIntoStagesBy), so a second switch
-// here would just be a place for a future fourth strategy to be missed.
-class SelectedStagePartition final : public StagePartitionMethod
-{
-  public:
-    explicit SelectedStagePartition(StagePartitionStrategy strategy)
-        : strategy_(strategy)
-    {}
-
-    std::vector<Stage>
-    partition(const CzBlock &block, std::size_t num_qubits) const override
-    {
-        return partitionIntoStagesBy(strategy_, block, num_qubits);
-    }
-
-  private:
-    StagePartitionStrategy strategy_;
 };
 
 // -------------------------------------------------- stage-order strategies
@@ -173,20 +117,10 @@ makePlacementMethod(PlacementStrategy strategy, std::uint32_t refine_iters)
     switch (strategy) {
     case PlacementStrategy::RowMajor:
         return std::make_unique<RowMajorPlacement>();
-    case PlacementStrategy::ColumnInterleaved:
-        return std::make_unique<ColumnInterleavedPlacement>();
-    case PlacementStrategy::UsageFrequency:
-        return std::make_unique<UsageFrequencyPlacement>();
     case PlacementStrategy::RoutingAware:
         return std::make_unique<RoutingAwarePlacement>(refine_iters);
     }
     fatal("unknown placement strategy");
-}
-
-std::unique_ptr<const StagePartitionMethod>
-makeStagePartitionMethod(StagePartitionStrategy strategy)
-{
-    return std::make_unique<SelectedStagePartition>(strategy);
 }
 
 std::unique_ptr<const StageOrderMethod>
@@ -239,15 +173,11 @@ PlacementPass::run(PipelineContext &ctx) const
     ctx.schedule.emplace(ctx.machine, std::move(initial_sites));
 }
 
-StagePartitionPass::StagePartitionPass(StagePartitionStrategy strategy)
-    : method_(makeStagePartitionMethod(strategy))
-{}
-
 std::vector<Stage>
 StagePartitionPass::run(PipelineContext &ctx, const CzBlock &block) const
 {
     const auto timing = ctx.profiler.time(PassId::StagePartition);
-    auto stages = method_->partition(block, ctx.circuit.numQubits());
+    auto stages = partitionIntoStagesLinear(block, ctx.circuit.numQubits());
     ctx.profiler.addCounter(PassId::StagePartition, "gates",
                             block.gates.size());
     ctx.profiler.addCounter(PassId::StagePartition, "stages_produced",
@@ -404,9 +334,7 @@ std::vector<AodBatch>
 AodBatchPass::run(PipelineContext &ctx, std::vector<CollMove> groups) const
 {
     const auto timing = ctx.profiler.time(PassId::AodBatch);
-    auto batches =
-        batchForAods(ctx.machine, std::move(groups), ctx.options.num_aods,
-                     ctx.options.aod_batch_policy);
+    auto batches = batchForAods(std::move(groups), ctx.options.num_aods);
     ctx.profiler.addCounter(PassId::AodBatch, "batches_emitted",
                             batches.size());
     return batches;
@@ -436,7 +364,7 @@ Pipeline::run(const Circuit &circuit) const
 
     const PlacementPass placement(options_.placement,
                                   options_.placement_refine_iters);
-    const StagePartitionPass partition(options_.stage_partition);
+    const StagePartitionPass partition;
     const StageOrderPass stage_order(options_.stage_order);
     RoutingPass routing(ctx);
     const CollMoveOrderPass coll_move_order(options_.coll_move_order);

@@ -7,8 +7,8 @@
  * progress, RNG, counters) through six named passes:
  *
  *   PlacementPass      initial layout (strategy-selected)        [once]
- *   StagePartitionPass stage partition (Sec. 4.1 coloring, the   [per block]
- *                      bit-identical linear scan, or balanced)
+ *   StagePartitionPass stage partition (Sec. 4.1 coloring by a   [per block]
+ *                      graph-free linear scan)
  *   StageOrderPass     zone-aware stage ordering (Sec. 4.2)      [per block]
  *   RoutingPass        layout transitions: continuous (Sec. 5)   [per stage]
  *                      or reuse-aware (src/reuse/)
@@ -16,9 +16,8 @@
  *   AodBatchPass       multi-AOD parallel batching (Sec. 6.2)    [per stage]
  *
  * Passes with more than one algorithm delegate to a small strategy
- * interface (PlacementMethod, StagePartitionMethod, StageOrderMethod,
- * CollMoveOrderMethod) or strategy-selected router, chosen by the
- * CompilerOptions enums, so
+ * interface (PlacementMethod, StageOrderMethod, CollMoveOrderMethod)
+ * or strategy-selected router, chosen by the CompilerOptions enums, so
  * new strategies from the related literature — e.g. routing-aware
  * placement — slot in without forking the driver. Each pass invocation
  * is timed and counted by the context's PassProfiler (see
@@ -89,16 +88,6 @@ class PlacementMethod
                        PassProfiler &profiler) const = 0;
 };
 
-/** Strategy interface of the StagePartitionPass. */
-class StagePartitionMethod
-{
-  public:
-    virtual ~StagePartitionMethod() = default;
-    /** Splits @p block into qubit-disjoint stages covering every gate. */
-    virtual std::vector<Stage> partition(const CzBlock &block,
-                                         std::size_t num_qubits) const = 0;
-};
-
 /** Strategy interface of the StageOrderPass. */
 class StageOrderMethod
 {
@@ -126,10 +115,6 @@ class CollMoveOrderMethod
 std::unique_ptr<const PlacementMethod>
 makePlacementMethod(PlacementStrategy strategy, std::uint32_t refine_iters);
 
-/** Factory for the selected stage-partition algorithm. */
-std::unique_ptr<const StagePartitionMethod>
-makeStagePartitionMethod(StagePartitionStrategy strategy);
-
 /** Factory for the selected stage-order algorithm. */
 std::unique_ptr<const StageOrderMethod>
 makeStageOrderMethod(StageOrderStrategy strategy);
@@ -156,18 +141,14 @@ class PlacementPass
 };
 
 /**
- * Partitions one CZ block into disjoint-qubit stages (Algorithm 1) per
- * the selected strategy: the paper's edge coloring, the bit-identical
- * graph-free linear scan, or the width-balanced variant.
+ * Partitions one CZ block into disjoint-qubit stages (Algorithm 1): the
+ * paper's edge coloring, computed by the graph-free linear scan
+ * (schedule/stage_partition.hpp).
  */
 class StagePartitionPass
 {
   public:
-    explicit StagePartitionPass(StagePartitionStrategy strategy);
     std::vector<Stage> run(PipelineContext &ctx, const CzBlock &block) const;
-
-  private:
-    std::unique_ptr<const StagePartitionMethod> method_;
 };
 
 /** Orders the stages of one block per the selected strategy. */

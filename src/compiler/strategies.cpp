@@ -8,26 +8,8 @@ placementStrategyName(PlacementStrategy strategy)
     switch (strategy) {
     case PlacementStrategy::RowMajor:
         return "row-major";
-    case PlacementStrategy::ColumnInterleaved:
-        return "column-interleaved";
-    case PlacementStrategy::UsageFrequency:
-        return "usage-frequency";
     case PlacementStrategy::RoutingAware:
         return "routing-aware";
-    }
-    return "unknown";
-}
-
-std::string_view
-stagePartitionStrategyName(StagePartitionStrategy strategy)
-{
-    switch (strategy) {
-    case StagePartitionStrategy::Coloring:
-        return "coloring";
-    case StagePartitionStrategy::Linear:
-        return "linear";
-    case StagePartitionStrategy::Balanced:
-        return "balanced";
     }
     return "unknown";
 }
@@ -56,40 +38,12 @@ collMoveOrderStrategyName(CollMoveOrderStrategy strategy)
     return "unknown";
 }
 
-std::string_view
-aodBatchPolicyName(AodBatchPolicy policy)
-{
-    switch (policy) {
-    case AodBatchPolicy::InOrder:
-        return "in-order";
-    case AodBatchPolicy::DurationBalanced:
-        return "duration-balanced";
-    }
-    return "unknown";
-}
-
 bool
 parsePlacementStrategy(std::string_view text, PlacementStrategy &out)
 {
     for (const auto strategy :
-         {PlacementStrategy::RowMajor, PlacementStrategy::ColumnInterleaved,
-          PlacementStrategy::UsageFrequency,
-          PlacementStrategy::RoutingAware}) {
+         {PlacementStrategy::RowMajor, PlacementStrategy::RoutingAware}) {
         if (text == placementStrategyName(strategy)) {
-            out = strategy;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseStagePartitionStrategy(std::string_view text, StagePartitionStrategy &out)
-{
-    for (const auto strategy :
-         {StagePartitionStrategy::Coloring, StagePartitionStrategy::Linear,
-          StagePartitionStrategy::Balanced}) {
-        if (text == stagePartitionStrategyName(strategy)) {
             out = strategy;
             return true;
         }
@@ -117,19 +71,6 @@ parseCollMoveOrderStrategy(std::string_view text, CollMoveOrderStrategy &out)
                                 CollMoveOrderStrategy::StorageDwell}) {
         if (text == collMoveOrderStrategyName(strategy)) {
             out = strategy;
-            return true;
-        }
-    }
-    return false;
-}
-
-bool
-parseAodBatchPolicy(std::string_view text, AodBatchPolicy &out)
-{
-    for (const auto policy :
-         {AodBatchPolicy::InOrder, AodBatchPolicy::DurationBalanced}) {
-        if (text == aodBatchPolicyName(policy)) {
-            out = policy;
             return true;
         }
     }
@@ -172,8 +113,6 @@ residencyPolicyName(ResidencyPolicy policy)
     switch (policy) {
     case ResidencyPolicy::Lookahead:
         return "lookahead";
-    case ResidencyPolicy::Lru:
-        return "lru";
     case ResidencyPolicy::Lti:
         return "lti";
     case ResidencyPolicy::Fidelity:
@@ -186,8 +125,8 @@ bool
 parseResidencyPolicy(std::string_view text, ResidencyPolicy &out)
 {
     for (const auto policy :
-         {ResidencyPolicy::Lookahead, ResidencyPolicy::Lru,
-          ResidencyPolicy::Lti, ResidencyPolicy::Fidelity}) {
+         {ResidencyPolicy::Lookahead, ResidencyPolicy::Lti,
+          ResidencyPolicy::Fidelity}) {
         if (text == residencyPolicyName(policy)) {
             out = policy;
             return true;
@@ -206,8 +145,6 @@ strategyCatalog()
         {"placement",
          "--placement",
          {placementStrategyName(PlacementStrategy::RowMajor),
-          placementStrategyName(PlacementStrategy::ColumnInterleaved),
-          placementStrategyName(PlacementStrategy::UsageFrequency),
           placementStrategyName(PlacementStrategy::RoutingAware)}},
         {"routing",
          "--routing",
@@ -218,14 +155,8 @@ strategyCatalog()
         {"residency",
          "--residency",
          {residencyPolicyName(ResidencyPolicy::Lookahead),
-          residencyPolicyName(ResidencyPolicy::Lru),
           residencyPolicyName(ResidencyPolicy::Lti),
           residencyPolicyName(ResidencyPolicy::Fidelity)}},
-        {"stage-partition",
-         "--stage-partition",
-         {stagePartitionStrategyName(StagePartitionStrategy::Linear),
-          stagePartitionStrategyName(StagePartitionStrategy::Coloring),
-          stagePartitionStrategyName(StagePartitionStrategy::Balanced)}},
         {"stage-order",
          "",
          {stageOrderStrategyName(StageOrderStrategy::ZoneAware),
@@ -234,10 +165,6 @@ strategyCatalog()
          "",
          {collMoveOrderStrategyName(CollMoveOrderStrategy::StorageDwell),
           collMoveOrderStrategyName(CollMoveOrderStrategy::AsGrouped)}},
-        {"aod-batch",
-         "--batch-policy",
-         {aodBatchPolicyName(AodBatchPolicy::InOrder),
-          aodBatchPolicyName(AodBatchPolicy::DurationBalanced)}},
     };
 }
 

@@ -5,8 +5,9 @@
  * Each pipeline pass that admits more than one algorithm exposes its
  * choice as a small enum here, selected through CompilerOptions. The
  * paper's Fig. 1b flow is the default in every dimension; alternatives
- * either reproduce an ablation (the "as-is" orderings) or open a new
- * scenario (placement variants). Every enum participates in the job
+ * either reproduce an ablation (the "as-is" orderings) or trade compile
+ * time for Eq. 1 fidelity (routing-aware placement, reuse and windowed
+ * routing). Every enum participates in the job
  * fingerprint (service/fingerprint.cpp), so two option sets differing
  * in any strategy can never share a cache entry.
  */
@@ -19,29 +20,19 @@
 #include <string_view>
 #include <vector>
 
-#include "collsched/multi_aod.hpp"
-
 namespace powermove {
 
-/** How the initial layout places qubits into their starting zone. */
+/**
+ * How the initial layout places qubits into their starting zone.
+ *
+ * The numeric values are part of the job fingerprint (and so of every
+ * disk-cache key and derived seed); they are written out so that a
+ * removed value never renumbers the ones that remain.
+ */
 enum class PlacementStrategy : std::uint8_t
 {
     /** The paper's initial layout: row-major from the zone's top left. */
-    RowMajor,
-    /**
-     * The transpose of RowMajor: the zone fills column by column, so
-     * consecutive qubits — which circuit generators tend to couple —
-     * share a column and their storage traffic runs vertically along
-     * that column.
-     */
-    ColumnInterleaved,
-    /**
-     * Usage-frequency-aware: qubits are ranked by their CZ-gate count
-     * and the busiest qubits take the row-major sites closest to the
-     * compute zone, shortening the shuttle distance of the atoms that
-     * cross the inter-zone gap most often.
-     */
-    UsageFrequency,
+    RowMajor = 0,
     /**
      * Routing-aware (Stade et al., src/placement/): interacting qubits
      * are placed near each other by a greedy grow-from-seed layout over
@@ -50,34 +41,7 @@ enum class PlacementStrategy : std::uint8_t
      * the move distance routing later pays is minimized before routing
      * ever runs.
      */
-    RoutingAware,
-};
-
-/** How a commutable CZ block is partitioned into Rydberg stages. */
-enum class StagePartitionStrategy : std::uint8_t
-{
-    /**
-     * The paper's Sec. 4.1 name for the greedy edge coloring; an alias
-     * that runs the Linear scan (same stages). Kept as an accepted value
-     * so existing option sets, fingerprints and cache keys stay valid.
-     */
-    Coloring,
-    /**
-     * The paper's Sec. 4.1 greedy coloring, in descending degree order,
-     * computed by a linear-time qubit scan (src/schedule/): each gate
-     * conflicts only through its two qubits, so a per-qubit "stages
-     * already used" bitset yields the coloring without ever building
-     * the conflict graph. stage_partition_test.cpp locks it stage for
-     * stage to the graph-coloring oracle across the Table 2 suite.
-     */
-    Linear,
-    /**
-     * The Linear scan followed by a width-rebalancing sweep: gates
-     * migrate from over-full stages to emptier qubit-disjoint stages,
-     * keeping the stage count but shrinking the maximum stage width
-     * (fewer simultaneous moves for the routers to schedule).
-     */
-    Balanced,
+    RoutingAware = 3,
 };
 
 /** How stages of one commutable CZ block are ordered. */
@@ -141,7 +105,8 @@ enum class RoutingStrategy : std::uint8_t
  * legs, staying resident costs one excitation exposure per intervening
  * Rydberg pulse plus idle dephasing. The policies differ in how they
  * weigh that trade and in whether residency may survive block
- * boundaries.
+ * boundaries. The values are fingerprinted, hence explicit (see
+ * PlacementStrategy).
  */
 enum class ResidencyPolicy : std::uint8_t
 {
@@ -152,14 +117,7 @@ enum class ResidencyPolicy : std::uint8_t
      * Every hold is force-released at block boundaries. This is the
      * default and reproduces the pre-policy reuse router bit for bit.
      */
-    Lookahead,
-    /**
-     * Least-recently-used: every idle-in-compute qubit stays resident;
-     * under compute-zone pressure the qubits whose last gate lies
-     * farthest in the past are evicted first. Residency persists
-     * across block boundaries.
-     */
-    Lru,
+    Lookahead = 0,
     /**
      * Longest-time-to-interaction (Belady-style, the quicksilver
      * lru-vs-lti compute-slot-replacement shape): every idle qubit
@@ -169,7 +127,7 @@ enum class ResidencyPolicy : std::uint8_t
      * persists across block boundaries, which is what finally buys
      * cross-block reuse on QSIM/QFT/BV.
      */
-    Lti,
+    Lti = 2,
     /**
      * Fidelity-weighted: hold iff the projected cost of staying
      * resident until the next use — excitation exposures plus idle
@@ -177,15 +135,13 @@ enum class ResidencyPolicy : std::uint8_t
      * four-transfer storage round trip. Adapts the window to the
      * machine instead of fixing a stage count; persists across blocks.
      */
-    Fidelity,
+    Fidelity = 3,
 };
 
 /** Short stable name, e.g. "row-major"; used by reports and the CLI. */
 std::string_view placementStrategyName(PlacementStrategy strategy);
-std::string_view stagePartitionStrategyName(StagePartitionStrategy strategy);
 std::string_view stageOrderStrategyName(StageOrderStrategy strategy);
 std::string_view collMoveOrderStrategyName(CollMoveOrderStrategy strategy);
-std::string_view aodBatchPolicyName(AodBatchPolicy policy);
 std::string_view routingStrategyName(RoutingStrategy strategy);
 std::string_view residencyPolicyName(ResidencyPolicy policy);
 
@@ -194,12 +150,9 @@ std::string_view residencyPolicyName(ResidencyPolicy policy);
  * Returns false (leaving @p out untouched) on an unknown name.
  */
 bool parsePlacementStrategy(std::string_view text, PlacementStrategy &out);
-bool parseStagePartitionStrategy(std::string_view text,
-                                 StagePartitionStrategy &out);
 bool parseStageOrderStrategy(std::string_view text, StageOrderStrategy &out);
 bool parseCollMoveOrderStrategy(std::string_view text,
                                 CollMoveOrderStrategy &out);
-bool parseAodBatchPolicy(std::string_view text, AodBatchPolicy &out);
 bool parseRoutingStrategy(std::string_view text, RoutingStrategy &out);
 bool parseResidencyPolicy(std::string_view text, ResidencyPolicy &out);
 

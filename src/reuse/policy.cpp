@@ -91,56 +91,6 @@ class PressurePolicy : public ResidencyPolicyImpl
 };
 
 /**
- * Least-recently-used: every idle atom stays resident; under pressure
- * the atom whose last gate lies farthest in the past goes first —
- * pure recency, blind to the future.
- */
-class LruPolicy final : public PressurePolicy
-{
-  public:
-    ResidencyPolicy kind() const override { return ResidencyPolicy::Lru; }
-
-    void
-    beginProgram(std::size_t num_qubits) override
-    {
-        // Recency must survive block boundaries; only (re)size on a
-        // new program (a router outlives exactly one circuit width).
-        if (last_use_.size() != num_qubits)
-            last_use_.assign(num_qubits, 0);
-    }
-
-    void
-    noteInteraction(QubitId qubit, std::size_t global_stage) override
-    {
-        // +1 keeps 0 free for "never interacted" (always oldest).
-        last_use_[qubit] = global_stage + 1;
-    }
-
-  protected:
-    void
-    wantsHolds(const ResidencyQuery &query, std::vector<QubitId> &wanted,
-               std::vector<QubitId> &) override
-    {
-        wanted.assign(query.candidates.begin(), query.candidates.end());
-    }
-
-    void
-    rankForEviction(const ResidencyQuery &, std::vector<QubitId> &wanted)
-        override
-    {
-        std::sort(wanted.begin(), wanted.end(),
-                  [this](QubitId a, QubitId b) {
-                      if (last_use_[a] != last_use_[b])
-                          return last_use_[a] < last_use_[b];
-                      return a < b;
-                  });
-    }
-
-  private:
-    std::vector<std::size_t> last_use_;
-};
-
-/**
  * Longest-time-to-interaction (Belady over the known next-use index):
  * every idle atom stays resident; under pressure the atom whose next
  * use lies farthest in the future goes first, an unknown next use
@@ -328,8 +278,6 @@ makeResidencyPolicy(ResidencyPolicy policy, std::size_t lookahead,
     switch (policy) {
     case ResidencyPolicy::Lookahead:
         return std::make_unique<LookaheadPolicy>(lookahead);
-    case ResidencyPolicy::Lru:
-        return std::make_unique<LruPolicy>();
     case ResidencyPolicy::Lti:
         return std::make_unique<LtiPolicy>();
     case ResidencyPolicy::Fidelity:

@@ -10,17 +10,17 @@
  * idle dephasing the storage zone would have shielded. Which atoms to
  * keep resident is therefore a cache replacement question, and this
  * interface makes the answer pluggable behind the reuse router's step
- * 1 (`--residency=lookahead|lru|lti|fidelity`).
+ * 1 (`--residency=lookahead|lti|fidelity`).
  *
  * Per stage transition the router hands the policy every idle-in-
  * compute qubit (the hold candidates) and the policy partitions them
  * into holds and releases. Policies are pure rankings over the shared
- * ReuseAnalysis next-use index, per-qubit recency stamps, or the
- * fidelity cost model — they never draw from the RNG, so every policy
- * is deterministic per (circuit, options).
+ * ReuseAnalysis next-use index or the fidelity cost model — they never
+ * draw from the RNG, so every policy is deterministic per (circuit,
+ * options).
  *
  * Lookahead reproduces the pre-policy router bit for bit and resets
- * residency at block boundaries; the other three let residency persist
+ * residency at block boundaries; the other two let residency persist
  * across blocks: beginBlock() re-validation happens naturally at the
  * next transition, where every survivor is a candidate again and the
  * policy either re-holds it or finally parks it.
@@ -47,8 +47,6 @@ struct ResidencyQuery
     const std::vector<QubitId> &candidates;
     /** Block-local index of the stage being routed. */
     std::size_t stage;
-    /** Program-global transition index (monotonic across blocks). */
-    std::size_t global_stage;
     /** The current block's next-use index. */
     const ReuseAnalysis &analysis;
     /** The configured lookahead window (>= 1). */
@@ -88,16 +86,6 @@ class ResidencyPolicyImpl
     virtual void partition(const ResidencyQuery &query,
                            std::vector<QubitId> &holds,
                            std::vector<QubitId> &releases) = 0;
-
-    /** Sizes per-qubit state; called before every block announce. */
-    virtual void beginProgram(std::size_t num_qubits) { (void)num_qubits; }
-
-    /** Observes a gate on @p qubit at @p global_stage (LRU recency). */
-    virtual void noteInteraction(QubitId qubit, std::size_t global_stage)
-    {
-        (void)qubit;
-        (void)global_stage;
-    }
 };
 
 /**

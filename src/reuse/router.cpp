@@ -35,7 +35,6 @@ ReuseAwareRouter::beginBlock(const std::vector<Stage> &stages,
     PM_ASSERT(!residency_sized_ || num_qubits == num_qubits_,
               "circuit width must not change across blocks");
     num_qubits_ = num_qubits;
-    policy_->beginProgram(num_qubits);
     if (!residency_sized_ || !policy_->persistsAcrossBlocks()) {
         // Close the previous block's surviving residencies at its end
         // (the current global stage, one past its last transition).
@@ -77,8 +76,6 @@ ReuseAwareRouter::planStageTransition(Layout &layout, const Stage &stage)
                   "stage gate outside circuit width");
         partner[gate.a] = gate.b;
         partner[gate.b] = gate.a;
-        policy_->noteInteraction(gate.a, global_index);
-        policy_->noteInteraction(gate.b, global_index);
     }
 
     occupancy_.beginTransition(layout);
@@ -120,9 +117,8 @@ ReuseAwareRouter::planStageTransition(Layout &layout, const Stage &stage)
     const std::size_t gate_sites = stage.gates.size();
     const std::size_t capacity =
         num_compute_sites_ > gate_sites ? num_compute_sites_ - gate_sites : 0;
-    const ResidencyQuery query{candidates,         stage_index, global_index,
-                               analysis_,          options_.lookahead,
-                               capacity};
+    const ResidencyQuery query{candidates, stage_index, analysis_,
+                               options_.lookahead, capacity};
     policy_->partition(query, holds, releases);
     PM_ASSERT(holds.size() + releases.size() == candidates.size(),
               "residency policy must partition every candidate");

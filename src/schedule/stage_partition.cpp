@@ -42,14 +42,6 @@ class UsedStageSets
         return static_cast<std::uint32_t>(limit * 64);
     }
 
-    bool
-    test(QubitId q, std::uint32_t stage) const
-    {
-        const auto &w = words_[q];
-        const std::size_t word = stage / 64;
-        return word < w.size() && (w[word] >> (stage % 64)) & 1;
-    }
-
     void
     set(QubitId q, std::uint32_t stage)
     {
@@ -58,12 +50,6 @@ class UsedStageSets
         if (word >= w.size())
             w.resize(word + 1, 0);
         w[word] |= std::uint64_t{1} << (stage % 64);
-    }
-
-    void
-    clear(QubitId q, std::uint32_t stage)
-    {
-        words_[q][stage / 64] &= ~(std::uint64_t{1} << (stage % 64));
     }
 
   private:
@@ -97,13 +83,10 @@ pairKey(const CzGate &gate)
  *     the "smallest color unused among neighbors" choice of greedy
  *     coloring.
  *
- * @param used scratch stage sets; left at their final state so callers
- *             (the Balanced rebalance) can reuse them.
  * @return one stage index per gate, dense from 0.
  */
 std::vector<std::uint32_t>
-greedyScanAssignment(const CzBlock &block, std::size_t num_qubits,
-                     UsedStageSets &used)
+greedyScanAssignment(const CzBlock &block, std::size_t num_qubits)
 {
     const std::size_t num_gates = block.gates.size();
 
@@ -134,6 +117,7 @@ greedyScanAssignment(const CzBlock &block, std::size_t num_qubits,
     for (std::size_t g = 0; g < num_gates; ++g)
         buckets[degree[g]].push_back(static_cast<std::uint32_t>(g));
 
+    UsedStageSets used(num_qubits);
     std::vector<std::uint32_t> stage_of(num_gates);
     for (std::size_t d = buckets.size(); d-- > 0;) {
         for (const std::uint32_t g : buckets[d]) {
@@ -165,62 +149,6 @@ stagesFromAssignment(const CzBlock &block,
     return stages;
 }
 
-/**
- * Width rebalance: migrate gates from over-full stages into strictly
- * emptier qubit-disjoint stages (most underfilled target first, lowest
- * index on ties). A move needs load(target) + 1 < load(source), so no
- * stage ever empties and the count is preserved; each move lowers the
- * sum of squared widths, so the sweeps terminate (the cap only bounds
- * the worst case). Deterministic: gate order, target choice, and the
- * stop condition depend only on the assignment.
- */
-void
-rebalanceWidths(const CzBlock &block, std::vector<std::uint32_t> &stage_of,
-                UsedStageSets &used)
-{
-    constexpr int kMaxSweeps = 8;
-
-    std::uint32_t num_stages = 0;
-    for (const auto stage : stage_of)
-        num_stages = std::max(num_stages, stage + 1);
-
-    std::vector<std::uint32_t> load(num_stages, 0);
-    for (const auto stage : stage_of)
-        ++load[stage];
-
-    bool changed = true;
-    for (int sweep = 0; sweep < kMaxSweeps && changed; ++sweep) {
-        changed = false;
-        for (std::size_t g = 0; g < block.gates.size(); ++g) {
-            const std::uint32_t from = stage_of[g];
-            if (load[from] < 2)
-                continue;
-            const auto &gate = block.gates[g];
-            constexpr std::uint32_t kNone = ~std::uint32_t{0};
-            std::uint32_t best = kNone;
-            for (std::uint32_t to = 0; to < num_stages; ++to) {
-                if (to == from || load[to] + 1 >= load[from])
-                    continue;
-                if (best != kNone && load[to] >= load[best])
-                    continue;
-                if (used.test(gate.a, to) || used.test(gate.b, to))
-                    continue;
-                best = to;
-            }
-            if (best == kNone)
-                continue;
-            used.clear(gate.a, from);
-            used.clear(gate.b, from);
-            used.set(gate.a, best);
-            used.set(gate.b, best);
-            --load[from];
-            ++load[best];
-            stage_of[g] = best;
-            changed = true;
-        }
-    }
-}
-
 } // namespace
 
 std::vector<Stage>
@@ -231,37 +159,8 @@ partitionIntoStagesLinear(const CzBlock &block, std::size_t num_qubits)
     if (block.gates.size() == 1)
         return {Stage{block.gates}};
 
-    UsedStageSets used(num_qubits);
-    const auto stage_of = greedyScanAssignment(block, num_qubits, used);
-    return stagesFromAssignment(block, stage_of);
-}
-
-std::vector<Stage>
-partitionIntoStagesBalanced(const CzBlock &block, std::size_t num_qubits)
-{
-    if (block.gates.empty())
-        return {};
-    if (block.gates.size() == 1)
-        return {Stage{block.gates}};
-
-    UsedStageSets used(num_qubits);
-    auto stage_of = greedyScanAssignment(block, num_qubits, used);
-    rebalanceWidths(block, stage_of, used);
-    return stagesFromAssignment(block, stage_of);
-}
-
-std::vector<Stage>
-partitionIntoStagesBy(StagePartitionStrategy strategy, const CzBlock &block,
-                      std::size_t num_qubits)
-{
-    switch (strategy) {
-    case StagePartitionStrategy::Coloring: // same assignment, see header
-    case StagePartitionStrategy::Linear:
-        return partitionIntoStagesLinear(block, num_qubits);
-    case StagePartitionStrategy::Balanced:
-        return partitionIntoStagesBalanced(block, num_qubits);
-    }
-    fatal("unknown stage-partition strategy");
+    return stagesFromAssignment(block,
+                                greedyScanAssignment(block, num_qubits));
 }
 
 } // namespace powermove

@@ -9,23 +9,15 @@
  * descending vertex-degree order (Welsh-Powell), which is near-optimal
  * for these line-graph-like instances.
  *
- * Two implementations sit behind StagePartitionStrategy:
- *
- *  - partitionIntoStagesLinear (Linear, and its alias Coloring): the
- *    greedy coloring by a qubit scan that never builds the graph. A
- *    gate conflicts only through its two qubits, so a per-qubit bitset
- *    of already-used stage indices gives the forbidden set in
- *    O(stages/64) words; O(gates * stages/64) time and O(num_qubits)
- *    bitsets of extra space. The paper's formulation — materialize the
- *    conflict graph (a clique per qubit, O(k^2) edges for a qubit used
- *    in k gates), then color it — is the test oracle in
- *    tests/oracles/reference_partition.hpp, and this scan matches it
- *    stage for stage.
- *  - partitionIntoStagesBalanced (Balanced): the Linear scan followed
- *    by a deterministic width-rebalancing sweep that migrates gates
- *    from over-full stages into emptier qubit-disjoint stages. Stage
- *    count is provably unchanged; the maximum stage width — the number
- *    of simultaneous moves the routers later schedule — shrinks.
+ * partitionIntoStagesLinear computes that greedy coloring by a qubit
+ * scan that never builds the graph. A gate conflicts only through its
+ * two qubits, so a per-qubit bitset of already-used stage indices gives
+ * the forbidden set in O(stages/64) words; O(gates * stages/64) time and
+ * O(num_qubits) bitsets of extra space. The paper's formulation —
+ * materialize the conflict graph (a clique per qubit, O(k^2) edges for a
+ * qubit used in k gates), then color it — is the test oracle in
+ * tests/oracles/reference_partition.hpp, and this scan matches it stage
+ * for stage.
  */
 
 #ifndef POWERMOVE_SCHEDULE_STAGE_PARTITION_HPP
@@ -34,7 +26,6 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "compiler/strategies.hpp"
 #include "schedule/stage.hpp"
 
 namespace powermove {
@@ -50,21 +41,6 @@ namespace powermove {
  */
 std::vector<Stage> partitionIntoStagesLinear(const CzBlock &block,
                                              std::size_t num_qubits);
-
-/**
- * Width-balanced partitioner: the Linear assignment plus a rebalancing
- * sweep. Returns the same number of stages as partitionIntoStagesLinear
- * with the same gate multiset and qubit-disjoint stages, but ties
- * broken toward emptier stages so the maximum stage width never grows
- * (and usually shrinks).
- */
-std::vector<Stage> partitionIntoStagesBalanced(const CzBlock &block,
-                                               std::size_t num_qubits);
-
-/** Dispatches to the partitioner selected by @p strategy. */
-std::vector<Stage> partitionIntoStagesBy(StagePartitionStrategy strategy,
-                                         const CzBlock &block,
-                                         std::size_t num_qubits);
 
 } // namespace powermove
 

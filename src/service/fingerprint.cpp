@@ -84,9 +84,8 @@ fingerprintMachineConfig(const MachineConfig &config)
 // A new field usually changes the struct's size on LP64 platforms,
 // tripping this assertion until both the hash and the expected size are
 // updated; when padding absorbs the addition instead (as it did for the
-// one-byte stage_partition and residency enums), the structured-binding
-// probe in fingerprint_test.cpp still catches the unhashed field by
-// count.
+// one-byte residency enum), the structured-binding probe in
+// fingerprint_test.cpp still catches the unhashed field by count.
 static_assert(sizeof(void *) != 8 || sizeof(CompilerOptions) == 64,
               "CompilerOptions changed: extend fingerprintOptions() with the "
               "new field, then update this expected size");
@@ -102,10 +101,11 @@ fingerprintOptions(const CompilerOptions &options)
     hash.add(options.seed);
     hash.add(static_cast<std::uint64_t>(options.placement));
     hash.add(static_cast<std::uint64_t>(options.placement_refine_iters));
-    hash.add(static_cast<std::uint64_t>(options.stage_partition));
+    // Retired fields hash the value they always held, so old keys stay valid.
+    hash.add(std::uint64_t{1}); // stage_partition: Linear
     hash.add(static_cast<std::uint64_t>(options.stage_order));
     hash.add(static_cast<std::uint64_t>(options.coll_move_order));
-    hash.add(static_cast<std::uint64_t>(options.aod_batch_policy));
+    hash.add(std::uint64_t{0}); // aod_batch_policy: InOrder
     hash.add(static_cast<std::uint64_t>(options.routing));
     hash.add(static_cast<std::uint64_t>(options.reuse_lookahead));
     hash.add(static_cast<std::uint64_t>(options.residency));

@@ -134,64 +134,6 @@ TEST_F(CollSchedTest, EmptyBatchIsFree)
     EXPECT_DOUBLE_EQ(AodBatch{}.duration(machine_).micros(), 0.0);
 }
 
-TEST_F(CollSchedTest, DurationBalancedSortsByMoveLength)
-{
-    // Alternating long/short groups: balanced chunking pairs peers.
-    std::vector<CollMove> groups;
-    for (QubitId q = 0; q < 4; ++q) {
-        CollMove g;
-        const SiteId to = (q % 2 == 0) ? compute(15) : compute(q + 1);
-        g.moves = {{q, compute(q), to}};
-        groups.push_back(g);
-    }
-    const auto batches = batchForAods(machine_, groups, 2,
-                                      AodBatchPolicy::DurationBalanced);
-    ASSERT_EQ(batches.size(), 2u);
-    // First batch holds the two long moves (targets at site 15).
-    for (const auto &group : batches[0].groups)
-        EXPECT_EQ(group.moves[0].to, compute(15));
-    for (const auto &group : batches[1].groups)
-        EXPECT_NE(group.moves[0].to, compute(15));
-}
-
-TEST_F(CollSchedTest, DurationBalancedNeverSlowerInTotal)
-{
-    std::vector<CollMove> groups;
-    for (QubitId q = 0; q < 9; ++q) {
-        CollMove g;
-        g.moves = {{q, compute(q), compute((q * 5 + 3) % 16)}};
-        groups.push_back(g);
-    }
-    for (const std::size_t aods : {2u, 3u, 4u}) {
-        double in_order = 0.0;
-        for (const auto &batch :
-             batchForAods(machine_, groups, aods, AodBatchPolicy::InOrder))
-            in_order += batch.duration(machine_).micros();
-        double balanced = 0.0;
-        for (const auto &batch : batchForAods(
-                 machine_, groups, aods, AodBatchPolicy::DurationBalanced))
-            balanced += batch.duration(machine_).micros();
-        EXPECT_LE(balanced, in_order + 1e-9) << aods << " AODs";
-    }
-}
-
-TEST_F(CollSchedTest, PolicyOverloadIsNoOpForSingleAod)
-{
-    std::vector<CollMove> groups;
-    for (QubitId q = 0; q < 3; ++q) {
-        CollMove g;
-        g.moves = {{q, compute(q), compute(q + 8)}};
-        groups.push_back(g);
-    }
-    const auto in_order =
-        batchForAods(machine_, groups, 1, AodBatchPolicy::InOrder);
-    const auto balanced =
-        batchForAods(machine_, groups, 1, AodBatchPolicy::DurationBalanced);
-    ASSERT_EQ(in_order.size(), balanced.size());
-    for (std::size_t i = 0; i < in_order.size(); ++i)
-        EXPECT_EQ(in_order[i].groups[0].moves, balanced[i].groups[0].moves);
-}
-
 TEST_F(CollSchedTest, MoreAodsNeverSlower)
 {
     std::vector<CollMove> groups;

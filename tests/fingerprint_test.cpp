@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "service/fingerprint.hpp"
 
 namespace powermove::service {
@@ -121,39 +124,17 @@ TEST(FingerprintTest, OptionFieldsAreAddressed)
     seed.seed += 1;
     EXPECT_NE(fingerprintOptions(base), fingerprintOptions(seed));
 
-    CompilerOptions policy = base;
-    policy.aod_batch_policy = AodBatchPolicy::DurationBalanced;
-    EXPECT_NE(fingerprintOptions(base), fingerprintOptions(policy));
-
     CompilerOptions alpha = base;
     alpha.stage_order_alpha = 0.25;
     EXPECT_NE(fingerprintOptions(base), fingerprintOptions(alpha));
 
-    CompilerOptions placement = base;
-    placement.placement = PlacementStrategy::ColumnInterleaved;
-    EXPECT_NE(fingerprintOptions(base), fingerprintOptions(placement));
-
     CompilerOptions routing_aware = base;
     routing_aware.placement = PlacementStrategy::RoutingAware;
     EXPECT_NE(fingerprintOptions(base), fingerprintOptions(routing_aware));
-    EXPECT_NE(fingerprintOptions(placement),
-              fingerprintOptions(routing_aware));
 
     CompilerOptions refine = base;
     refine.placement_refine_iters += 1;
     EXPECT_NE(fingerprintOptions(base), fingerprintOptions(refine));
-
-    CompilerOptions coloring_partition = base;
-    coloring_partition.stage_partition = StagePartitionStrategy::Coloring;
-    EXPECT_NE(fingerprintOptions(base),
-              fingerprintOptions(coloring_partition));
-
-    CompilerOptions balanced_partition = base;
-    balanced_partition.stage_partition = StagePartitionStrategy::Balanced;
-    EXPECT_NE(fingerprintOptions(base),
-              fingerprintOptions(balanced_partition));
-    EXPECT_NE(fingerprintOptions(coloring_partition),
-              fingerprintOptions(balanced_partition));
 
     CompilerOptions stage_order = base;
     stage_order.stage_order = StageOrderStrategy::AsPartitioned;
@@ -171,14 +152,9 @@ TEST(FingerprintTest, OptionFieldsAreAddressed)
     lookahead.reuse_lookahead += 1;
     EXPECT_NE(fingerprintOptions(base), fingerprintOptions(lookahead));
 
-    CompilerOptions lru = base;
-    lru.residency = ResidencyPolicy::Lru;
-    EXPECT_NE(fingerprintOptions(base), fingerprintOptions(lru));
-
     CompilerOptions lti = base;
     lti.residency = ResidencyPolicy::Lti;
     EXPECT_NE(fingerprintOptions(base), fingerprintOptions(lti));
-    EXPECT_NE(fingerprintOptions(lru), fingerprintOptions(lti));
 
     CompilerOptions fidelity = base;
     fidelity.residency = ResidencyPolicy::Fidelity;
@@ -213,25 +189,23 @@ TEST(FingerprintTest, OptionFieldsAreAddressed)
  * get a distinctness check; a field that compiles but is not hashed
  * would poison the service cache silently. The probe is the *only*
  * compile-time guard when a one-byte field lands in struct padding (as
- * stage_partition did — sizeof stayed 56 on LP64).
+ * residency did).
  */
 TEST(FingerprintTest, OptionFieldCountProbe)
 {
     const CompilerOptions options;
     const auto &[use_storage, num_aods, stage_order_alpha, seed, placement,
-                 placement_refine_iters, stage_partition, stage_order,
-                 coll_move_order, aod_batch_policy, routing, reuse_lookahead,
-                 residency, routing_window, profile_passes] = options;
+                 placement_refine_iters, stage_order, coll_move_order,
+                 routing, reuse_lookahead, residency, routing_window,
+                 profile_passes] = options;
     EXPECT_EQ(use_storage, options.use_storage);
     EXPECT_EQ(num_aods, options.num_aods);
     EXPECT_EQ(stage_order_alpha, options.stage_order_alpha);
     EXPECT_EQ(seed, options.seed);
     EXPECT_EQ(placement, options.placement);
     EXPECT_EQ(placement_refine_iters, options.placement_refine_iters);
-    EXPECT_EQ(stage_partition, options.stage_partition);
     EXPECT_EQ(stage_order, options.stage_order);
     EXPECT_EQ(coll_move_order, options.coll_move_order);
-    EXPECT_EQ(aod_batch_policy, options.aod_batch_policy);
     EXPECT_EQ(routing, options.routing);
     EXPECT_EQ(reuse_lookahead, options.reuse_lookahead);
     EXPECT_EQ(residency, options.residency);
@@ -304,6 +278,112 @@ TEST(FingerprintTest, ScheduleNeutralOptionsShareTheSeedFingerprint)
     lti_reuse.residency = ResidencyPolicy::Lti;
     EXPECT_NE(seedFingerprintJob(circuit, config, reuse),
               seedFingerprintJob(circuit, config, lti_reuse));
+}
+
+/**
+ * Golden digests: fingerprintOptions() and seedFingerprintJob() for one
+ * option set per strategy value, pinned across versions. The disk cache
+ * keys results by these digests and the service derives every job's
+ * RNG stream from them, so a renumbered enumerator, a reordered or
+ * dropped hash slot, or a new field hashed into the middle would
+ * silently orphan every cache entry and change every derived seed. The
+ * distinctness checks above cannot see any of that; this table can.
+ */
+TEST(FingerprintTest, GoldenDigestsArePinnedAcrossVersions)
+{
+    Circuit circuit(6, "golden");
+    circuit.append(OneQGate{OneQKind::H, 0, 0.0});
+    circuit.append(OneQGate{OneQKind::Rz, 3, 0.25});
+    circuit.append(CzGate{0, 1});
+    circuit.append(CzGate{2, 3});
+    circuit.append(CzGate{1, 2});
+    circuit.barrier();
+    circuit.append(CzGate{4, 5});
+    const MachineConfig config = MachineConfig::forQubits(6);
+
+    const auto with = [](auto edit) {
+        CompilerOptions options;
+        edit(options);
+        return options;
+    };
+    struct Golden
+    {
+        const char *name;
+        CompilerOptions options;
+        std::uint64_t options_digest;
+        std::uint64_t seed_digest;
+    };
+    const Golden goldens[] = {
+        {"default", CompilerOptions{}, 0x4d4926cd958773d1ULL,
+         0x09c1660aeeccd921ULL},
+        {"routing-aware, refine 0", with([](CompilerOptions &o) {
+             o.placement = PlacementStrategy::RoutingAware;
+             o.placement_refine_iters = 0;
+         }),
+         0x83771916f43d0258ULL, 0x2b17b63b44485550ULL},
+        {"routing-aware, refine 32", with([](CompilerOptions &o) {
+             o.placement = PlacementStrategy::RoutingAware;
+             o.placement_refine_iters = 32;
+         }),
+         0x32529aac07d3dff8ULL, 0x9b6be222d443d941ULL},
+        {"continuous", with([](CompilerOptions &o) {
+             o.routing = RoutingStrategy::Continuous;
+         }),
+         0x4d4926cd958773d1ULL, 0x09c1660aeeccd921ULL},
+        {"fast", with([](CompilerOptions &o) {
+             o.routing = RoutingStrategy::Fast;
+         }),
+         0x355828ffc4a83d6bULL, 0x09c1660aeeccd921ULL},
+        {"windowed", with([](CompilerOptions &o) {
+             o.routing = RoutingStrategy::Windowed;
+         }),
+         0x4150a5e6ad17d538ULL, 0x3c1fb77ca8442f7dULL},
+        {"reuse, lookahead", with([](CompilerOptions &o) {
+             o.routing = RoutingStrategy::Reuse;
+             o.residency = ResidencyPolicy::Lookahead;
+         }),
+         0x5941a3b47df70b9eULL, 0x647ca83a78d71738ULL},
+        {"reuse, lti", with([](CompilerOptions &o) {
+             o.routing = RoutingStrategy::Reuse;
+             o.residency = ResidencyPolicy::Lti;
+         }),
+         0xbb931bc3a4469eb8ULL, 0x9e96e185b4922f5cULL},
+        {"reuse, fidelity", with([](CompilerOptions &o) {
+             o.routing = RoutingStrategy::Reuse;
+             o.residency = ResidencyPolicy::Fidelity;
+         }),
+         0x6cbbd9cb376e6babULL, 0x41dcad1994ff8716ULL},
+        {"as-partitioned", with([](CompilerOptions &o) {
+             o.stage_order = StageOrderStrategy::AsPartitioned;
+         }),
+         0x59cb219d2e9a63feULL, 0x53d871a316ec8aa9ULL},
+        {"as-grouped", with([](CompilerOptions &o) {
+             o.coll_move_order = CollMoveOrderStrategy::AsGrouped;
+         }),
+         0x74fecbbd9499a05eULL, 0x688337829e197091ULL},
+        {"2 AODs", with([](CompilerOptions &o) { o.num_aods = 2; }),
+         0xa60fca142bbd1138ULL, 0xd4b0ae65016c8a50ULL},
+        {"4 AODs", with([](CompilerOptions &o) { o.num_aods = 4; }),
+         0x99b4b0a107651f32ULL, 0xd4d4f63f719f1a35ULL},
+        {"no storage", with([](CompilerOptions &o) {
+             o.use_storage = false;
+         }),
+         0xb86dfd12da5b7848ULL, 0xdc5a3c6ea5356a19ULL},
+    };
+    const auto hex = [](std::uint64_t value) {
+        char text[19];
+        std::snprintf(text, sizeof text, "0x%016llx",
+                      static_cast<unsigned long long>(value));
+        return std::string(text);
+    };
+    for (const Golden &golden : goldens) {
+        EXPECT_EQ(hex(fingerprintOptions(golden.options)),
+                  hex(golden.options_digest))
+            << golden.name;
+        EXPECT_EQ(hex(seedFingerprintJob(circuit, config, golden.options)),
+                  hex(golden.seed_digest))
+            << golden.name;
+    }
 }
 
 TEST(FingerprintTest, DerivedSeedsAreDeterministicAndDecorrelated)

@@ -74,7 +74,6 @@ struct FuzzCase
     RoutingStrategy routing;
     std::uint32_t reuse_lookahead;
     PlacementStrategy placement;
-    StagePartitionStrategy stage_partition;
     std::uint32_t routing_window = 8;
     ResidencyPolicy residency = ResidencyPolicy::Lookahead;
 };
@@ -95,7 +94,6 @@ TEST_P(PipelineFuzz, PowerMoveSchedulesValidate)
     options.routing = param.routing;
     options.reuse_lookahead = param.reuse_lookahead;
     options.placement = param.placement;
-    options.stage_partition = param.stage_partition;
     options.routing_window = param.routing_window;
     options.residency = param.residency;
     // A tight budget still exercises greedy + refinement while keeping
@@ -162,7 +160,6 @@ TEST_P(PipelineFuzz, JobServiceMatchesEffectiveOptionsReplay)
     options.routing = param.routing;
     options.reuse_lookahead = param.reuse_lookahead;
     options.placement = param.placement;
-    options.stage_partition = param.stage_partition;
     options.routing_window = param.routing_window;
     options.residency = param.residency;
     options.placement_refine_iters = 8;
@@ -220,54 +217,40 @@ makeCases()
     // extremes for reuse (1 = hold only for the very next stage; 16 =
     // effectively unbounded for 12-moment circuits); reuse with
     // use_storage = false exercises the continuous fallback. The
-    // placement and stage-partition axes rotate through every strategy
-    // across the cases (rather than multiplying the count out), so each
-    // value sees every qubit count, both zone configurations, and both
-    // routers somewhere in the sweep.
+    // placement axis rotates through every strategy across the cases
+    // (rather than multiplying the count out): each (n, storage, aods)
+    // group appends an odd number of cases (7), so the 2-cycle flips
+    // between groups and every routing config meets both placements,
+    // every qubit count and both zone configurations somewhere.
     constexpr PlacementStrategy kPlacements[] = {
         PlacementStrategy::RowMajor,
-        PlacementStrategy::ColumnInterleaved,
-        PlacementStrategy::UsageFrequency,
         PlacementStrategy::RoutingAware,
     };
-    constexpr StagePartitionStrategy kPartitions[] = {
-        StagePartitionStrategy::Coloring,
-        StagePartitionStrategy::Linear,
-        StagePartitionStrategy::Balanced,
-    };
     // The residency axis rotates through every policy across the reuse
-    // cases (3 per group, 4-cycle → each policy meets every window size,
-    // qubit count, and zone configuration somewhere in the sweep).
+    // cases (3 per group, 3-cycle offset by the group index → each
+    // policy meets every window size, qubit count, and zone
+    // configuration somewhere in the sweep).
     constexpr ResidencyPolicy kResidencies[] = {
         ResidencyPolicy::Lookahead,
-        ResidencyPolicy::Lru,
         ResidencyPolicy::Lti,
         ResidencyPolicy::Fidelity,
     };
     std::vector<FuzzCase> cases;
     std::uint64_t seed = 1;
     std::size_t group = 0;
-    // Each (n, storage, aods) group appends a fixed case count, so a
-    // plain size-mod rotation could pin a routing config to one fixed
-    // placement forever; the per-group offset de-aligns the two cycles.
-    // The 3-cycle stage-partition rotation is coprime to the group size,
-    // so it de-aligns from the routing pattern on its own.
     const auto next_placement = [&] {
-        return kPlacements[(cases.size() + group) % std::size(kPlacements)];
-    };
-    const auto next_partition = [&] {
-        return kPartitions[cases.size() % std::size(kPartitions)];
+        return kPlacements[cases.size() % std::size(kPlacements)];
     };
     for (const std::size_t n : {5u, 9u, 16u, 25u, 40u}) {
         for (const bool storage : {false, true}) {
             for (const std::size_t aods : {1u, 3u}) {
                 cases.push_back(
                     {seed++, n, storage, aods, RoutingStrategy::Continuous,
-                     4, next_placement(), next_partition()});
+                     4, next_placement()});
                 for (const std::uint32_t window : {1u, 4u, 16u}) {
                     cases.push_back({seed++, n, storage, aods,
                                      RoutingStrategy::Reuse, window,
-                                     next_placement(), next_partition(), 8,
+                                     next_placement(), 8,
                                      kResidencies[(cases.size() + group) %
                                                   std::size(kResidencies)]});
                 }
@@ -275,13 +258,12 @@ makeCases()
                 // router it names.
                 cases.push_back(
                     {seed++, n, storage, aods, RoutingStrategy::Fast, 4,
-                     next_placement(), next_partition()});
+                     next_placement()});
                 // Windowed search at the degenerate and a real width.
                 for (const std::uint32_t window : {1u, 4u}) {
                     cases.push_back({seed++, n, storage, aods,
                                      RoutingStrategy::Windowed, 4,
-                                     next_placement(), next_partition(),
-                                     window});
+                                     next_placement(), window});
                 }
                 ++group;
             }

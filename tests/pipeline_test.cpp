@@ -59,11 +59,8 @@ legacyCompile(const Machine &machine, const Circuit &circuit,
                 router.planStageTransition(layout, stage);
             auto groups = groupMoves(machine, plan.moves);
             groups = orderCollMoves(machine, std::move(groups));
-            for (auto &batch :
-                 batchForAods(machine, std::move(groups), options.num_aods,
-                              options.aod_batch_policy)) {
+            for (auto &batch : batchForAods(std::move(groups), options.num_aods))
                 schedule.addMoveBatch(std::move(batch));
-            }
             schedule.addRydberg(stage.gates, block_index);
         }
         ++block_index;
@@ -201,16 +198,13 @@ TEST_P(PlacementStrategyProperty, CompilesValidSchedules)
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, PlacementStrategyProperty,
-                         ::testing::Values(
-                             PlacementStrategy::RowMajor,
-                             PlacementStrategy::ColumnInterleaved,
-                             PlacementStrategy::UsageFrequency));
+                         ::testing::Values(PlacementStrategy::RowMajor,
+                                           PlacementStrategy::RoutingAware));
 
 TEST(PlacementStrategyTest, StrategiesProduceDistinctInitialLayouts)
 {
-    // BV couples every secret-bit qubit to one ancilla, so the CZ-count
-    // ranking is guaranteed non-uniform (unlike regular QAOA graphs,
-    // where equal degrees make usage-frequency collapse to row-major).
+    // BV couples every secret-bit qubit to one ancilla, so routing-aware
+    // placement pulls the ancilla away from its row-major corner.
     const auto spec = findBenchmark("BV-14");
     const Machine machine(spec.machine_config);
     const Circuit circuit = spec.build();
@@ -222,41 +216,8 @@ TEST(PlacementStrategyTest, StrategiesProduceDistinctInitialLayouts)
             .compile(circuit)
             .schedule.initialSites();
     };
-    const auto row_major = initial_sites(PlacementStrategy::RowMajor);
-    const auto interleaved =
-        initial_sites(PlacementStrategy::ColumnInterleaved);
-    const auto usage = initial_sites(PlacementStrategy::UsageFrequency);
-    EXPECT_NE(row_major, interleaved);
-    EXPECT_NE(row_major, usage);
-}
-
-TEST(PlacementStrategyTest, ColumnInterleavedTransposesRowMajor)
-{
-    const Machine machine(MachineConfig::forQubits(9)); // 3x3 compute
-    Layout row(machine, 4), col(machine, 4);
-    placeRowMajor(row, ZoneKind::Compute);
-    placeColumnInterleaved(col, ZoneKind::Compute);
-
-    // Row-major fills row 0 first; column-major fills column 0 first.
-    for (QubitId q = 0; q < 4; ++q) {
-        const SiteCoord r = machine.coordOf(row.siteOf(q));
-        const SiteCoord c = machine.coordOf(col.siteOf(q));
-        EXPECT_EQ(r.x, c.y);
-        EXPECT_EQ(r.y, c.x);
-    }
-}
-
-TEST(PlacementStrategyTest, UsageFrequencyRanksHotQubitsFirst)
-{
-    const Machine machine(MachineConfig::forQubits(9));
-    Layout layout(machine, 3);
-    // Qubit 2 is hottest, then 0, then 1.
-    placeByUsageFrequency(layout, ZoneKind::Storage, {3, 1, 7});
-
-    const auto storage = machine.storageSites();
-    EXPECT_EQ(layout.siteOf(2), storage[0]); // closest to compute
-    EXPECT_EQ(layout.siteOf(0), storage[1]);
-    EXPECT_EQ(layout.siteOf(1), storage[2]);
+    EXPECT_NE(initial_sites(PlacementStrategy::RowMajor),
+              initial_sites(PlacementStrategy::RoutingAware));
 }
 
 TEST(StrategySelectionTest, AblationStrategiesMatchTheInlineBaselines)
@@ -283,8 +244,7 @@ TEST(StrategySelectionTest, AblationStrategiesMatchTheInlineBaselines)
 TEST(StrategyNameTest, NamesRoundTripThroughParsing)
 {
     for (const auto strategy :
-         {PlacementStrategy::RowMajor, PlacementStrategy::ColumnInterleaved,
-          PlacementStrategy::UsageFrequency}) {
+         {PlacementStrategy::RowMajor, PlacementStrategy::RoutingAware}) {
         PlacementStrategy parsed{};
         EXPECT_TRUE(
             parsePlacementStrategy(placementStrategyName(strategy), parsed));
@@ -304,15 +264,14 @@ TEST(StrategyNameTest, NamesRoundTripThroughParsing)
             collMoveOrderStrategyName(strategy), parsed));
         EXPECT_EQ(parsed, strategy);
     }
-    for (const auto policy :
-         {AodBatchPolicy::InOrder, AodBatchPolicy::DurationBalanced}) {
-        AodBatchPolicy parsed{};
-        EXPECT_TRUE(parseAodBatchPolicy(aodBatchPolicyName(policy), parsed));
-        EXPECT_EQ(parsed, policy);
+    // Unknown and retired names are both rejected, leaving the output
+    // untouched.
+    for (const char *name :
+         {"bogus", "column-interleaved", "usage-frequency"}) {
+        PlacementStrategy untouched = PlacementStrategy::RoutingAware;
+        EXPECT_FALSE(parsePlacementStrategy(name, untouched)) << name;
+        EXPECT_EQ(untouched, PlacementStrategy::RoutingAware);
     }
-    PlacementStrategy untouched = PlacementStrategy::UsageFrequency;
-    EXPECT_FALSE(parsePlacementStrategy("bogus", untouched));
-    EXPECT_EQ(untouched, PlacementStrategy::UsageFrequency);
 }
 
 TEST(PassProfileMergeTest, MergeAddsTimesInvocationsAndCounters)

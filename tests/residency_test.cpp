@@ -5,7 +5,7 @@
  * tests of cross-block persistence and the residency lifetime
  * invariants (randomized across every policy); and pipeline-level tests
  * of the `--residency` axis — accounting invariants over the Table 2
- * families under all four policies, plus the cross-block reuse wins the
+ * families under all three policies, plus the cross-block reuse wins the
  * per-block window policy cannot see on QSIM/QFT.
  */
 
@@ -42,8 +42,8 @@ partitionOnce(ResidencyPolicyImpl &policy, const ReuseAnalysis &analysis,
 {
     std::vector<QubitId> holds;
     std::vector<QubitId> releases;
-    const ResidencyQuery query{candidates, stage, stage, analysis,
-                               lookahead,  capacity};
+    const ResidencyQuery query{candidates, stage, analysis, lookahead,
+                               capacity};
     policy.partition(query, holds, releases);
     EXPECT_EQ(holds.size() + releases.size(), candidates.size());
     std::sort(holds.begin(), holds.end());
@@ -80,16 +80,20 @@ compileWith(const Machine &machine, const Circuit &circuit,
 TEST(ResidencyNameTest, NamesRoundTripAndCatalogCoversResidency)
 {
     for (const auto policy :
-         {ResidencyPolicy::Lookahead, ResidencyPolicy::Lru,
-          ResidencyPolicy::Lti, ResidencyPolicy::Fidelity}) {
+         {ResidencyPolicy::Lookahead, ResidencyPolicy::Lti,
+          ResidencyPolicy::Fidelity}) {
         ResidencyPolicy parsed{};
         EXPECT_TRUE(
             parseResidencyPolicy(residencyPolicyName(policy), parsed));
         EXPECT_EQ(parsed, policy);
     }
-    ResidencyPolicy untouched = ResidencyPolicy::Lti;
-    EXPECT_FALSE(parseResidencyPolicy("bogus", untouched));
-    EXPECT_EQ(untouched, ResidencyPolicy::Lti);
+    // Unknown names, the retired `lru` among them, leave the output
+    // untouched.
+    for (const char *name : {"bogus", "lru"}) {
+        ResidencyPolicy untouched = ResidencyPolicy::Lti;
+        EXPECT_FALSE(parseResidencyPolicy(name, untouched)) << name;
+        EXPECT_EQ(untouched, ResidencyPolicy::Lti);
+    }
 
     bool saw_residency = false;
     for (const StrategyCatalogEntry &entry : strategyCatalog()) {
@@ -97,11 +101,10 @@ TEST(ResidencyNameTest, NamesRoundTripAndCatalogCoversResidency)
             continue;
         saw_residency = true;
         EXPECT_EQ(entry.flag, "--residency");
-        ASSERT_EQ(entry.values.size(), 4u);
+        ASSERT_EQ(entry.values.size(), 3u);
         EXPECT_EQ(entry.values[0], "lookahead"); // default first
-        EXPECT_EQ(entry.values[1], "lru");
-        EXPECT_EQ(entry.values[2], "lti");
-        EXPECT_EQ(entry.values[3], "fidelity");
+        EXPECT_EQ(entry.values[1], "lti");
+        EXPECT_EQ(entry.values[2], "fidelity");
     }
     EXPECT_TRUE(saw_residency);
 }
@@ -141,46 +144,6 @@ TEST(ResidencyPolicyTest, LookaheadMatchesTheWindowDecision)
         partitionOnce(*wide, analysis, {0, 1}, 1, 2, 0);
     EXPECT_EQ(holds, (std::vector<QubitId>{0, 1}));
     EXPECT_TRUE(releases.empty());
-}
-
-TEST(ResidencyPolicyTest, LruEvictsTheLeastRecentlyUsedUnderPressure)
-{
-    ReuseAnalysis analysis;
-    analysis.beginBlock({stageOf({{0, 1}})}, 4);
-    const auto policy =
-        makeResidencyPolicy(ResidencyPolicy::Lru, 4, defaultParams());
-    EXPECT_TRUE(policy->persistsAcrossBlocks());
-    policy->beginProgram(4);
-    policy->noteInteraction(0, 0);
-    policy->noteInteraction(1, 1);
-    policy->noteInteraction(2, 2);
-
-    // No pressure: everything stays resident.
-    auto [holds, releases] =
-        partitionOnce(*policy, analysis, {0, 1, 2}, 0, 4, 3);
-    EXPECT_EQ(holds, (std::vector<QubitId>{0, 1, 2}));
-
-    // Capacity 2: the stalest stamp (qubit 0) is evicted first.
-    std::tie(holds, releases) =
-        partitionOnce(*policy, analysis, {0, 1, 2}, 0, 4, 2);
-    EXPECT_EQ(holds, (std::vector<QubitId>{1, 2}));
-    EXPECT_EQ(releases, (std::vector<QubitId>{0}));
-
-    // Zero capacity: full flush.
-    std::tie(holds, releases) =
-        partitionOnce(*policy, analysis, {0, 1, 2}, 0, 4, 0);
-    EXPECT_TRUE(holds.empty());
-    EXPECT_EQ(releases, (std::vector<QubitId>{0, 1, 2}));
-
-    // Never-interacted qubits are the oldest of all, and ties break
-    // toward the lower qubit id.
-    const auto fresh =
-        makeResidencyPolicy(ResidencyPolicy::Lru, 4, defaultParams());
-    fresh->beginProgram(4);
-    std::tie(holds, releases) =
-        partitionOnce(*fresh, analysis, {1, 2, 3}, 0, 4, 1);
-    EXPECT_EQ(holds, (std::vector<QubitId>{3}));
-    EXPECT_EQ(releases, (std::vector<QubitId>{1, 2}));
 }
 
 TEST(ResidencyPolicyTest, LtiEvictsTheFarthestNextUse)
@@ -303,8 +266,8 @@ randomStage(Rng &rng, std::size_t num_qubits)
 TEST(ResidencyRouterTest, LifetimeInvariantsHoldAcrossRandomPrograms)
 {
     for (const auto policy :
-         {ResidencyPolicy::Lookahead, ResidencyPolicy::Lru,
-          ResidencyPolicy::Lti, ResidencyPolicy::Fidelity}) {
+         {ResidencyPolicy::Lookahead, ResidencyPolicy::Lti,
+          ResidencyPolicy::Fidelity}) {
         for (std::uint64_t seed = 1; seed <= 4; ++seed) {
             for (const std::size_t n : {4u, 9u}) {
                 Rng rng(seed * 1000 + n);
@@ -367,8 +330,7 @@ TEST(ResidencyPipelineTest, DefaultIsLookaheadAndEveryPolicyIsDeterministic)
               scheduleToJson(explicit_lookahead.schedule));
 
     for (const auto policy :
-         {ResidencyPolicy::Lru, ResidencyPolicy::Lti,
-          ResidencyPolicy::Fidelity}) {
+         {ResidencyPolicy::Lti, ResidencyPolicy::Fidelity}) {
         const auto a = compileWith(machine, circuit, policy);
         const auto b = compileWith(machine, circuit, policy);
         EXPECT_EQ(scheduleToJson(a.schedule), scheduleToJson(b.schedule))
@@ -394,8 +356,8 @@ TEST(ResidencyPipelineTest, AccountingInvariantsHoldForEveryPolicy)
         const Machine machine(spec->machine_config);
         const Circuit circuit = spec->build();
         for (const auto policy :
-             {ResidencyPolicy::Lookahead, ResidencyPolicy::Lru,
-              ResidencyPolicy::Lti, ResidencyPolicy::Fidelity}) {
+             {ResidencyPolicy::Lookahead, ResidencyPolicy::Lti,
+              ResidencyPolicy::Fidelity}) {
             const auto result = compileWith(machine, circuit, policy);
             const std::string tag = spec->name + std::string("/") +
                                     std::string(residencyPolicyName(policy));

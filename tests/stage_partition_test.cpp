@@ -2,10 +2,8 @@
  *
  * Covers the paper's graph coloring (the oracle in tests/oracles/),
  * the library's graph-free linear scan (locked bit-identical to the
- * oracle, differentially over the Table 2 suite plus depth-2 VQE), the
- * width-balanced variant (same stage count, qubit-disjoint,
- * coverage-complete), the strategy dispatch (`coloring` is an alias of
- * `linear`), plus randomized-block partition properties.
+ * oracle, differentially over the Table 2 suite plus depth-2 VQE), plus
+ * randomized-block partition properties.
  */
 
 #include <gtest/gtest.h>
@@ -213,15 +211,6 @@ identicalStages(const std::vector<Stage> &a, const std::vector<Stage> &b)
     return true;
 }
 
-std::size_t
-maxStageWidth(const std::vector<Stage> &stages)
-{
-    std::size_t widest = 0;
-    for (const auto &stage : stages)
-        widest = std::max(widest, stage.gates.size());
-    return widest;
-}
-
 /** Every Table 2 circuit plus the depth-2 VQE multi-block workload. */
 std::vector<std::pair<std::string, Circuit>>
 differentialCircuits()
@@ -257,52 +246,6 @@ TEST(StagePartitionDifferentialTest, LinearIsBitIdenticalToColoring)
     }
 }
 
-/**
- * Balanced keeps the coloring's stage count (its rebalance never opens
- * or empties a stage) and still emits qubit-disjoint stages covering
- * the block's exact gate multiset, with max stage width never above
- * the coloring's.
- */
-TEST(StagePartitionDifferentialTest, BalancedKeepsCountCoverageDisjointness)
-{
-    for (const auto &[name, circuit] : differentialCircuits()) {
-        std::size_t index = 0;
-        for (const CzBlock *block : circuit.blocks()) {
-            const auto coloring =
-                partitionIntoStages(*block, circuit.numQubits());
-            const auto balanced =
-                partitionIntoStagesBalanced(*block, circuit.numQubits());
-            EXPECT_EQ(balanced.size(), coloring.size())
-                << name << " block " << index;
-            EXPECT_EQ(sortedGates(balanced), sortedGates(coloring))
-                << name << " block " << index;
-            EXPECT_LE(maxStageWidth(balanced), maxStageWidth(coloring))
-                << name << " block " << index;
-            for (const auto &stage : balanced) {
-                EXPECT_TRUE(stage.qubitsDisjoint())
-                    << name << " block " << index;
-                EXPECT_FALSE(stage.gates.empty())
-                    << name << " block " << index;
-            }
-            ++index;
-        }
-    }
-}
-
-TEST(StagePartitionDifferentialTest, DispatchSelectsTheStrategy)
-{
-    const auto block = blockOf({{0, 1}, {1, 2}, {2, 3}, {0, 3}, {1, 3}});
-    EXPECT_TRUE(identicalStages(
-        partitionIntoStagesBy(StagePartitionStrategy::Coloring, block, 4),
-        partitionIntoStages(block, 4)));
-    EXPECT_TRUE(identicalStages(
-        partitionIntoStagesBy(StagePartitionStrategy::Linear, block, 4),
-        partitionIntoStagesLinear(block, 4)));
-    EXPECT_TRUE(identicalStages(
-        partitionIntoStagesBy(StagePartitionStrategy::Balanced, block, 4),
-        partitionIntoStagesBalanced(block, 4)));
-}
-
 // -------------------------------------------- randomized-block properties
 
 CzBlock
@@ -320,12 +263,6 @@ randomBlock(std::size_t num_qubits, std::size_t num_gates, std::uint64_t seed)
     return block;
 }
 
-constexpr StagePartitionStrategy kAllStrategies[] = {
-    StagePartitionStrategy::Coloring,
-    StagePartitionStrategy::Linear,
-    StagePartitionStrategy::Balanced,
-};
-
 struct RandomBlockCase
 {
     std::uint64_t seed;
@@ -337,12 +274,13 @@ class RandomBlockProperty : public ::testing::TestWithParam<RandomBlockCase>
 {};
 
 /**
- * Invariants every partitioner must uphold on adversarial blocks (dense
+ * Invariants the partitioner must uphold on adversarial blocks (dense
  * overlap, duplicate pairs): each gate lands in exactly one stage,
  * stages are qubit-disjoint and non-empty, the stage count never
  * exceeds the greedy-coloring bound (max gate-conflict degree + 1,
  * where a gate's conflict degree is at most the summed gate counts of
- * its two qubits), and repeated runs are bit-identical.
+ * its two qubits), repeated runs are bit-identical, and the result is
+ * the graph-coloring oracle's, stage for stage.
  */
 TEST_P(RandomBlockProperty, PartitionsValidlyAndDeterministically)
 {
@@ -355,31 +293,29 @@ TEST_P(RandomBlockProperty, PartitionsValidlyAndDeterministically)
     auto expected = block.gates;
     std::sort(expected.begin(), expected.end());
 
-    for (const StagePartitionStrategy strategy : kAllStrategies) {
-        const auto stages =
-            partitionIntoStagesBy(strategy, block, param.num_qubits);
-        for (const auto &stage : stages) {
-            EXPECT_TRUE(stage.qubitsDisjoint());
-            EXPECT_FALSE(stage.gates.empty());
-        }
-        // Every gate in exactly one stage: the concatenation is a
-        // permutation of the block (multiset equality + size match).
-        std::vector<CzGate> all;
-        for (const auto &stage : stages)
-            for (const auto &gate : stage.gates)
-                all.push_back(gate);
-        EXPECT_EQ(all.size(), block.gates.size());
-        std::sort(all.begin(), all.end());
-        EXPECT_EQ(all, expected);
-
-        EXPECT_LE(stages.size(), degree_bound);
-
-        const auto again =
-            partitionIntoStagesBy(strategy, block, param.num_qubits);
-        EXPECT_TRUE(identicalStages(stages, again))
-            << "nondeterministic partition, strategy "
-            << stagePartitionStrategyName(strategy);
+    const auto stages = partitionIntoStagesLinear(block, param.num_qubits);
+    for (const auto &stage : stages) {
+        EXPECT_TRUE(stage.qubitsDisjoint());
+        EXPECT_FALSE(stage.gates.empty());
     }
+    // Every gate in exactly one stage: the concatenation is a
+    // permutation of the block (multiset equality + size match).
+    std::vector<CzGate> all;
+    for (const auto &stage : stages)
+        for (const auto &gate : stage.gates)
+            all.push_back(gate);
+    EXPECT_EQ(all.size(), block.gates.size());
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(all, expected);
+
+    EXPECT_LE(stages.size(), degree_bound);
+
+    EXPECT_TRUE(identicalStages(
+        stages, partitionIntoStagesLinear(block, param.num_qubits)))
+        << "nondeterministic partition";
+    EXPECT_TRUE(
+        identicalStages(stages, partitionIntoStages(block, param.num_qubits)))
+        << "linear scan differs from the graph-coloring oracle";
 }
 
 INSTANTIATE_TEST_SUITE_P(

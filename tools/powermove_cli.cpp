@@ -29,31 +29,19 @@
  *   --no-storage   storage-free configuration (all qubits in compute)
  *   --seed S       base RNG seed (per-job streams are derived from it)
  *   --alpha A      stage-ordering weight alpha in (0, 1] (default 0.5)
- *   --placement P  initial-layout strategy: row-major (default),
- *                  column-interleaved, usage-frequency, or
- *                  routing-aware (interaction-distance-minimizing,
- *                  src/placement/)
+ *   --placement P  initial-layout strategy (src/placement/)
  *   --placement-refine-iters N  routing-aware local-search budget in
  *                  sweeps (default 32; 0 = greedy layout only)
- *   --stage-partition S  CZ-block stage partition: linear (default, the
- *                  paper's Sec. 4.1 edge coloring by a graph-free
- *                  scan), coloring (alias of linear), or balanced
- *                  (linear + stage-width rebalance)
- *   --routing R    stage-transition routing: continuous (default, the
- *                  paper's Sec. 5 router, src/route/router.*), reuse
- *                  (gate-aware atom reuse, src/reuse/), fast (alias of
- *                  continuous), or windowed (best-of-N gate orderings,
- *                  src/route/windowed_router.*)
- *   --residency P  reuse residency (cache replacement) policy: lookahead
- *                  (default), lru, lti, or fidelity (--routing reuse
- *                  only; src/reuse/policy.*)
+ *   --routing R    stage-transition routing (src/route/, src/reuse/)
+ *   --residency P  reuse residency (cache replacement) policy
+ *                  (--routing reuse only; src/reuse/policy.*)
  *   --reuse-lookahead N  reuse hold window in stages (default 4)
  *   --routing-window N  windowed-routing candidate orderings per stage
  *                  transition (default 8; --routing windowed only)
- *   --batch-policy P  AOD batching: in-order (default, the paper's
- *                  chunking) or duration-balanced
  *   --list-strategies  print every strategy dimension with its value
- *                  names and exit
+ *                  names and exit; --help and the "unknown value"
+ *                  errors list the same names, all taken from
+ *                  strategyCatalog()
  *   --profile      print the per-pass time/counter breakdown per input
  *   --fuse         fuse commutable CZ blocks before compiling
  *   --out-dir DIR  directory for ISA JSON (default: next to each input)
@@ -83,6 +71,8 @@
  */
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <chrono>
@@ -143,6 +133,33 @@ struct CliOptions
     std::size_t stats_every_ms = 0;
 };
 
+/**
+ * The catalog's value names for the strategy selected by @p flag, as
+ * "a, b, or c" ("a or b" for two), default first; with @p mark_default
+ * the default carries " (default)". --help and the "unknown value"
+ * errors both spell strategy values only through here.
+ */
+std::string
+catalogValues(std::string_view flag, bool mark_default)
+{
+    std::string out;
+    for (const StrategyCatalogEntry &entry : strategyCatalog()) {
+        if (entry.flag != flag)
+            continue;
+        const std::size_t count = entry.values.size();
+        for (std::size_t i = 0; i < count; ++i) {
+            if (i > 0)
+                out += count > 2 ? ", " : " ";
+            if (i > 0 && i + 1 == count)
+                out += "or ";
+            out += entry.values[i];
+            if (i == 0 && mark_default)
+                out += " (default)";
+        }
+    }
+    return out;
+}
+
 void
 printUsage(std::FILE *stream)
 {
@@ -171,32 +188,20 @@ printUsage(std::FILE *stream)
         "  --no-storage   storage-free configuration\n"
         "  --seed S       base RNG seed (default 0xC0FFEE)\n"
         "  --alpha A      stage-ordering weight in (0, 1] (default 0.5)\n"
-        "  --placement P  initial layout: row-major (default),\n"
-        "                 column-interleaved, usage-frequency, or\n"
-        "                 routing-aware\n"
+        "  --placement P  initial layout, one of:\n"
+        "                 %s\n"
         "  --placement-refine-iters N\n"
         "                 routing-aware local-search sweeps (default 32,\n"
         "                 0 = greedy only)\n"
-        "  --stage-partition S\n"
-        "                 CZ-block stage partition: linear (default,\n"
-        "                 the paper's edge coloring by a graph-free\n"
-        "                 scan), coloring (alias of linear), or balanced\n"
-        "                 (linear + stage-width rebalance)\n"
-        "  --routing R    stage-transition routing: continuous (default),\n"
-        "                 reuse (gate-aware atom reuse), fast (alias of\n"
-        "                 continuous), or windowed (best-of-N gate\n"
-        "                 orderings)\n"
-        "  --residency P  reuse residency (cache replacement) policy:\n"
-        "                 lookahead (default), lru, lti, or fidelity\n"
-        "                 (--routing reuse only)\n"
+        "  --routing R    stage-transition routing, one of:\n"
+        "                 %s\n"
+        "  --residency P  reuse residency policy (--routing reuse only),\n"
+        "                 one of: %s\n"
         "  --reuse-lookahead N\n"
         "                 reuse hold window in stages (default 4)\n"
         "  --routing-window N\n"
         "                 windowed-routing orderings per transition\n"
         "                 (default 8; --routing windowed only)\n"
-        "  --batch-policy P\n"
-        "                 AOD batching: in-order (default) or\n"
-        "                 duration-balanced\n"
         "  --list-strategies\n"
         "                 print every strategy dimension with its value\n"
         "                 names and exit\n"
@@ -219,7 +224,15 @@ printUsage(std::FILE *stream)
         "                 log a stats line every N ms\n"
         "  --stats-json PATH\n"
         "                 write tiered service counters as JSON\n"
-        "  --help         show this text\n");
+        "  --help         show this text\n"
+        "\n"
+        "For the best Eq. 1 fidelity at a higher compile time, use\n"
+        "--placement routing-aware --routing windowed (never worse than\n"
+        "the defaults on the Table 2 and scale inputs; see\n"
+        "docs/strategies.md).\n",
+        catalogValues("--placement", true).c_str(),
+        catalogValues("--routing", true).c_str(),
+        catalogValues("--residency", true).c_str());
 }
 
 /**
@@ -265,9 +278,7 @@ expandArgs(int argc, char **argv)
         "--jobs",      "--num-aods",        "--seed",
         "--alpha",     "--placement",       "--routing",
         "--residency", "--reuse-lookahead", "--routing-window",
-        "--batch-policy",
-        "--out-dir",
-        "--placement-refine-iters", "--stage-partition",
+        "--out-dir",   "--placement-refine-iters",
         "--cache-dir", "--priority",        "--deadline-ms",
         "--max-queue", "--metrics-out",     "--metrics-json",
         "--trace-out", "--log-level",       "--slow-job-ms",
@@ -312,22 +323,43 @@ parseArgs(int argc, char **argv, CliOptions &cli)
         return true;
     };
 
+    // Unsigned flag value in [0, max]. strtoull saturates out-of-range
+    // input with ERANGE, and the 32-bit option fields would truncate
+    // anything above UINT32_MAX, so both are rejected, never wrapped.
     const auto numeric = [&](const char *flag, std::size_t &i,
-                             std::uint64_t &out) -> bool {
+                             std::uint64_t &out,
+                             std::uint64_t max = UINT64_MAX) -> bool {
         std::string text;
         if (!take_value(flag, i, text))
             return false;
         char *end = nullptr;
+        errno = 0;
         // strtoull silently wraps negatives to huge values; reject signs.
         out = (text[0] == '-' || text[0] == '+')
                   ? 0
                   : std::strtoull(text.c_str(), &end, 0);
-        if (end == text.c_str() || end == nullptr || *end != '\0') {
+        if (end == text.c_str() || end == nullptr || *end != '\0' ||
+            errno == ERANGE || out > max) {
             std::fprintf(stderr, "powermove: bad value for %s: '%s'\n", flag,
                          text.c_str());
             return false;
         }
         return true;
+    };
+
+    // A strategy value, parsed by @p parse; an unknown name lists the
+    // catalog's values for @p flag.
+    const auto strategy = [&](const char *flag, const char *what,
+                              std::size_t &i, auto parse,
+                              auto &out) -> bool {
+        std::string text;
+        if (!take_value(flag, i, text))
+            return false;
+        if (parse(text, out))
+            return true;
+        std::fprintf(stderr, "powermove: unknown %s '%s' (expected %s)\n",
+                     what, text.c_str(), catalogValues(flag, false).c_str());
+        return false;
     };
 
     for (std::size_t i = 0; i < count; ++i) {
@@ -386,7 +418,7 @@ parseArgs(int argc, char **argv, CliOptions &cli)
                 return false;
             cli.compiler.seed = value;
         } else if (arg == "--reuse-lookahead") {
-            if (!numeric("--reuse-lookahead", i, value))
+            if (!numeric("--reuse-lookahead", i, value, UINT32_MAX))
                 return false;
             if (value == 0) {
                 std::fprintf(stderr,
@@ -396,7 +428,7 @@ parseArgs(int argc, char **argv, CliOptions &cli)
             cli.compiler.reuse_lookahead =
                 static_cast<std::uint32_t>(value);
         } else if (arg == "--routing-window") {
-            if (!numeric("--routing-window", i, value))
+            if (!numeric("--routing-window", i, value, UINT32_MAX))
                 return false;
             if (value == 0) {
                 std::fprintf(stderr,
@@ -419,62 +451,22 @@ parseArgs(int argc, char **argv, CliOptions &cli)
             }
             cli.compiler.stage_order_alpha = alpha;
         } else if (arg == "--placement") {
-            if (!take_value("--placement", i, text))
+            if (!strategy("--placement", "placement", i,
+                          parsePlacementStrategy, cli.compiler.placement))
                 return false;
-            if (!parsePlacementStrategy(text, cli.compiler.placement)) {
-                std::fprintf(stderr,
-                             "powermove: unknown placement '%s' (expected "
-                             "row-major, column-interleaved, "
-                             "usage-frequency, or routing-aware)\n",
-                             text.c_str());
-                return false;
-            }
         } else if (arg == "--placement-refine-iters") {
-            if (!numeric("--placement-refine-iters", i, value))
+            if (!numeric("--placement-refine-iters", i, value, UINT32_MAX))
                 return false;
             cli.compiler.placement_refine_iters =
                 static_cast<std::uint32_t>(value);
-        } else if (arg == "--stage-partition") {
-            if (!take_value("--stage-partition", i, text))
-                return false;
-            if (!parseStagePartitionStrategy(text,
-                                             cli.compiler.stage_partition)) {
-                std::fprintf(stderr,
-                             "powermove: unknown stage partition '%s' "
-                             "(expected coloring, linear, or balanced)\n",
-                             text.c_str());
-                return false;
-            }
         } else if (arg == "--routing") {
-            if (!take_value("--routing", i, text))
+            if (!strategy("--routing", "routing", i, parseRoutingStrategy,
+                          cli.compiler.routing))
                 return false;
-            if (!parseRoutingStrategy(text, cli.compiler.routing)) {
-                std::fprintf(stderr,
-                             "powermove: unknown routing '%s' (expected "
-                             "continuous, reuse, fast, or windowed)\n",
-                             text.c_str());
-                return false;
-            }
         } else if (arg == "--residency") {
-            if (!take_value("--residency", i, text))
+            if (!strategy("--residency", "residency policy", i,
+                          parseResidencyPolicy, cli.compiler.residency))
                 return false;
-            if (!parseResidencyPolicy(text, cli.compiler.residency)) {
-                std::fprintf(stderr,
-                             "powermove: unknown residency policy '%s' "
-                             "(expected lookahead, lru, lti, or fidelity)\n",
-                             text.c_str());
-                return false;
-            }
-        } else if (arg == "--batch-policy") {
-            if (!take_value("--batch-policy", i, text))
-                return false;
-            if (!parseAodBatchPolicy(text, cli.compiler.aod_batch_policy)) {
-                std::fprintf(stderr,
-                             "powermove: unknown batch policy '%s' (expected "
-                             "in-order or duration-balanced)\n",
-                             text.c_str());
-                return false;
-            }
         } else if (arg == "--metrics-out") {
             if (!take_value("--metrics-out", i, text))
                 return false;
