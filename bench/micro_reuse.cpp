@@ -4,12 +4,13 @@
  *
  * Compiles every Table 2 benchmark — plus depth-2 VQE ansatze, the
  * canonical multi-block workload where atom reuse pays between
- * entanglement layers — under the continuous router and under the
- * reuse router with each residency policy
- * (`--residency=lookahead|lti|fidelity`), validates every schedule
- * against its source circuit, and prints the per-row and per-family
- * comparison: planned moves, reuse hits, holds, and the fidelity ratio
- * against the continuous baseline.
+ * entanglement layers — with no residency policy (`continuous`) and
+ * with each one (`--routing=reuse --residency=lookahead|lti|fidelity`),
+ * validates every schedule against its source circuit, and prints the
+ * per-row and per-family comparison: planned moves, reuse hits, holds,
+ * and the Eq. 1 fidelity against the continuous baseline as a
+ * difference of -log10 F (per-factor sums, finite where the product
+ * underflows to 0; negative means reuse wins).
  *
  * Beyond validation, the run gates the residency accounting invariants
  * on every compile (exit nonzero on violation):
@@ -92,6 +93,7 @@ struct Run
     std::uint64_t holds_started = 0;
     std::uint64_t holds_ended = 0;
     double fidelity = 0.0;
+    double neg_log10_fidelity = 0.0;
 };
 
 Run
@@ -109,6 +111,7 @@ compileOne(const Machine &machine, const Circuit &circuit,
     run.moves = result.schedule.numQubitMoves();
     run.transfers = result.schedule.numTransfers();
     run.fidelity = result.metrics.fidelity();
+    run.neg_log10_fidelity = result.metrics.negLog10(machine.params());
     for (const PassProfile &profile : result.pass_profiles) {
         if (profile.pass != PassId::Routing)
             continue;
@@ -169,7 +172,8 @@ writeJson(std::FILE *out,
                          "%zu, \"held\": %llu, \"reuse_hits\": %llu, "
                          "\"misses\": %llu, \"parked_no_reuse\": %llu, "
                          "\"window_misses\": %llu, \"holds_started\": %llu, "
-                         "\"holds_ended\": %llu, \"fidelity\": %.6f}",
+                         "\"holds_ended\": %llu, \"fidelity\": %.6f, "
+                         "\"neg_log10_fidelity\": %.6f}",
                          policy.c_str(), run.moves, run.transfers,
                          static_cast<unsigned long long>(run.held),
                          static_cast<unsigned long long>(run.hits),
@@ -178,7 +182,7 @@ writeJson(std::FILE *out,
                          static_cast<unsigned long long>(run.window_misses),
                          static_cast<unsigned long long>(run.holds_started),
                          static_cast<unsigned long long>(run.holds_ended),
-                         run.fidelity);
+                         run.fidelity, run.neg_log10_fidelity);
         }
         std::fprintf(out, "}");
     }
@@ -205,7 +209,7 @@ main(int argc, char **argv)
         smoke ? " (smoke subset)" : "");
 
     TextTable table({"Benchmark", "Policy", "Moves", "Hits", "Held",
-                     "Misses", "NoReuse", "WindowMiss", "Fidelity ratio"});
+                     "Misses", "NoReuse", "WindowMiss", "d(-log10 F)"});
     // family -> policy -> (moves, hits) totals for the summary + gates.
     std::map<std::string, std::map<std::string, std::pair<std::size_t,
                                                           std::uint64_t>>>
@@ -233,7 +237,9 @@ main(int argc, char **argv)
                               std::to_string(run.misses),
                               std::to_string(run.parked_no_reuse),
                               std::to_string(run.window_misses),
-                              fmt(run.fidelity / cont.fidelity, "%.4f")});
+                              fmt(run.neg_log10_fidelity -
+                                      cont.neg_log10_fidelity,
+                                  "%+.4f")});
                 auto &family = family_totals[entry.family][policy_name];
                 family.first += run.moves;
                 family.second += run.hits;

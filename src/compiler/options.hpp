@@ -103,7 +103,7 @@ struct CompilerOptions
     std::uint32_t reuse_lookahead = 4;
 
     /**
-     * How the reuse router decides which idle atoms stay resident in
+     * How the router's residency step decides which idle atoms stay in
      * the compute zone — the replacement policy of the compute zone
      * viewed as a cache of atoms over storage. Lookahead (the default)
      * is the fixed reuse_lookahead window with holds force-released at

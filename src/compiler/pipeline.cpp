@@ -201,7 +201,7 @@ StageOrderPass::run(PipelineContext &ctx, std::vector<Stage> stages) const
 
 RoutingPass::RoutingPass(PipelineContext &ctx)
 {
-    const RouterOptions options{ctx.options.use_storage, ctx.options.seed};
+    RouterOptions options{ctx.options.use_storage, ctx.options.seed};
     // Atom reuse trades storage round trips for compute-zone residency,
     // which only exists as a trade when there is a storage zone to
     // round-trip to; storage-free configurations route continuously.
@@ -209,12 +209,10 @@ RoutingPass::RoutingPass(PipelineContext &ctx)
         ctx.options.use_storage) {
         if (ctx.options.reuse_lookahead == 0)
             fatal("reuse routing requires a lookahead window >= 1 stage");
-        reuse_router_ = std::make_unique<ReuseAwareRouter>(
-            ctx.machine,
-            ReuseRouterOptions{ctx.options.reuse_lookahead,
-                               ctx.options.seed, ctx.options.residency},
-            ctx.rng);
-    } else if (ctx.options.routing == RoutingStrategy::Windowed) {
+        options.residency = ctx.options.residency;
+        options.lookahead = ctx.options.reuse_lookahead;
+    }
+    if (ctx.options.routing == RoutingStrategy::Windowed) {
         if (ctx.options.routing_window == 0)
             fatal("windowed routing requires a window >= 1 ordering");
         windowed_router_ = std::make_unique<WindowedRouter>(
@@ -228,7 +226,7 @@ RoutingPass::RoutingPass(PipelineContext &ctx)
 void
 RoutingPass::beginBlock(PipelineContext &ctx, const std::vector<Stage> &stages)
 {
-    if (reuse_router_ == nullptr)
+    if (router_ == nullptr)
         return;
     // Deliberately untimed: the O(block gates) lookahead scan is noise
     // next to the per-stage planning, and opening a profiler scope here
@@ -236,7 +234,7 @@ RoutingPass::beginBlock(PipelineContext &ctx, const std::vector<Stage> &stages)
     // documented one-per-stage semantics.
     const bool final_block =
         ctx.block_index + 1 == ctx.circuit.numBlocks();
-    reuse_router_->beginBlock(stages, ctx.circuit.numQubits(), final_block);
+    router_->beginBlock(stages, ctx.circuit.numQubits(), final_block);
 }
 
 TransitionPlan
@@ -244,9 +242,7 @@ RoutingPass::run(PipelineContext &ctx, const Stage &stage)
 {
     const auto timing = ctx.profiler.time(PassId::Routing);
     TransitionPlan plan =
-        reuse_router_ != nullptr
-            ? reuse_router_->planStageTransition(ctx.layout, stage)
-        : windowed_router_ != nullptr
+        windowed_router_ != nullptr
             ? windowed_router_->planStageTransition(ctx.layout, stage)
             : router_->planStageTransition(ctx.layout, stage);
     ctx.profiler.addCounter(PassId::Routing, "moves_planned",
@@ -255,7 +251,7 @@ RoutingPass::run(PipelineContext &ctx, const Stage &stage)
                             plan.num_parked);
     ctx.profiler.addCounter(PassId::Routing, "qubits_evicted",
                             plan.num_evicted);
-    if (reuse_router_ != nullptr) {
+    if (router_ != nullptr && router_->options().residency) {
         // Reuse-only counters stay out of the continuous profile so the
         // default --profile output is unchanged from PR 2.
         ctx.profiler.addCounter(PassId::Routing, "qubits_held",
@@ -296,14 +292,12 @@ RoutingPass::run(PipelineContext &ctx, const Stage &stage)
 void
 RoutingPass::endProgram(PipelineContext &ctx)
 {
-    if (reuse_router_ == nullptr)
+    if (router_ == nullptr || !router_->options().residency)
         return;
     // Settle residency spans still open after the last transition so
-    // the lifetime stats balance (holds_started == holds_ended); they
-    // used to leak for the final block, whose spans were only closed by
-    // a beginBlock() that never came.
-    reuse_router_->endProgram();
-    const ResidencyStats &stats = reuse_router_->residencyStats();
+    // the lifetime stats balance (holds_started == holds_ended).
+    router_->endProgram();
+    const ResidencyStats &stats = router_->residency().stats();
     ctx.profiler.addCounter(PassId::Routing, "residency_holds_started",
                             stats.holds_started);
     ctx.profiler.addCounter(PassId::Routing, "residency_holds_ended",

@@ -11,7 +11,7 @@
  *                      graph-free linear scan)
  *   StageOrderPass     zone-aware stage ordering (Sec. 4.2)      [per block]
  *   RoutingPass        layout transitions: continuous (Sec. 5)   [per stage]
- *                      or reuse-aware (src/reuse/)
+ *                      with optional atom reuse (src/reuse/)
  *   CollMoveOrderPass  grouping + storage-dwell order (5.3/6.1)  [per stage]
  *   AodBatchPass       multi-AOD parallel batching (Sec. 6.2)    [per stage]
  *
@@ -43,7 +43,6 @@
 #include "compiler/profile.hpp"
 #include "compiler/result.hpp"
 #include "isa/machine_schedule.hpp"
-#include "reuse/router.hpp"
 #include "route/router.hpp"
 #include "route/windowed_router.hpp"
 #include "schedule/stage.hpp"
@@ -166,12 +165,13 @@ class StageOrderPass
 /**
  * Plans and applies one layout transition per stage through the
  * strategy selected by CompilerOptions::routing: the paper's continuous
- * router (route/router.hpp; `fast` is its alias), the reuse-aware
- * router (reuse/), or the windowed best-of-orderings search
- * (route/windowed_router.hpp). Builds exactly one router per compile
- * and owns it (and through it the scratch buffers); randomized
- * decisions draw from ctx.rng. The reuse strategy requires the storage
- * zone, so the storage-free configuration always routes continuously.
+ * router (route/router.hpp; `fast` is its alias), the same router with
+ * a residency policy in its step 1 (`reuse`), or the windowed
+ * best-of-orderings search around it (route/windowed_router.hpp).
+ * Builds exactly one router per compile and owns it (and through it
+ * the scratch buffers); randomized decisions draw from ctx.rng. Reuse
+ * requires the storage zone, so the storage-free configuration always
+ * routes without a residency policy.
  */
 class RoutingPass
 {
@@ -180,8 +180,8 @@ class RoutingPass
 
     /**
      * Announces the ordered stages of the next block before its first
-     * transition is routed (the reuse strategy's lookahead scans them;
-     * a no-op for the other strategies).
+     * transition is routed (the residency policy's lookahead scans
+     * them; a no-op for the other strategies).
      */
     void beginBlock(PipelineContext &ctx, const std::vector<Stage> &stages);
 
@@ -189,17 +189,14 @@ class RoutingPass
 
     /**
      * Called once after the program's last transition: closes residency
-     * spans surviving the final block (they used to leak — the stats
-     * only settled in the next beginBlock(), which never comes for the
-     * last block) and publishes the residency lifetime counters. A
-     * no-op for the non-reuse strategies.
+     * spans surviving the final block and publishes the residency
+     * lifetime counters. A no-op for the non-reuse strategies.
      */
     void endProgram(PipelineContext &ctx);
 
   private:
-    // Exactly one of the three is engaged.
+    // Exactly one of the two is engaged.
     std::unique_ptr<ContinuousRouter> router_;
-    std::unique_ptr<ReuseAwareRouter> reuse_router_;
     std::unique_ptr<WindowedRouter> windowed_router_;
 };
 

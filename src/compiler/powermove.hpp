@@ -7,7 +7,7 @@
  *   StagePartitionPass edge-coloring stage partition (Sec. 4.1);
  *   StageOrderPass     zone-aware stage ordering (Sec. 4.2);
  *   RoutingPass        direct layout-to-layout transitions (Sec. 5),
- *                      continuous or reuse-aware (src/reuse/);
+ *                      with optional atom reuse (src/reuse/);
  *   CollMoveOrderPass  distance-aware grouping + storage-dwell order
  *                      (Sec. 5.3 / 6.1);
  *   AodBatchPass       multi-AOD parallel batching (Sec. 6.2).

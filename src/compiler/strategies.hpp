@@ -96,7 +96,7 @@ enum class RoutingStrategy : std::uint8_t
 };
 
 /**
- * How the reuse router decides compute-zone residency — the cache
+ * How the router's residency step decides compute-zone residency — the
  * replacement policy when the compute zone is viewed as a cache of
  * atoms over storage (only meaningful with RoutingStrategy::Reuse).
  *

@@ -1,7 +1,9 @@
 #include "fidelity/breakdown.hpp"
 
+#include <cmath>
 #include <sstream>
 
+#include "arch/params.hpp"
 #include "common/strings.hpp"
 
 namespace powermove {
@@ -14,6 +16,18 @@ FidelityBreakdown::fidelity(bool include_one_q) const
     if (include_one_q)
         product *= one_q_factor;
     return product;
+}
+
+double
+FidelityBreakdown::negLog10(const HardwareParams &params) const
+{
+    const auto power = [](double base, std::size_t exponent) {
+        return static_cast<double>(exponent) * std::log10(base);
+    };
+    return -(power(params.f_cz, cz_gates) +
+             power(params.f_excitation, excitation_exposures) +
+             power(params.f_transfer, transfers) +
+             std::log10(decoherence_factor));
 }
 
 std::string

@@ -24,6 +24,8 @@
 
 namespace powermove {
 
+struct HardwareParams;
+
 /** Per-factor fidelity decomposition of one compiled program. */
 struct FidelityBreakdown
 {
@@ -59,6 +61,15 @@ struct FidelityBreakdown
      * @p include_one_q is set (paper convention, Sec. 2.2).
      */
     double fidelity(bool include_one_q = false) const;
+
+    /**
+     * -log10 of fidelity(), summed per factor: the three power-law
+     * factors from their counts and @p params, the decoherence factor
+     * from its value. Stays finite where the product underflows to 0
+     * (about 700k excitation exposures at Table 1 defaults), so such
+     * schedules still compare. Lower is better.
+     */
+    double negLog10(const HardwareParams &params) const;
 
     /** One-line summary for logs and harness output. */
     std::string toString() const;

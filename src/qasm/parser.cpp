@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 #include "qasm/lexer.hpp"
@@ -15,7 +16,9 @@ namespace {
 class Parser
 {
   public:
-    explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+    explicit Parser(std::string_view source)
+        : lexer_(source), current_(lexer_.next())
+    {}
 
     Program
     run()
@@ -28,15 +31,15 @@ class Parser
     }
 
   private:
-    const Token &peek() const { return tokens_[pos_]; }
+    const Token &peek() const { return current_; }
 
-    const Token &
+    /** Consumes the current token; EndOfFile is never consumed. */
+    Token
     advance()
     {
-        const Token &token = tokens_[pos_];
-        if (!check(TokenKind::EndOfFile))
-            ++pos_;
-        return token;
+        if (check(TokenKind::EndOfFile))
+            return current_;
+        return std::exchange(current_, lexer_.next());
     }
 
     bool check(TokenKind kind) const { return peek().kind == kind; }
@@ -50,7 +53,7 @@ class Parser
         return true;
     }
 
-    const Token &
+    Token
     expect(TokenKind kind, const std::string &context)
     {
         if (!check(kind)) {
@@ -408,8 +411,8 @@ class Parser
                   tokenKindName(peek().kind));
     }
 
-    std::vector<Token> tokens_;
-    std::size_t pos_ = 0;
+    Lexer lexer_;
+    Token current_; // one token of lookahead
     std::size_t depth_ = 0;   // depth of the expression last parsed
     std::size_t nesting_ = 0; // nested levels open on the way down
 };
@@ -419,7 +422,7 @@ class Parser
 Program
 parseProgram(std::string_view source)
 {
-    return Parser(tokenize(source)).run();
+    return Parser(source).run();
 }
 
 double

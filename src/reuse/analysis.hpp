@@ -10,10 +10,9 @@
  * interaction stages, built in one O(total gates) scan when the block's
  * ordered stages are announced and queried by binary search.
  *
- * The analysis is deliberately per-block: blocks are separated by
- * barriers or 1Q layers, stage order across blocks is fixed by program
- * order, and a qubit idle at a block boundary always returns to
- * storage, so no lookahead window may reach across.
+ * The analysis is per-block: blocks are separated by barriers or 1Q
+ * layers, so no lookahead window reaches across one. Residency itself
+ * may (the persistent policies in reuse/policy.hpp).
  */
 
 #ifndef POWERMOVE_REUSE_ANALYSIS_HPP

@@ -1,4 +1,4 @@
-#include "reuse/occupancy.hpp"
+#include "reuse/lifetimes.hpp"
 
 #include <algorithm>
 
@@ -6,38 +6,8 @@
 
 namespace powermove {
 
-ZoneOccupancy::ZoneOccupancy(const Machine &machine)
-    : machine_(machine), planned_(machine.numSites(), 0)
-{}
-
 void
-ZoneOccupancy::beginTransition(const Layout &layout)
-{
-    planned_.assign(machine_.numSites(), 0);
-    for (QubitId q = 0; q < layout.numQubits(); ++q)
-        ++planned_[layout.siteOf(q)];
-    total_planned_ = layout.numQubits();
-}
-
-void
-ZoneOccupancy::depart(SiteId site)
-{
-    PM_ASSERT(site < planned_.size(), "site id out of range");
-    PM_ASSERT(planned_[site] > 0, "departure from a planned-empty site");
-    --planned_[site];
-    --total_planned_;
-}
-
-void
-ZoneOccupancy::arrive(SiteId site)
-{
-    PM_ASSERT(site < planned_.size(), "site id out of range");
-    ++planned_[site];
-    ++total_planned_;
-}
-
-void
-ZoneOccupancy::resetResidency(std::size_t num_qubits, std::size_t end_stage)
+ResidencyLifetimes::reset(std::size_t num_qubits, std::size_t end_stage)
 {
     // Spans cut short by a block boundary still count as ended: the
     // qubit was resident from its hold stage through the block's last
@@ -56,17 +26,17 @@ ZoneOccupancy::resetResidency(std::size_t num_qubits, std::size_t end_stage)
 }
 
 bool
-ZoneOccupancy::isResident(QubitId qubit) const
+ResidencyLifetimes::isResident(QubitId qubit) const
 {
     return qubit < resident_since_.size() &&
            resident_since_[qubit] != kNotResident;
 }
 
 void
-ZoneOccupancy::holdResident(QubitId qubit, std::size_t stage)
+ResidencyLifetimes::hold(QubitId qubit, std::size_t stage)
 {
     PM_ASSERT(qubit < resident_since_.size(),
-              "resetResidency() must size the qubit table first");
+              "reset() must size the qubit table first");
     if (resident_since_[qubit] != kNotResident)
         return;
     resident_since_[qubit] = stage;
@@ -76,7 +46,7 @@ ZoneOccupancy::holdResident(QubitId qubit, std::size_t stage)
 }
 
 void
-ZoneOccupancy::releaseResident(QubitId qubit, std::size_t stage)
+ResidencyLifetimes::release(QubitId qubit, std::size_t stage)
 {
     if (!isResident(qubit))
         return;

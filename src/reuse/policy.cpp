@@ -11,6 +11,39 @@ namespace powermove {
 namespace {
 
 /**
+ * The two sides of the residency trade as -ln f (Eq. 1 factors). One
+ * resident stage costs the excitation exposure of the intervening
+ * pulse plus dephasing for its duration (movement time between pulses
+ * is unknown at decision time and hits both sides; the pulse term is
+ * the stable lower bound). A storage round trip costs two transfers
+ * out and two back, plus the transit dephasing of the transfers and
+ * two shuttle legs across the inter-zone gap.
+ */
+struct TradeCosts
+{
+    double stage = 0.0;
+    double round_trip = 0.0;
+};
+
+TradeCosts
+tradeCosts(const HardwareParams &params)
+{
+    const double t2_us = params.t2.micros();
+    const auto dephasing = [t2_us](double idle_us) {
+        return t2_us > 0.0 ? idle_us / t2_us : 0.0;
+    };
+    const double shuttle_us =
+        params
+            .moveDuration(Distance::microns(params.zone_gap.microns() +
+                                            params.site_pitch.microns()))
+            .micros();
+    return {-std::log(params.f_excitation) + dephasing(params.t_cz.micros()),
+            4.0 * -std::log(params.f_transfer) +
+                dephasing(4.0 * params.t_transfer.micros() +
+                          2.0 * shuttle_us)};
+}
+
+/**
  * The paper's fixed-window policy: hold iff the next interaction lies
  * within the lookahead window. Residency resets at block boundaries,
  * reproducing the pre-policy reuse router bit for bit (the default).
@@ -21,11 +54,6 @@ class LookaheadPolicy final : public ResidencyPolicyImpl
     explicit LookaheadPolicy(std::size_t lookahead) : lookahead_(lookahead)
     {
         PM_ASSERT(lookahead_ >= 1, "reuse lookahead must be >= 1");
-    }
-
-    ResidencyPolicy kind() const override
-    {
-        return ResidencyPolicy::Lookahead;
     }
 
     bool persistsAcrossBlocks() const override { return false; }
@@ -101,8 +129,6 @@ class PressurePolicy : public ResidencyPolicyImpl
 class LtiPolicy final : public PressurePolicy
 {
   public:
-    ResidencyPolicy kind() const override { return ResidencyPolicy::Lti; }
-
   protected:
     void
     wantsHolds(const ResidencyQuery &query, std::vector<QubitId> &wanted,
@@ -147,37 +173,8 @@ class FidelityPolicy final : public PressurePolicy
 {
   public:
     explicit FidelityPolicy(const HardwareParams &params)
-    {
-        const double t2_us = params.t2.micros();
-        const auto dephasing = [t2_us](double idle_us) {
-            return t2_us > 0.0 ? idle_us / t2_us : 0.0;
-        };
-        // Cost of one resident stage: the excitation exposure of the
-        // intervening pulse plus dephasing for its duration. (Movement
-        // time between pulses is unknown at decision time and hits
-        // both sides; the pulse term is the stable lower bound.)
-        stage_cost_ = -std::log(params.f_excitation) +
-                      dephasing(params.t_cz.micros());
-        // A full round trip: two transfers out + two back, plus the
-        // transit dephasing of the transfers and two shuttle legs
-        // across the inter-zone gap.
-        const double shuttle_us =
-            params
-                .moveDuration(Distance::microns(
-                    params.zone_gap.microns() + params.site_pitch.microns()))
-                .micros();
-        round_trip_cost_ =
-            4.0 * -std::log(params.f_transfer) +
-            dephasing(4.0 * params.t_transfer.micros() + 2.0 * shuttle_us);
-        // The final-block virtual reuse event only ever saves the park
-        // half of the trip (nothing retrieves the atom afterwards).
-        park_cost_ = round_trip_cost_ / 2.0;
-    }
-
-    ResidencyPolicy kind() const override
-    {
-        return ResidencyPolicy::Fidelity;
-    }
+        : costs_(tradeCosts(params))
+    {}
 
   protected:
     void
@@ -222,26 +219,25 @@ class FidelityPolicy final : public PressurePolicy
         double savings;
         if (next != kNoNextUse) {
             distance = next - query.stage;
-            savings = round_trip_cost_;
+            savings = costs_.round_trip;
         } else if (query.analysis.finalBlock()) {
             // Virtual reuse event: exposures until program end buy
-            // only the avoided park.
+            // only the avoided park, half the trip (nothing retrieves
+            // the atom afterwards).
             distance = query.analysis.numStages() - query.stage;
-            savings = park_cost_;
+            savings = costs_.round_trip / 2.0;
         } else {
             // Cross-block bet: assume the earliest possible reuse, the
             // first stage of the next block. Pays on back-to-back
             // single-stage blocks (QSIM-style CX brackets) and prices
             // longer idles out naturally.
             distance = query.analysis.numStages() - query.stage;
-            savings = round_trip_cost_;
+            savings = costs_.round_trip;
         }
-        return savings - static_cast<double>(distance) * stage_cost_;
+        return savings - static_cast<double>(distance) * costs_.stage;
     }
 
-    double stage_cost_ = 0.0;
-    double round_trip_cost_ = 0.0;
-    double park_cost_ = 0.0;
+    TradeCosts costs_;
     std::vector<double> margin_of_;
 };
 
@@ -250,25 +246,9 @@ class FidelityPolicy final : public PressurePolicy
 double
 fidelityBreakEvenStages(const HardwareParams &params)
 {
-    // Same formulas as FidelityPolicy's constructor, collapsed to the
-    // one number docs and tests cite.
-    const double t2_us = params.t2.micros();
-    const double stage_cost =
-        -std::log(params.f_excitation) +
-        (t2_us > 0.0 ? params.t_cz.micros() / t2_us : 0.0);
-    const double shuttle_us =
-        params
-            .moveDuration(Distance::microns(params.zone_gap.microns() +
-                                            params.site_pitch.microns()))
-            .micros();
-    const double round_trip =
-        4.0 * -std::log(params.f_transfer) +
-        (t2_us > 0.0
-             ? (4.0 * params.t_transfer.micros() + 2.0 * shuttle_us) / t2_us
-             : 0.0);
-    return stage_cost > 0.0
-               ? round_trip / stage_cost
-               : std::numeric_limits<double>::infinity();
+    const TradeCosts costs = tradeCosts(params);
+    return costs.stage > 0.0 ? costs.round_trip / costs.stage
+                             : std::numeric_limits<double>::infinity();
 }
 
 std::unique_ptr<ResidencyPolicyImpl>

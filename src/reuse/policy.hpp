@@ -9,8 +9,8 @@
  * absorbs one excitation exposure per intervening Rydberg pulse and
  * idle dephasing the storage zone would have shielded. Which atoms to
  * keep resident is therefore a cache replacement question, and this
- * interface makes the answer pluggable behind the reuse router's step
- * 1 (`--residency=lookahead|lti|fidelity`).
+ * interface makes the answer pluggable behind the router's residency
+ * step (route/router.hpp; `--residency=lookahead|lti|fidelity`).
  *
  * Per stage transition the router hands the policy every idle-in-
  * compute qubit (the hold candidates) and the policy partitions them
@@ -49,8 +49,6 @@ struct ResidencyQuery
     std::size_t stage;
     /** The current block's next-use index. */
     const ReuseAnalysis &analysis;
-    /** The configured lookahead window (>= 1). */
-    std::size_t lookahead;
     /**
      * Compute-zone pressure bound: compute sites left once this
      * stage's gate pairs have claimed theirs. Holding more residents
@@ -65,9 +63,6 @@ class ResidencyPolicyImpl
 {
   public:
     virtual ~ResidencyPolicyImpl() = default;
-
-    /** The enum value this implementation realizes. */
-    virtual ResidencyPolicy kind() const = 0;
 
     /**
      * True when residents survive block boundaries: the router then

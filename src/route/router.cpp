@@ -20,15 +20,24 @@ constexpr std::uint64_t kAllOnes = ~std::uint64_t{0};
 constexpr std::uint32_t kKeyBits = 21;
 constexpr std::uint64_t kKeyMask = (std::uint64_t{1} << kKeyBits) - 1;
 
+/** Adds @p by to an epoch-stamped count; a stale stamp reads as 0. */
+void
+bumpStamped(std::vector<std::uint64_t> &stamps, std::vector<int> &counts,
+            SiteId site, std::uint64_t epoch, int by)
+{
+    if (stamps[site] != epoch) {
+        stamps[site] = epoch;
+        counts[site] = 0;
+    }
+    counts[site] += by;
+}
+
 } // namespace
 
 ContinuousRouter::ContinuousRouter(const Machine &machine,
                                    RouterOptions options)
-    : machine_(machine), options_(options), own_rng_(options.seed),
-      rng_(&own_rng_)
-{
-    initGeometry();
-}
+    : ContinuousRouter(machine, options, own_rng_)
+{}
 
 ContinuousRouter::ContinuousRouter(const Machine &machine,
                                    RouterOptions options, Rng &rng)
@@ -88,6 +97,14 @@ ContinuousRouter::initGeometry()
     statics_epoch_.assign(num_sites_, 0);
     statics_at_.assign(num_sites_, 0);
     first_idle_epoch_.assign(num_sites_, 0);
+    holds_epoch_.assign(num_sites_, 0);
+    holds_at_.assign(num_sites_, 0);
+
+    if (options_.residency) {
+        PM_ASSERT(options_.use_storage, "atom reuse requires the storage zone");
+        policy_ = makeResidencyPolicy(*options_.residency, options_.lookahead,
+                                      machine_.params());
+    }
 }
 
 void
@@ -109,8 +126,7 @@ ContinuousRouter::initFrom(const Layout &layout)
         PM_ASSERT(site != kInvalidSite,
                   "router requires a fully placed layout");
         site_of_[q] = site;
-        if (++planned_[site] == 1)
-            clearFreeBit(site);
+        plannedInc(site);
         if (site < num_compute_)
             addResident(q);
     }
@@ -132,64 +148,50 @@ ContinuousRouter::initFrom(const Layout &layout)
 
 // ---------------------------------------------------- bitmask maintenance
 
-void
-ContinuousRouter::setFreeBit(SiteId site)
+std::pair<std::size_t, std::uint64_t>
+ContinuousRouter::freeBitPos(SiteId site) const
 {
     if (site < num_compute_) {
-        const std::size_t y = site / static_cast<std::size_t>(compute_cols_);
-        const std::size_t x = site % static_cast<std::size_t>(compute_cols_);
-        free_rows_[y * row_words_ + x / 64] |= std::uint64_t{1} << (x % 64);
-    } else {
-        const std::size_t index = site - num_compute_;
-        const std::size_t r = index / static_cast<std::size_t>(storage_cols_);
-        const std::size_t x = index % static_cast<std::size_t>(storage_cols_);
-        free_cols_[x * col_words_ + r / 64] |= std::uint64_t{1} << (r % 64);
+        const std::size_t cols = static_cast<std::size_t>(compute_cols_);
+        const std::size_t x = site % cols;
+        return {site / cols * row_words_ + x / 64,
+                std::uint64_t{1} << (x % 64)};
     }
+    const std::size_t index = site - num_compute_;
+    const std::size_t cols = static_cast<std::size_t>(storage_cols_);
+    const std::size_t r = index / cols;
+    return {index % cols * col_words_ + r / 64,
+            std::uint64_t{1} << (r % 64)};
 }
 
 void
-ContinuousRouter::clearFreeBit(SiteId site)
+ContinuousRouter::setFree(SiteId site, bool free)
 {
-    if (site < num_compute_) {
-        const std::size_t y = site / static_cast<std::size_t>(compute_cols_);
-        const std::size_t x = site % static_cast<std::size_t>(compute_cols_);
-        free_rows_[y * row_words_ + x / 64] &=
-            ~(std::uint64_t{1} << (x % 64));
-    } else {
-        const std::size_t index = site - num_compute_;
-        const std::size_t r = index / static_cast<std::size_t>(storage_cols_);
-        const std::size_t x = index % static_cast<std::size_t>(storage_cols_);
-        free_cols_[x * col_words_ + r / 64] &=
-            ~(std::uint64_t{1} << (r % 64));
-    }
+    auto &masks = site < num_compute_ ? free_rows_ : free_cols_;
+    const auto [word, bit] = freeBitPos(site);
+    masks[word] = free ? masks[word] | bit : masks[word] & ~bit;
 }
 
 bool
 ContinuousRouter::freeBit(SiteId site) const
 {
-    if (site < num_compute_) {
-        const std::size_t y = site / static_cast<std::size_t>(compute_cols_);
-        const std::size_t x = site % static_cast<std::size_t>(compute_cols_);
-        return (free_rows_[y * row_words_ + x / 64] >> (x % 64)) & 1;
-    }
-    const std::size_t index = site - num_compute_;
-    const std::size_t r = index / static_cast<std::size_t>(storage_cols_);
-    const std::size_t x = index % static_cast<std::size_t>(storage_cols_);
-    return (free_cols_[x * col_words_ + r / 64] >> (r % 64)) & 1;
+    const auto &masks = site < num_compute_ ? free_rows_ : free_cols_;
+    const auto [word, bit] = freeBitPos(site);
+    return (masks[word] & bit) != 0;
 }
 
 void
 ContinuousRouter::plannedInc(SiteId site)
 {
     if (planned_[site]++ == 0)
-        clearFreeBit(site);
+        setFree(site, false);
 }
 
 void
 ContinuousRouter::plannedDec(SiteId site)
 {
     if (--planned_[site] == 0)
-        setFreeBit(site);
+        setFree(site, true);
 }
 
 // -------------------------------------------------------- free-site search
@@ -214,8 +216,9 @@ ContinuousRouter::claimStorageSlot(std::int32_t origin_x) const
     // Lexicographic minimum of (|dx|, y, x) over planned-free storage
     // slots, scanning columns outward so the first hit at column
     // distance dx settles the answer after comparing both sides — the
-    // same selection claimSlot() makes with its forward cursors (during
-    // monotonic parking a cursor scan equals a fresh scan).
+    // same selection the oracle's forward cursors make while parking is
+    // monotonic (a denied hold, which parks after storage departures,
+    // is where a cursor can return a deeper slot than this minimum).
     const std::int32_t cols = storage_cols_;
     const std::int32_t span = cols + std::abs(origin_x);
     for (std::int32_t dx = 0; dx < span; ++dx) {
@@ -408,6 +411,144 @@ ContinuousRouter::removeResident(QubitId qubit)
     resident_pos_[qubit] = kNpos;
 }
 
+// --------------------------------------------------------------- residency
+
+void
+ContinuousRouter::beginBlock(const std::vector<Stage> &stages,
+                             std::size_t num_qubits, bool final_block)
+{
+    if (policy_ == nullptr)
+        return;
+    // Close the previous block's surviving residencies at its end (the
+    // current global stage, one past its last transition). Persistent
+    // policies skip this: their survivors stay resident and are
+    // re-validated by partition() at the next transition.
+    if (!lifetimes_sized_ || !policy_->persistsAcrossBlocks()) {
+        lifetimes_.reset(num_qubits, global_stage_);
+        lifetimes_sized_ = true;
+    }
+    analysis_.beginBlock(stages, num_qubits, final_block);
+    stage_cursor_ = 0;
+}
+
+void
+ContinuousRouter::endProgram()
+{
+    if (policy_ == nullptr)
+        return;
+    lifetimes_.reset(0, global_stage_);
+    lifetimes_sized_ = false;
+}
+
+std::uint64_t
+ContinuousRouter::idleKey(QubitId qubit) const
+{
+    const SiteId site = site_of_[qubit];
+    return (static_cast<std::uint64_t>(coord_y_[site]) << (2 * kKeyBits)) |
+           (static_cast<std::uint64_t>(coord_x_[site]) << kKeyBits) | qubit;
+}
+
+void
+ContinuousRouter::partitionIdle(const Stage &stage, TransitionPlan &plan)
+{
+    PM_ASSERT(stage_cursor_ < analysis_.numStages(),
+              "beginBlock() must announce the block's stages before routing");
+    const std::size_t stage_index = stage_cursor_++;
+    const std::size_t global_index = global_stage_++;
+
+    // The policy sees the idle residents in ascending qubit order and
+    // only decides membership; the releases park in the router's
+    // (y, x, id) order and the holds settle in it.
+    candidates_.clear();
+    for (const QubitId q : residents_) {
+        if (partner_epoch_[q] != epoch_)
+            candidates_.push_back(q);
+    }
+    std::sort(candidates_.begin(), candidates_.end());
+    releases_.clear();
+    const std::size_t gate_sites = stage.gates.size();
+    const std::size_t capacity =
+        num_compute_ > gate_sites ? num_compute_ - gate_sites : 0;
+    policy_->partition(
+        ResidencyQuery{candidates_, stage_index, analysis_, capacity},
+        holds_, releases_);
+    PM_ASSERT(holds_.size() + releases_.size() == candidates_.size(),
+              "residency policy must partition every candidate");
+
+    for (const QubitId q : holds_)
+        bumpStamped(holds_epoch_, holds_at_, site_of_[q], epoch_, 1);
+    for (const QubitId q : releases_) {
+        // A release with no further use in the block is just correct
+        // parking; one with a known upcoming use is a genuine window,
+        // pressure or cost miss.
+        ++plan.num_lookahead_misses;
+        if (analysis_.effectiveNextUse(stage_index, q) == kNoNextUse)
+            ++plan.num_parked_no_reuse;
+        else
+            ++plan.num_window_misses;
+        lifetimes_.release(q, global_index);
+        idle_keys_.push_back(idleKey(q));
+    }
+
+    // A hold that pays off: the qubit enters its next gate while still
+    // resident, having skipped at least one storage round trip.
+    for (const auto &gate : stage.gates) {
+        for (const QubitId q : {gate.a, gate.b}) {
+            if (lifetimes_.isResident(q)) {
+                ++plan.num_reuse_hits;
+                lifetimes_.release(q, global_index);
+            }
+        }
+    }
+}
+
+void
+ContinuousRouter::settleHolds(TransitionPlan &plan)
+{
+    relocated_.clear();
+    denied_.clear();
+    if (holds_.empty())
+        return;
+    const std::size_t global_index = global_stage_ - 1; // this transition
+    // A hold survives in place only if its site ends the transition
+    // with the held qubit alone; a site claimed by an interaction or
+    // shared with another idle atom would blockade during the pulse.
+    idle_keys_.clear();
+    for (const QubitId q : holds_)
+        idle_keys_.push_back(idleKey(q));
+    std::sort(idle_keys_.begin(), idle_keys_.end());
+    for (const std::uint64_t key : idle_keys_) {
+        const QubitId q = static_cast<QubitId>(key & kKeyMask);
+        const SiteId site = site_of_[q];
+        if (planned_[site] == 1) {
+            ++plan.num_held;
+            lifetimes_.hold(q, global_index);
+            continue;
+        }
+        // Relocate to the nearest surviving compute site; with none
+        // left the hold is denied and the qubit parks after all.
+        SiteId dest = findNearestFreeCompute(site);
+        const bool kept = dest != kInvalidSite;
+        if (!kept)
+            dest = claimStorageSlot(coord_x_[site]);
+        plannedDec(site);
+        plannedInc(dest);
+        target_[q] = dest;
+        target_epoch_[q] = epoch_;
+        if (kept) {
+            relocated_.push_back(q);
+            ++plan.num_held;
+            ++plan.num_reuse_relocated;
+            lifetimes_.hold(q, global_index);
+        } else {
+            denied_.push_back(q);
+            ++plan.num_hold_denied;
+            ++plan.num_parked;
+            lifetimes_.release(q, global_index);
+        }
+    }
+}
+
 // ------------------------------------------------------------------- plan
 
 TransitionPlan
@@ -431,16 +572,17 @@ ContinuousRouter::planStageTransition(Layout &layout, const Stage &stage)
 
     TransitionPlan plan;
 
-    // ---- Step 1: park next-stage idle qubits in storage. -----------------
+    // ---- Step 1: hold or park next-stage idle compute residents. ---------
+    holds_.clear();
     if (options_.use_storage) {
         idle_keys_.clear();
-        for (const QubitId q : residents_) {
-            if (partner_epoch_[q] == epoch)
-                continue;
-            const SiteId site = site_of_[q];
-            idle_keys_.push_back(
-                (static_cast<std::uint64_t>(coord_y_[site]) << (2 * kKeyBits)) |
-                (static_cast<std::uint64_t>(coord_x_[site]) << kKeyBits) | q);
+        if (policy_ != nullptr) {
+            partitionIdle(stage, plan);
+        } else {
+            for (const QubitId q : residents_) {
+                if (partner_epoch_[q] != epoch)
+                    idle_keys_.push_back(idleKey(q));
+            }
         }
         // Ascending packed (y, x, id) keys reproduce the reference
         // farthest-from-storage parking order exactly.
@@ -461,16 +603,14 @@ ContinuousRouter::planStageTransition(Layout &layout, const Stage &stage)
         return statics_epoch_[site] == epoch ? statics_at_[site] : 0;
     };
     const auto bump_statics = [&](SiteId site, int by) {
-        if (statics_epoch_[site] != epoch) {
-            statics_epoch_[site] = epoch;
-            statics_at_[site] = by;
-        } else {
-            statics_at_[site] += by;
-        }
+        bumpStamped(statics_epoch_, statics_at_, site, epoch, by);
     };
     const auto set_target = [&](QubitId q, SiteId site) {
         target_[q] = site;
         target_epoch_[q] = epoch;
+    };
+    const auto holds_at = [&](SiteId site) {
+        return holds_epoch_[site] == epoch ? holds_at_[site] : 0;
     };
     const auto set_label = [&](QubitId q, MoveLabel l) {
         PM_ASSERT(labeled_epoch_[q] != epoch,
@@ -520,7 +660,14 @@ ContinuousRouter::planStageTransition(Layout &layout, const Stage &stage)
                 bump_statics(si, 2);
                 continue;
             }
-            const bool pick_first = rng_->nextBool(0.5);
+            // Keep the pair at the site hosting fewer holds, so a hold is
+            // not displaced by an avoidable static claim; the RNG decides
+            // ties, which is every pair when nothing is held.
+            const int holds_i = holds_at(si);
+            const int holds_j = holds_at(sj);
+            const bool pick_first = holds_i != holds_j
+                                        ? holds_i > holds_j
+                                        : rng_->nextBool(0.5);
             const QubitId mover = pick_first ? qi : qj;
             const QubitId stay = pick_first ? qj : qi;
             const SiteId stay_site = pick_first ? sj : si;
@@ -556,18 +703,17 @@ ContinuousRouter::planStageTransition(Layout &layout, const Stage &stage)
     }
 
     // ---- Occupancy bookkeeping before resolving open destinations. -------
-    // Iterating plan.labels instead of every qubit is order-irrelevant:
-    // planned is only read again once all three loops settle.
+    // Order is irrelevant (planned is only read once both loops settle),
+    // so departures and known arrivals share one pass over the labels.
     for (const auto &[q, l] : plan.labels) {
-        if (l != MoveLabel::Static)
-            plannedDec(site_of_[q]);
-    }
-    for (const QubitId q : evicted_)
+        if (l == MoveLabel::Static)
+            continue;
         plannedDec(site_of_[q]);
-    for (const auto &[q, l] : plan.labels) {
         if (l == MoveLabel::Mobile && target_epoch_[q] == epoch)
             plannedInc(target_[q]);
     }
+    for (const QubitId q : evicted_)
+        plannedDec(site_of_[q]);
 
     // ---- Step 3: resolve undecided qubits, partners follow. --------------
     for (const QubitId undecided : undecided_order_) {
@@ -593,7 +739,10 @@ ContinuousRouter::planStageTransition(Layout &layout, const Stage &stage)
         ++plan.num_evicted;
     }
 
-    // ---- Emit gate-related and eviction moves in decision order. ---------
+    // ---- Step 4: settle the holds. ---------------------------------------
+    settleHolds(plan);
+
+    // ---- Emit gate-related, eviction and hold moves in decision order. ---
     for (const auto &[q, l] : plan.labels) {
         if (l == MoveLabel::Static)
             continue;
@@ -601,8 +750,10 @@ ContinuousRouter::planStageTransition(Layout &layout, const Stage &stage)
         if (target_[q] != site_of_[q])
             plan.moves.push_back({q, site_of_[q], target_[q]});
     }
-    for (const QubitId q : evicted_)
-        plan.moves.push_back({q, site_of_[q], target_[q]});
+    for (const auto *settled : {&evicted_, &relocated_, &denied_}) {
+        for (const QubitId q : *settled)
+            plan.moves.push_back({q, site_of_[q], target_[q]});
+    }
 
     // ---- Apply transactionally (all departures, then all arrivals). ------
     for (const auto &move : plan.moves)
@@ -611,7 +762,7 @@ ContinuousRouter::planStageTransition(Layout &layout, const Stage &stage)
         layout.place(move.qubit, move.to);
 
     // Each qubit moves at most once per transition (parked, labeled,
-    // and evicted are mutually exclusive), so one pass keeps the site
+    // evicted and held are mutually exclusive), so one pass keeps the site
     // mirror and the resident list in sync with the applied layout; the
     // planned array already equals the settled occupancy by the
     // inc/dec bookkeeping above.
@@ -630,6 +781,11 @@ ContinuousRouter::planStageTransition(Layout &layout, const Stage &stage)
                   "router failed to co-locate a gate pair");
         PM_ASSERT(layout.zoneOf(gate.a) == ZoneKind::Compute,
                   "gate pair must sit in the compute zone");
+    }
+    for (const QubitId q : holds_) {
+        PM_ASSERT(!lifetimes_.isResident(q) ||
+                      layout.occupancy(site_of_[q]) == 1,
+                  "held qubit must end the transition alone in compute");
     }
     return plan;
 }
@@ -683,6 +839,12 @@ ContinuousRouter::auditAgainstLayout(const Layout &layout,
             return fail("free bitmask diverged at site " +
                         std::to_string(site));
         }
+    }
+    for (QubitId q = 0; q < site_of_.size(); ++q) {
+        if (lifetimes_.isResident(q) &&
+            (site_of_[q] >= num_compute_ || planned_[site_of_[q]] != 1))
+            return fail("held qubit " + std::to_string(q) +
+                        " does not sit alone in the compute zone");
     }
     return true;
 }

@@ -7,13 +7,27 @@
  * *directly* into a layout executing the next stage. For one transition
  * it decides a single 1Q move per affected qubit:
  *
- *  - Step 1: qubits idle in the next stage are parked in the storage
- *    zone, farthest-from-storage qubits choosing first, each taking the
- *    closest empty storage site below its column (Sec. 5.2 step 1).
+ *  - Step 1: a residency policy (reuse/policy.hpp) splits the qubits
+ *    idle in the next stage that sit in the compute zone into holds,
+ *    which stay there, and releases. The releases are parked in the
+ *    storage zone, farthest-from-storage qubits choosing first, each
+ *    taking the closest empty storage site below its column (Sec. 5.2
+ *    step 1). Without a policy nothing is held: the paper's router.
  *  - Step 2: interacting qubits get labels (static / mobile / undecided)
- *    following the four current-location cases of Fig. 4.
+ *    following the four current-location cases of Fig. 4. In case (d)
+ *    the pair stays at the site hosting fewer holds; the RNG decides
+ *    ties, so without holds it decides every case (d).
  *  - Step 3: undecided qubits claim the nearest compute site that will
  *    be empty after all planned departures; their partners follow.
+ *  - Step 4: each hold keeps its site if it ends the transition alone
+ *    there, else moves to the nearest planned-free compute site, else
+ *    (a denied hold) parks after all.
+ *
+ * Holding an idle atom is the atom reuse of Lin et al. ("Reuse-Aware
+ * Compilation for Zoned Quantum Architectures Based on Neutral Atoms"):
+ * it skips a storage round trip at the price of one excitation exposure
+ * per intervening pulse. beginBlock() announces each block's stages to
+ * the policy's lookahead, and endProgram() settles the residency spans.
  *
  * In the storage-free configuration (paper's "non-storage" rows) no
  * parking happens; instead idle qubits that would be co-located with a
@@ -39,9 +53,9 @@
  *    chosen site is unique (the row pruning bound carries a two-ulp
  *    slack to stay conservative under floating-point rounding).
  *  - A resident list of compute-zone qubits replaces an O(qubits) idle
- *    scan in parking step 1: in storage mode the compute zone only
- *    ever holds the previous stage's interacting qubits, so the scan is
- *    O(previous stage width), not O(circuit width).
+ *    scan in step 1: in storage mode the compute zone only ever holds
+ *    the previous stage's interacting qubits and the holds, so the scan
+ *    is O(previous stage width + holds), not O(circuit width).
  *  - Per-qubit and per-site scratch (partner, labels, targets, statics
  *    counts) is epoch-stamped instead of re-assigned, so a transition
  *    touches only the entries it actually writes.
@@ -57,13 +71,15 @@
  * the churn property test (fast_router_state_test.cpp). The
  * per-transition-rebuild formulation, ReferenceContinuousRouter in
  * tests/oracles/, is the differential oracle this router must match
- * plan for plan.
+ * plan for plan, with and without a residency policy.
  */
 
 #ifndef POWERMOVE_ROUTE_ROUTER_HPP
 #define POWERMOVE_ROUTE_ROUTER_HPP
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,6 +87,9 @@
 #include "arch/layout.hpp"
 #include "arch/machine.hpp"
 #include "common/rng.hpp"
+#include "reuse/analysis.hpp"
+#include "reuse/lifetimes.hpp"
+#include "reuse/policy.hpp"
 #include "route/move.hpp"
 #include "schedule/stage.hpp"
 
@@ -83,6 +102,10 @@ struct RouterOptions
     bool use_storage = true;
     /** Seed for the random mobile/static choice in Fig. 4 case (d). */
     std::uint64_t seed = 0xC0FFEE;
+    /** Step 1's residency policy (atom reuse; needs use_storage). */
+    std::optional<ResidencyPolicy> residency = std::nullopt;
+    /** Lookahead window in stages (>= 1) of the Lookahead policy. */
+    std::size_t lookahead = 4;
 };
 
 /** The planned transition into one stage. */
@@ -97,8 +120,7 @@ struct TransitionPlan
     /** Idle qubits evicted to dodge clustering (storage-free mode). */
     std::size_t num_evicted = 0;
 
-    // Reuse-strategy accounting (always zero for the continuous router;
-    // see reuse/router.hpp for the strategy that fills these in).
+    // Residency accounting (always zero without a residency policy).
     /** Idle qubits kept resident in the compute zone this transition. */
     std::size_t num_held = 0;
     /** Held qubits relocated within the compute zone to dodge a pair. */
@@ -152,13 +174,34 @@ class ContinuousRouter
      *
      * Post-conditions (validated downstream): every gate pair of the
      * stage shares one compute site; no other two qubits share a site;
-     * in storage mode every idle qubit sits in the storage zone.
+     * in storage mode every idle qubit sits in the storage zone except
+     * the holds, each alone at a compute site.
      *
      * The first call (or the first after reset()) initializes the
      * incremental state from @p layout; later calls require that the
      * layout was not mutated outside this router in between.
      */
     TransitionPlan planStageTransition(Layout &layout, const Stage &stage);
+
+    /**
+     * Announces the ordered stages of the next block to the residency
+     * policy; planStageTransition() then consumes them in this order.
+     * @p final_block marks the program's last block, where program end
+     * acts as a virtual reuse event (see ReuseAnalysis::beginBlock). A
+     * no-op without a residency policy.
+     */
+    void beginBlock(const std::vector<Stage> &stages, std::size_t num_qubits,
+                    bool final_block = false);
+
+    /**
+     * Closes every still-open residency span at the current global
+     * stage, so holds_started == holds_ended. Call once after the
+     * program's last transition.
+     */
+    void endProgram();
+
+    /** Residency spans of the held qubits, across all transitions. */
+    const ResidencyLifetimes &residency() const { return lifetimes_; }
 
     /**
      * Drops the incremental state; the next plan resyncs it from its
@@ -170,7 +213,8 @@ class ContinuousRouter
     /**
      * Debug/property-test hook: rebuilds planned occupancy, the free
      * bitmasks, the site mirror, and the resident list from @p layout
-     * and compares them to the incrementally maintained versions.
+     * and compares them to the incrementally maintained versions; also
+     * checks that every held qubit sits alone in the compute zone.
      * Returns false (and fills @p why) on the first divergence.
      */
     bool auditAgainstLayout(const Layout &layout,
@@ -185,8 +229,9 @@ class ContinuousRouter
     // planned-occupancy maintenance; keeps the free bitmasks in sync.
     void plannedInc(SiteId site);
     void plannedDec(SiteId site);
-    void setFreeBit(SiteId site);
-    void clearFreeBit(SiteId site);
+    /** (word, bit) of @p site in free_rows_ (compute) or free_cols_. */
+    std::pair<std::size_t, std::uint64_t> freeBitPos(SiteId site) const;
+    void setFree(SiteId site, bool free);
     bool freeBit(SiteId site) const;
 
     /** First planned-free storage row of @p column, or -1. */
@@ -203,11 +248,25 @@ class ContinuousRouter
     /**
      * The Sec. 5.2 step 3 site: the unique (euclidean distance, y, x)
      * argmin over planned-free compute sites, the same choice as the
-     * ring search findNearestFreeComputeSite makes, from the same
-     * doubles with the same comparator. Returns kInvalidSite when the
-     * compute zone has no free site.
+     * oracle's ring search makes, from the same doubles with the same
+     * comparator. Returns kInvalidSite when the compute zone has no
+     * free site.
      */
     SiteId findNearestFreeCompute(SiteId origin) const;
+
+    /** Packed (y, x, qubit) key: ascending is the parking order. */
+    std::uint64_t idleKey(QubitId qubit) const;
+
+    /**
+     * Step 1 under a residency policy: consumes the next announced
+     * stage, fills holds_ and the per-site hold counts, queues the
+     * releases' keys in idle_keys_ for parking, and counts misses and
+     * reuse hits into @p plan.
+     */
+    void partitionIdle(const Stage &stage, TransitionPlan &plan);
+
+    /** Step 4: keeps, relocates, or parks each of holds_. */
+    void settleHolds(TransitionPlan &plan);
 
     // resident-list maintenance (compute-zone qubits).
     void addResident(QubitId qubit);
@@ -263,11 +322,29 @@ class ContinuousRouter
     std::vector<std::uint64_t> statics_epoch_;
     std::vector<int> statics_at_;
     std::vector<std::uint64_t> first_idle_epoch_;
+    std::vector<std::uint64_t> holds_epoch_;
+    std::vector<int> holds_at_; // per site: holds parked there
 
     // Plain per-transition scratch.
     std::vector<std::uint64_t> idle_keys_; // packed (y, x, qubit)
     std::vector<QubitId> undecided_order_;
     std::vector<QubitId> evicted_;
+    std::vector<QubitId> candidates_; // residency step: idle residents
+    std::vector<QubitId> holds_;
+    std::vector<QubitId> releases_;
+    std::vector<QubitId> relocated_;
+    std::vector<QubitId> denied_;
+
+    // Residency step (engaged iff options.residency is set).
+    std::unique_ptr<ResidencyPolicyImpl> policy_;
+    ReuseAnalysis analysis_;
+    ResidencyLifetimes lifetimes_;
+    bool lifetimes_sized_ = false; // the first beginBlock() sizes them
+    std::size_t stage_cursor_ = 0; // block-local index of the next stage
+    // Program-global transition counter: residency spans are stamped
+    // with it so persistent policies can hold across block boundaries
+    // (block-local indices would run backwards at each block start).
+    std::size_t global_stage_ = 0;
 };
 
 } // namespace powermove

@@ -7,12 +7,17 @@
  * single transition, asks auditAgainstLayout() to rebuild each
  * structure from scratch and compare — so any drift (a stale bit, a
  * missed resident swap, an occupancy leak) is caught at the transition
- * that introduced it, not stages later when it corrupts a plan.
+ * that introduced it, not stages later when it corrupts a plan. The
+ * churn runs with and without a residency policy, so the same
+ * structures are also checked while held atoms stay resident.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -44,53 +49,141 @@ churnStage(Rng &rng, std::size_t num_qubits)
     return stage;
 }
 
+/** The router's residency step: none, or a policy. */
+using Residency = std::optional<ResidencyPolicy>;
+
+const auto kResidencies = ::testing::Values(
+    Residency{}, Residency{ResidencyPolicy::Lookahead},
+    Residency{ResidencyPolicy::Lti});
+
+/**
+ * Routes @p steps churn stages, announced in blocks of five (the
+ * residency policy's lookahead needs them; without a policy
+ * beginBlock() is a no-op), auditing after every transition.
+ */
+void
+churnAndAudit(ContinuousRouter &router, Layout &layout, Rng &stage_rng,
+              std::size_t num_qubits, int steps)
+{
+    std::string why;
+    for (int step = 0; step < steps; step += 5) {
+        std::vector<Stage> block;
+        for (int s = step; s < std::min(step + 5, steps); ++s)
+            block.push_back(churnStage(stage_rng, num_qubits));
+        router.beginBlock(block, num_qubits, step + 5 >= steps);
+        for (std::size_t s = 0; s < block.size(); ++s) {
+            router.planStageTransition(layout, block[s]);
+            ASSERT_TRUE(router.auditAgainstLayout(layout, &why))
+                << "step " << step + static_cast<int>(s) << ": " << why;
+        }
+    }
+    router.endProgram();
+    EXPECT_EQ(router.residency().numResidents(), 0u);
+}
+
 class FastRouterStateTest
-    : public ::testing::TestWithParam<std::tuple<bool, std::uint64_t>>
+    : public ::testing::TestWithParam<
+          std::tuple<bool, std::uint64_t, Residency>>
 {};
 
 TEST_P(FastRouterStateTest, IncrementalStateMatchesRebuildAfterEveryChurn)
 {
-    const auto [use_storage, seed] = GetParam();
+    const auto [use_storage, seed, residency] = GetParam();
     const std::size_t n = 30;
     const Machine machine(MachineConfig::forQubits(n));
-    ContinuousRouter router(machine, RouterOptions{use_storage, seed});
+    ContinuousRouter router(machine,
+                            RouterOptions{use_storage, seed, residency, 2});
 
     Layout layout(machine, n);
     placeRowMajor(layout,
                   use_storage ? ZoneKind::Storage : ZoneKind::Compute);
 
     Rng stage_rng(seed ^ 0x636875726eULL); // "churn"
-    std::string why;
-    for (int step = 0; step < 60; ++step) {
-        const Stage stage = churnStage(stage_rng, n);
-        router.planStageTransition(layout, stage);
-        ASSERT_TRUE(router.auditAgainstLayout(layout, &why))
-            << "step " << step << ": " << why;
-    }
+    churnAndAudit(router, layout, stage_rng, n, 60);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Churn, FastRouterStateTest,
     ::testing::Combine(::testing::Bool(),
-                       ::testing::Values(11, 22, 33, 44)));
+                       ::testing::Values(11, 22, 33, 44),
+                       ::testing::Values(Residency{})));
+
+// Residency requires the storage zone.
+INSTANTIATE_TEST_SUITE_P(
+    ChurnWithHolds, FastRouterStateTest,
+    ::testing::Combine(::testing::Values(true),
+                       ::testing::Values(11, 22, 33, 44),
+                       ::testing::Values(
+                           Residency{ResidencyPolicy::Lookahead},
+                           Residency{ResidencyPolicy::Lti})));
+
+class FastRouterStatePressureTest
+    : public ::testing::TestWithParam<Residency>
+{};
 
 /** Tiny machine: parking pressure keeps every structure near full. */
-TEST(FastRouterStatePressureTest, SmallMachineStaysConsistent)
+TEST_P(FastRouterStatePressureTest, SmallMachineStaysConsistent)
 {
     const std::size_t n = 8;
     const Machine machine(MachineConfig::forQubits(n));
-    ContinuousRouter router(machine, RouterOptions{true, 5});
+    ContinuousRouter router(machine, RouterOptions{true, 5, GetParam(), 2});
     Layout layout(machine, n);
     placeRowMajor(layout, ZoneKind::Storage);
 
     Rng stage_rng(123);
+    churnAndAudit(router, layout, stage_rng, n, 80);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, FastRouterStatePressureTest,
+                         kResidencies);
+
+/**
+ * Planned occupancy starts as a mirror of the layout: the first
+ * transition initializes it from the layout, and no state exists
+ * before it.
+ */
+TEST(FastRouterStateOccupancyTest, FirstTransitionMirrorsTheLayout)
+{
+    const Machine machine(MachineConfig::forQubits(4));
+    Layout layout(machine, 4);
+    placeRowMajor(layout, ZoneKind::Storage);
+    ContinuousRouter router(machine);
+
     std::string why;
-    for (int step = 0; step < 80; ++step) {
-        const Stage stage = churnStage(stage_rng, n);
-        router.planStageTransition(layout, stage);
-        ASSERT_TRUE(router.auditAgainstLayout(layout, &why))
-            << "step " << step << ": " << why;
-    }
+    EXPECT_FALSE(router.auditAgainstLayout(layout, &why));
+    router.planStageTransition(layout, Stage{{CzGate{0, 1}}});
+    EXPECT_TRUE(router.auditAgainstLayout(layout, &why)) << why;
+}
+
+/**
+ * Held atoms never depart, so their sites stay planned-occupied: after
+ * a transition that holds two atoms and relocates one of them off its
+ * partner's site, planned occupancy still equals the layout, one atom
+ * per held site.
+ */
+TEST(FastRouterStateOccupancyTest, HoldsStayPlannedWhereTheySit)
+{
+    const Machine machine(MachineConfig::forQubits(4));
+    Layout layout(machine, 4);
+    placeRowMajor(layout, ZoneKind::Storage);
+    ContinuousRouter router(
+        machine, RouterOptions{true, 1, ResidencyPolicy::Lookahead, 4});
+    const std::vector<Stage> block = {Stage{{CzGate{0, 1}}},
+                                      Stage{{CzGate{2, 3}}},
+                                      Stage{{CzGate{0, 1}}}};
+    router.beginBlock(block, 4);
+
+    std::string why;
+    router.planStageTransition(layout, block[0]);
+    const TransitionPlan plan = router.planStageTransition(layout, block[1]);
+    EXPECT_EQ(plan.num_held, 2u);
+    EXPECT_EQ(plan.num_reuse_relocated, 1u);
+    ASSERT_TRUE(router.auditAgainstLayout(layout, &why)) << why;
+    EXPECT_EQ(layout.occupancy(layout.siteOf(0)), 1u);
+    EXPECT_EQ(layout.occupancy(layout.siteOf(1)), 1u);
+
+    router.planStageTransition(layout, block[2]);
+    EXPECT_TRUE(router.auditAgainstLayout(layout, &why)) << why;
 }
 
 /**

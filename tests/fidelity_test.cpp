@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "arch/params.hpp"
 #include "fidelity/evaluator.hpp"
 
 namespace powermove {
@@ -162,6 +163,54 @@ TEST_F(FidelityTest, BreakdownToStringMentionsKeyFields)
     EXPECT_NE(text.find("fidelity="), std::string::npos);
     EXPECT_NE(text.find("T_exe="), std::string::npos);
     EXPECT_NE(text.find("pulses=1"), std::string::npos);
+}
+
+TEST_F(FidelityTest, NegLog10MatchesTheProductWhereItIsRepresentable)
+{
+    MachineSchedule schedule(machine_, {0, 0, 2, 3});
+    schedule.addMoveBatch(batchOf({{2, 2, 5}}));
+    schedule.addRydberg({CzGate{0, 1}}, 0);
+    const auto result = evaluateSchedule(schedule);
+    ASSERT_GT(result.fidelity(), 0.0);
+    EXPECT_NEAR(result.negLog10(machine_.params()),
+                -std::log10(result.fidelity()), 1e-12);
+}
+
+/**
+ * Factor counts of QSIM-rand-0.3-400 compiled with reuse under the
+ * `lti` and `fidelity` residency policies: about 700k excitation
+ * exposures each, so the Eq. 1 product underflows to exactly 0 and the
+ * two schedules would compare equal. The per-factor sum stays finite
+ * and ranks them.
+ */
+TEST(FidelityBreakdownTest, NegLog10StaysFiniteWhereTheProductUnderflows)
+{
+    const HardwareParams params;
+    const auto breakdown = [&](std::size_t cz, std::size_t exposures,
+                               std::size_t transfers, double decoherence) {
+        FidelityBreakdown b;
+        b.cz_gates = cz;
+        b.excitation_exposures = exposures;
+        b.transfers = transfers;
+        b.two_q_factor = std::pow(params.f_cz, static_cast<double>(cz));
+        b.excitation_factor =
+            std::pow(params.f_excitation, static_cast<double>(exposures));
+        b.transfer_factor =
+            std::pow(params.f_transfer, static_cast<double>(transfers));
+        b.decoherence_factor = decoherence;
+        return b;
+    };
+    const FidelityBreakdown lti =
+        breakdown(2384, 701342, 5532, 1.0240432946274847e-67);
+    const FidelityBreakdown fidelity =
+        breakdown(2384, 700954, 6308, 8.8567643891080751e-68);
+
+    EXPECT_EQ(lti.excitation_factor, 0.0);
+    EXPECT_EQ(lti.fidelity(), 0.0);
+    EXPECT_EQ(fidelity.fidelity(), 0.0);
+    EXPECT_NEAR(lti.negLog10(params), 837.009, 1e-3);
+    EXPECT_NEAR(fidelity.negLog10(params), 836.987, 1e-3);
+    EXPECT_LT(fidelity.negLog10(params), lti.negLog10(params));
 }
 
 } // namespace

@@ -159,7 +159,7 @@ TEST(PlaceRowMajorTest, OverfullZoneRejected)
  * — never double-occupies a site beyond its zone capacity, keeps every
  * occupant list consistent with siteOf(), and conserves the
  * countInZone totals (placed = compute + storage). This is the
- * occupancy contract the reuse subsystem's ZoneOccupancy plans
+ * occupancy contract the router's planned-occupancy array plans
  * against.
  */
 TEST(LayoutChurnProperty, RandomChurnPreservesZoneInvariants)

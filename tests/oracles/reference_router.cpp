@@ -1,15 +1,150 @@
 #include "oracles/reference_router.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
 namespace powermove {
 
+// ------------------------------------------------------- free-site search
+
+StorageSlotIndex::StorageSlotIndex(const Machine &machine)
+    : machine_(machine),
+      cursor_(static_cast<std::size_t>(machine.config().storage_cols), 0)
+{}
+
+void
+StorageSlotIndex::beginTransition()
+{
+    cursor_.assign(cursor_.size(), 0);
+}
+
+std::int32_t
+StorageSlotIndex::firstFreeRow(std::int32_t column,
+                               const std::vector<int> &planned)
+{
+    const std::int32_t top = machine_.storageTopRow();
+    const std::int32_t rows = machine_.config().storage_rows;
+    std::int32_t r = cursor_[static_cast<std::size_t>(column)];
+    while (r < rows &&
+           planned[machine_.siteAt(SiteCoord{column, top + r})] != 0) {
+        ++r;
+    }
+    cursor_[static_cast<std::size_t>(column)] = r;
+    return r < rows ? top + r : -1;
+}
+
+SiteId
+StorageSlotIndex::claimSlot(SiteCoord origin, const std::vector<int> &planned)
+{
+    // Prefer a vertical drop (same column), then the shallowest row.
+    // Scanning columns outward from the origin lets the first hit at
+    // column distance dx settle the answer after comparing both sides.
+    const std::int32_t cols = machine_.config().storage_cols;
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        if (attempt > 0)
+            beginTransition();
+        for (std::int32_t dx = 0; dx < cols + std::abs(origin.x); ++dx) {
+            SiteId best = kInvalidSite;
+            SiteCoord best_coord{0, 0};
+            for (const std::int32_t x : {origin.x - dx, origin.x + dx}) {
+                if (x < 0 || x >= cols || (dx == 0 && x != origin.x))
+                    continue;
+                const std::int32_t y = firstFreeRow(x, planned);
+                if (y < 0)
+                    continue;
+                const SiteCoord coord{x, y};
+                if (best == kInvalidSite || coord.y < best_coord.y ||
+                    (coord.y == best_coord.y && coord.x < best_coord.x)) {
+                    best = machine_.siteAt(coord);
+                    best_coord = coord;
+                }
+            }
+            if (best != kInvalidSite)
+                return best;
+        }
+    }
+    fatal("storage zone is full; enlarge the machine");
+}
+
+namespace {
+
+/**
+ * Expanding Chebyshev-ring search for the euclidean-nearest planned-
+ * empty compute site seen from @p origin (either zone), ties broken by
+ * (y, x). A candidate at ring r can only be beaten by sites within
+ * euclidean distance best_dist, so the search stops once r * pitch
+ * exceeds the incumbent. kInvalidSite when the compute zone is full.
+ */
+SiteId
+findNearestFreeComputeSite(const Machine &machine, SiteId origin,
+                           const std::vector<int> &planned)
+{
+    const PhysCoord from = machine.physOf(origin);
+    const auto &config = machine.config();
+    const std::int32_t cols = config.compute_cols;
+    const std::int32_t rows = config.compute_rows;
+    const double pitch = machine.params().site_pitch.microns();
+    const SiteCoord center = machine.coordOf(origin);
+    // A storage-zone origin (Fig. 4b) needs rings spanning the lattice.
+    const std::int32_t max_ring =
+        cols + rows + config.gap_rows + config.storage_rows;
+
+    SiteId best = kInvalidSite;
+    double best_dist = std::numeric_limits<double>::infinity();
+    SiteCoord best_coord{0, 0};
+
+    const auto consider = [&](std::int32_t x, std::int32_t y) {
+        if (x < 0 || x >= cols || y < 0 || y >= rows)
+            return;
+        const SiteId site = machine.siteAt(SiteCoord{x, y});
+        if (planned[site] != 0)
+            return;
+        const double dist = euclidean(from, machine.physOf(site)).microns();
+        const SiteCoord coord{x, y};
+        const bool better =
+            dist < best_dist ||
+            (dist == best_dist &&
+             (coord.y < best_coord.y ||
+              (coord.y == best_coord.y && coord.x < best_coord.x)));
+        if (best == kInvalidSite || better) {
+            best = site;
+            best_dist = dist;
+            best_coord = coord;
+        }
+    };
+
+    for (std::int32_t ring = 0; ring <= max_ring; ++ring) {
+        if (best != kInvalidSite &&
+            (static_cast<double>(ring) - 1.0) * pitch > best_dist) {
+            break;
+        }
+        if (ring == 0) {
+            consider(center.x, center.y);
+            continue;
+        }
+        for (std::int32_t x = center.x - ring; x <= center.x + ring; ++x) {
+            consider(x, center.y - ring);
+            consider(x, center.y + ring);
+        }
+        for (std::int32_t y = center.y - ring + 1; y <= center.y + ring - 1;
+             ++y) {
+            consider(center.x - ring, y);
+            consider(center.x + ring, y);
+        }
+    }
+    return best;
+}
+
+} // namespace
+
+// ----------------------------------------------------------------- router
+
 ReferenceContinuousRouter::ReferenceContinuousRouter(const Machine &machine,
                                                      RouterOptions options)
-    : machine_(machine), options_(options), own_rng_(options.seed),
-      rng_(&own_rng_), storage_index_(machine)
+    : ReferenceContinuousRouter(machine, options, own_rng_)
 {}
 
 ReferenceContinuousRouter::ReferenceContinuousRouter(const Machine &machine,
@@ -17,7 +152,12 @@ ReferenceContinuousRouter::ReferenceContinuousRouter(const Machine &machine,
                                                      Rng &rng)
     : machine_(machine), options_(options), own_rng_(options.seed), rng_(&rng),
       storage_index_(machine)
-{}
+{
+    if (options_.residency) {
+        policy_ = makeResidencyPolicy(*options_.residency, options_.lookahead,
+                                      machine.params());
+    }
+}
 
 SiteId
 ReferenceContinuousRouter::findEmptyComputeSite(
@@ -29,12 +169,45 @@ ReferenceContinuousRouter::findEmptyComputeSite(
     return best;
 }
 
+void
+ReferenceContinuousRouter::beginBlock(const std::vector<Stage> &stages,
+                                      std::size_t num_qubits,
+                                      bool final_block)
+{
+    if (policy_ == nullptr)
+        return;
+    if (!lifetimes_sized_ || !policy_->persistsAcrossBlocks()) {
+        lifetimes_.reset(num_qubits, global_stage_);
+        lifetimes_sized_ = true;
+    }
+    analysis_.beginBlock(stages, num_qubits, final_block);
+    stage_cursor_ = 0;
+}
+
+void
+ReferenceContinuousRouter::endProgram()
+{
+    if (policy_ == nullptr)
+        return;
+    lifetimes_.reset(0, global_stage_);
+    lifetimes_sized_ = false;
+}
+
 TransitionPlan
 ReferenceContinuousRouter::planStageTransition(Layout &layout,
                                                const Stage &stage)
 {
     PM_ASSERT(stage.qubitsDisjoint(), "stage gates must act on disjoint qubits");
     PM_ASSERT(layout.allPlaced(), "router requires a fully placed layout");
+    std::size_t stage_index = 0;
+    std::size_t global_index = 0;
+    if (policy_ != nullptr) {
+        PM_ASSERT(stage_cursor_ < analysis_.numStages(),
+                  "beginBlock() must announce the block's stages before "
+                  "routing");
+        stage_index = stage_cursor_++;
+        global_index = global_stage_++;
+    }
 
     const std::size_t num_qubits = layout.numQubits();
     auto &partner = partner_;
@@ -56,7 +229,23 @@ ReferenceContinuousRouter::planStageTransition(Layout &layout,
     auto &target = target_;
     target.assign(num_qubits, kInvalidSite);
 
-    // ---- Step 1: park next-stage idle qubits in storage. -----------------
+    // Farthest-from-storage qubits choose their slots first: with y
+    // growing toward storage this is ascending current y. Keeping the
+    // vertical order also keeps the parking moves AOD-compatible.
+    const auto vertical_order = [&](QubitId a, QubitId b) {
+        const auto ca = machine_.coordOf(layout.siteOf(a));
+        const auto cb = machine_.coordOf(layout.siteOf(b));
+        if (ca.y != cb.y)
+            return ca.y < cb.y;
+        if (ca.x != cb.x)
+            return ca.x < cb.x;
+        return a < b;
+    };
+
+    // ---- Step 1: hold or park next-stage idle compute residents. ---------
+    auto &holds = holds_;
+    holds.clear();
+    auto &holds_at = holds_at_;
     if (options_.use_storage) {
         storage_index_.beginTransition();
         auto &idle_in_compute = idle_in_compute_;
@@ -67,19 +256,44 @@ ReferenceContinuousRouter::planStageTransition(Layout &layout,
                 idle_in_compute.push_back(q);
             }
         }
-        // Farthest-from-storage qubits choose their slots first: with y
-        // growing toward storage this is ascending current y. Keeping the
-        // vertical order also keeps the parking moves AOD-compatible.
+        if (policy_ != nullptr) {
+            // The policy splits the candidates (ascending qubit id);
+            // only the releases park.
+            auto &releases = releases_;
+            releases.clear();
+            const std::size_t gate_sites = stage.gates.size();
+            const std::size_t num_compute = machine_.numComputeSites();
+            const std::size_t capacity =
+                num_compute > gate_sites ? num_compute - gate_sites : 0;
+            policy_->partition(ResidencyQuery{idle_in_compute, stage_index,
+                                              analysis_, capacity},
+                               holds, releases);
+            PM_ASSERT(holds.size() + releases.size() ==
+                          idle_in_compute.size(),
+                      "residency policy must partition every candidate");
+            holds_at.assign(machine_.numSites(), 0);
+            for (const QubitId q : holds)
+                ++holds_at[layout.siteOf(q)];
+            for (const QubitId q : releases) {
+                ++plan.num_lookahead_misses;
+                if (analysis_.effectiveNextUse(stage_index, q) == kNoNextUse)
+                    ++plan.num_parked_no_reuse;
+                else
+                    ++plan.num_window_misses;
+                lifetimes_.release(q, global_index);
+            }
+            idle_in_compute.swap(releases);
+            for (const auto &gate : stage.gates) {
+                for (const QubitId q : {gate.a, gate.b}) {
+                    if (lifetimes_.isResident(q)) {
+                        ++plan.num_reuse_hits;
+                        lifetimes_.release(q, global_index);
+                    }
+                }
+            }
+        }
         std::sort(idle_in_compute.begin(), idle_in_compute.end(),
-                  [&](QubitId a, QubitId b) {
-                      const auto ca = machine_.coordOf(layout.siteOf(a));
-                      const auto cb = machine_.coordOf(layout.siteOf(b));
-                      if (ca.y != cb.y)
-                          return ca.y < cb.y;
-                      if (ca.x != cb.x)
-                          return ca.x < cb.x;
-                      return a < b;
-                  });
+                  vertical_order);
         for (const QubitId q : idle_in_compute) {
             const SiteId from = layout.siteOf(q);
             const SiteId slot =
@@ -148,7 +362,13 @@ ReferenceContinuousRouter::planStageTransition(Layout &layout,
                 statics_at[si] += 2;
                 continue;
             }
-            const bool pick_first = rng_->nextBool(0.5);
+            // The pair stays at the site hosting fewer holds; the RNG
+            // decides ties.
+            const int holds_i = policy_ != nullptr ? holds_at[si] : 0;
+            const int holds_j = policy_ != nullptr ? holds_at[sj] : 0;
+            const bool pick_first = holds_i != holds_j
+                                        ? holds_i > holds_j
+                                        : rng_->nextBool(0.5);
             const QubitId mover = pick_first ? qi : qj;
             const QubitId stay = pick_first ? qj : qi;
             set_label(mover, MoveLabel::Mobile);
@@ -220,6 +440,41 @@ ReferenceContinuousRouter::planStageTransition(Layout &layout,
         ++plan.num_evicted;
     }
 
+    // ---- Step 4: settle the holds, farthest from storage first. ----------
+    auto &relocated = relocated_;
+    relocated.clear();
+    auto &denied = denied_;
+    denied.clear();
+    std::sort(holds.begin(), holds.end(), vertical_order);
+    for (const QubitId q : holds) {
+        const SiteId site = layout.siteOf(q);
+        if (planned[site] == 1) {
+            ++plan.num_held;
+            lifetimes_.hold(q, global_index);
+            continue;
+        }
+        const SiteId dest = findNearestFreeComputeSite(machine_, site, planned);
+        if (dest != kInvalidSite) {
+            --planned[site];
+            ++planned[dest];
+            target[q] = dest;
+            relocated.push_back(q);
+            ++plan.num_held;
+            ++plan.num_reuse_relocated;
+            lifetimes_.hold(q, global_index);
+        } else {
+            const SiteId slot =
+                storage_index_.claimSlot(machine_.coordOf(site), planned);
+            --planned[site];
+            ++planned[slot];
+            target[q] = slot;
+            denied.push_back(q);
+            ++plan.num_hold_denied;
+            ++plan.num_parked;
+            lifetimes_.release(q, global_index);
+        }
+    }
+
     // ---- Emit gate-related and eviction moves in decision order. ---------
     for (const auto &[q, l] : plan.labels) {
         if (l == MoveLabel::Static)
@@ -228,8 +483,10 @@ ReferenceContinuousRouter::planStageTransition(Layout &layout,
         if (target[q] != layout.siteOf(q))
             plan.moves.push_back({q, layout.siteOf(q), target[q]});
     }
-    for (const QubitId q : evicted)
-        plan.moves.push_back({q, layout.siteOf(q), target[q]});
+    for (const auto *settled : {&evicted, &relocated, &denied}) {
+        for (const QubitId q : *settled)
+            plan.moves.push_back({q, layout.siteOf(q), target[q]});
+    }
 
     // ---- Apply transactionally (all departures, then all arrivals). ------
     for (const auto &move : plan.moves)

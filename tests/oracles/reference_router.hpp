@@ -1,35 +1,74 @@
 /**
  * @file
- * Differential oracle: the continuous router of paper Sec. 5 in its
- * straightforward form.
+ * Differential oracle: the router of paper Sec. 5 in its
+ * straightforward form, with the atom-reuse residency step of Lin et
+ * al. ("Reuse-Aware Compilation for Zoned Quantum Architectures...").
  *
  * ReferenceContinuousRouter rebuilds every piece of conflict state —
  * planned occupancy, partner and label arrays, the storage-slot cursors
  * — from the layout on each transition, and searches free sites with
- * the expanding-ring scan of route/free_site_index.hpp. It is the
- * formulation the paper describes, kept out of the library: the
- * product ContinuousRouter (route/router.hpp) keeps that state
- * incrementally and must produce the same TransitionPlans move for
- * move, label for label, with the same RNG draws. The differential
- * tests and bench/micro_router drive the two side by side.
+ * an expanding-ring scan. It is the formulation the paper describes,
+ * kept out of the library: the product ContinuousRouter
+ * (route/router.hpp) keeps that state incrementally and must produce
+ * the same TransitionPlans move for move, label for label, with the
+ * same RNG draws. With a residency policy this is the former
+ * reuse-aware router, which planned against its own rebuilt occupancy
+ * array; the one place the two may differ is a denied hold's storage
+ * slot (see StorageSlotIndex). The differential tests and
+ * bench/micro_router drive the routers side by side.
  */
 
 #ifndef POWERMOVE_TESTS_ORACLES_REFERENCE_ROUTER_HPP
 #define POWERMOVE_TESTS_ORACLES_REFERENCE_ROUTER_HPP
 
+#include <memory>
 #include <vector>
 
 #include "arch/layout.hpp"
 #include "arch/machine.hpp"
 #include "common/rng.hpp"
-#include "route/free_site_index.hpp"
+#include "reuse/analysis.hpp"
+#include "reuse/lifetimes.hpp"
+#include "reuse/policy.hpp"
 #include "route/move.hpp"
 #include "route/router.hpp"
 #include "schedule/stage.hpp"
 
 namespace powermove {
 
-/** The per-transition-rebuild continuous router (paper Sec. 5). */
+/**
+ * First-free-row cursors over the storage zone, one per column.
+ *
+ * Cursors are rewound per transition and only advance past rows seen
+ * occupied. A slot freed *behind* a cursor in the same transition (a
+ * storage qubit departing for its gate before a denied hold parks) may
+ * make claimSlot() return a deeper slot than the Sec. 5.2 minimum,
+ * never an occupied one; it rewinds for one full rescan before
+ * declaring the zone full.
+ */
+class StorageSlotIndex
+{
+  public:
+    explicit StorageSlotIndex(const Machine &machine);
+
+    /** Rewinds every column cursor; call once per stage transition. */
+    void beginTransition();
+
+    /**
+     * Planned-empty storage slot for a qubit at @p origin, by
+     * lexicographic (|dx|, y, x) over the cursors; fatal when full.
+     */
+    SiteId claimSlot(SiteCoord origin, const std::vector<int> &planned);
+
+  private:
+    std::int32_t firstFreeRow(std::int32_t column,
+                              const std::vector<int> &planned);
+
+    const Machine &machine_;
+    std::vector<std::int32_t> cursor_; // per column: first maybe-free row
+};
+
+/** The per-transition-rebuild router (paper Sec. 5, plus reuse). */
 class ReferenceContinuousRouter
 {
   public:
@@ -56,9 +95,19 @@ class ReferenceContinuousRouter
      *
      * Post-conditions (validated downstream): every gate pair of the
      * stage shares one compute site; no other two qubits share a site;
-     * in storage mode every idle qubit sits in the storage zone.
+     * in storage mode every idle qubit not held sits in the storage
+     * zone, and every held one sits alone in the compute zone.
      */
     TransitionPlan planStageTransition(Layout &layout, const Stage &stage);
+
+    /** Same contract as ContinuousRouter::beginBlock(). */
+    void beginBlock(const std::vector<Stage> &stages, std::size_t num_qubits,
+                    bool final_block = false);
+
+    /** Same contract as ContinuousRouter::endProgram(). */
+    void endProgram();
+
+    const ResidencyLifetimes &residency() const { return lifetimes_; }
 
     const RouterOptions &options() const { return options_; }
 
@@ -76,6 +125,14 @@ class ReferenceContinuousRouter
     Rng *rng_;     // &own_rng_ or the caller's stream
     StorageSlotIndex storage_index_; // incremental Sec. 5.2 step 1 search
 
+    // Residency step (engaged iff options.residency is set).
+    std::unique_ptr<ResidencyPolicyImpl> policy_;
+    ReuseAnalysis analysis_;
+    ResidencyLifetimes lifetimes_;
+    bool lifetimes_sized_ = false;
+    std::size_t stage_cursor_ = 0;
+    std::size_t global_stage_ = 0;
+
     // Scratch buffers reused across transitions to keep the planning
     // pass allocation-free (the compile-time story of Sec. 7.2 depends
     // on the router staying near-linear per stage).
@@ -90,6 +147,11 @@ class ReferenceContinuousRouter
     std::vector<QubitId> idle_in_compute_;
     std::vector<QubitId> undecided_order_;
     std::vector<QubitId> evicted_;
+    std::vector<QubitId> holds_;
+    std::vector<int> holds_at_; // per site: holds parked there
+    std::vector<QubitId> releases_;
+    std::vector<QubitId> relocated_;
+    std::vector<QubitId> denied_;
 };
 
 } // namespace powermove

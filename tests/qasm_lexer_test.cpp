@@ -2,11 +2,26 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 #include "common/error.hpp"
 #include "qasm/lexer.hpp"
 
 namespace powermove::qasm {
 namespace {
+
+/** Every token of @p source, through its final EndOfFile. */
+std::vector<Token>
+tokenize(std::string_view source)
+{
+    Lexer lexer(source);
+    std::vector<Token> tokens;
+    do {
+        tokens.push_back(lexer.next());
+    } while (tokens.back().kind != TokenKind::EndOfFile);
+    return tokens;
+}
 
 std::vector<TokenKind>
 kindsOf(std::string_view source)
@@ -134,6 +149,24 @@ TEST(LexerTest, MalformedExponentThrows)
 TEST(LexerTest, SingleEqualsThrows)
 {
     EXPECT_THROW(tokenize("a = b"), ParseError);
+}
+
+TEST(LexerTest, EofRepeatsAtTheEnd)
+{
+    Lexer lexer("h q;");
+    for (int i = 0; i < 3; ++i)
+        lexer.next();
+    EXPECT_EQ(lexer.next().kind, TokenKind::EndOfFile);
+    EXPECT_EQ(lexer.next().kind, TokenKind::EndOfFile);
+}
+
+TEST(LexerTest, StreamingDefersErrorsUntilReached)
+{
+    // The parser pulls tokens on demand, so a bad character after the
+    // first token only throws once the lexer gets there.
+    Lexer lexer("h @");
+    EXPECT_EQ(lexer.next().kind, TokenKind::Identifier);
+    EXPECT_THROW(lexer.next(), ParseError);
 }
 
 } // namespace

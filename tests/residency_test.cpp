@@ -20,7 +20,7 @@
 #include "isa/json.hpp"
 #include "isa/validator.hpp"
 #include "reuse/policy.hpp"
-#include "reuse/router.hpp"
+#include "route/router.hpp"
 #include "workloads/suite.hpp"
 
 namespace powermove {
@@ -38,12 +38,11 @@ stageOf(std::initializer_list<CzGate> gates)
 std::pair<std::vector<QubitId>, std::vector<QubitId>>
 partitionOnce(ResidencyPolicyImpl &policy, const ReuseAnalysis &analysis,
               std::vector<QubitId> candidates, std::size_t stage,
-              std::size_t lookahead, std::size_t capacity)
+              std::size_t capacity)
 {
     std::vector<QubitId> holds;
     std::vector<QubitId> releases;
-    const ResidencyQuery query{candidates, stage, analysis, lookahead,
-                               capacity};
+    const ResidencyQuery query{candidates, stage, analysis, capacity};
     policy.partition(query, holds, releases);
     EXPECT_EQ(holds.size() + releases.size(), candidates.size());
     std::sort(holds.begin(), holds.end());
@@ -126,13 +125,12 @@ TEST(ResidencyPolicyTest, LookaheadMatchesTheWindowDecision)
                         4);
     const auto policy = makeResidencyPolicy(ResidencyPolicy::Lookahead, 1,
                                             defaultParams());
-    EXPECT_EQ(policy->kind(), ResidencyPolicy::Lookahead);
     EXPECT_FALSE(policy->persistsAcrossBlocks());
 
     // Stage 1: qubits 0 and 1 idle, next use at stage 3 (distance 2).
     // A window of 1 parks them both...
     auto [holds, releases] =
-        partitionOnce(*policy, analysis, {0, 1}, 1, 1, 100);
+        partitionOnce(*policy, analysis, {0, 1}, 1, 100);
     EXPECT_TRUE(holds.empty());
     EXPECT_EQ(releases, (std::vector<QubitId>{0, 1}));
 
@@ -141,7 +139,7 @@ TEST(ResidencyPolicyTest, LookaheadMatchesTheWindowDecision)
     const auto wide = makeResidencyPolicy(ResidencyPolicy::Lookahead, 2,
                                           defaultParams());
     std::tie(holds, releases) =
-        partitionOnce(*wide, analysis, {0, 1}, 1, 2, 0);
+        partitionOnce(*wide, analysis, {0, 1}, 1, 0);
     EXPECT_EQ(holds, (std::vector<QubitId>{0, 1}));
     EXPECT_TRUE(releases.empty());
 }
@@ -159,12 +157,12 @@ TEST(ResidencyPolicyTest, LtiEvictsTheFarthestNextUse)
     EXPECT_TRUE(policy->persistsAcrossBlocks());
 
     auto [holds, releases] =
-        partitionOnce(*policy, analysis, {0, 1, 2}, 1, 4, 2);
+        partitionOnce(*policy, analysis, {0, 1, 2}, 1, 2);
     EXPECT_EQ(holds, (std::vector<QubitId>{0, 1}));
     EXPECT_EQ(releases, (std::vector<QubitId>{2}));
 
     std::tie(holds, releases) =
-        partitionOnce(*policy, analysis, {0, 1, 2}, 1, 4, 1);
+        partitionOnce(*policy, analysis, {0, 1, 2}, 1, 1);
     EXPECT_EQ(holds, (std::vector<QubitId>{1})); // soonest next use
     EXPECT_EQ(releases, (std::vector<QubitId>{0, 2}));
 }
@@ -190,7 +188,7 @@ TEST(ResidencyPolicyTest, FidelityHoldsOnlyWithinBreakEven)
                          stageOf({{0, 4}}), stageOf({{1, 4}})},
                         6);
     auto [holds, releases] =
-        partitionOnce(*policy, analysis, {0, 1, 2}, 1, 4, 100);
+        partitionOnce(*policy, analysis, {0, 1, 2}, 1, 100);
     EXPECT_EQ(holds, (std::vector<QubitId>{0}));
     EXPECT_EQ(releases, (std::vector<QubitId>{1, 2}));
 }
@@ -208,14 +206,15 @@ TEST(ResidencyRouterTest, PersistentPoliciesCarryResidencyAcrossBlocks)
     // the second transition (no further use inside the block), and the
     // final block starts cold: no reuse hits anywhere.
     {
-        ReuseAwareRouter router(machine, {1, 0xC0FFEE,
-                                          ResidencyPolicy::Lookahead});
+        ContinuousRouter router(machine,
+                                RouterOptions{true, 0xC0FFEE,
+                                              ResidencyPolicy::Lookahead, 1});
         Layout layout(machine, 4);
         placeRowMajor(layout, ZoneKind::Storage);
         router.beginBlock(first_block, 4);
         for (const Stage &stage : first_block)
             router.planStageTransition(layout, stage);
-        EXPECT_EQ(router.numResidents(), 0u);
+        EXPECT_EQ(router.residency().numResidents(), 0u);
         router.beginBlock(final_block, 4, /*final_block=*/true);
         const auto plan =
             router.planStageTransition(layout, final_block.front());
@@ -226,25 +225,26 @@ TEST(ResidencyRouterTest, PersistentPoliciesCarryResidencyAcrossBlocks)
     // The Belady policy instead keeps them resident across the block
     // boundary, and the final block's gate consumes both residents.
     {
-        ReuseAwareRouter router(machine,
-                                {1, 0xC0FFEE, ResidencyPolicy::Lti});
+        ContinuousRouter router(
+            machine, RouterOptions{true, 0xC0FFEE, ResidencyPolicy::Lti, 1});
         Layout layout(machine, 4);
         placeRowMajor(layout, ZoneKind::Storage);
         router.beginBlock(first_block, 4);
         for (const Stage &stage : first_block)
             router.planStageTransition(layout, stage);
-        EXPECT_EQ(router.numResidents(), 2u);
-        EXPECT_TRUE(router.isResident(0));
-        EXPECT_TRUE(router.isResident(1));
+        EXPECT_EQ(router.residency().numResidents(), 2u);
+        EXPECT_TRUE(router.residency().isResident(0));
+        EXPECT_TRUE(router.residency().isResident(1));
         router.beginBlock(final_block, 4, /*final_block=*/true);
-        EXPECT_EQ(router.numResidents(), 2u) << "survived the boundary";
+        EXPECT_EQ(router.residency().numResidents(), 2u)
+            << "survived the boundary";
         const auto plan =
             router.planStageTransition(layout, final_block.front());
         EXPECT_EQ(plan.num_reuse_hits, 2u);
         router.endProgram();
-        EXPECT_EQ(router.numResidents(), 0u);
-        EXPECT_EQ(router.residencyStats().holds_started,
-                  router.residencyStats().holds_ended);
+        EXPECT_EQ(router.residency().numResidents(), 0u);
+        EXPECT_EQ(router.residency().stats().holds_started,
+                  router.residency().stats().holds_ended);
     }
 }
 
@@ -272,7 +272,8 @@ TEST(ResidencyRouterTest, LifetimeInvariantsHoldAcrossRandomPrograms)
             for (const std::size_t n : {4u, 9u}) {
                 Rng rng(seed * 1000 + n);
                 const Machine machine(MachineConfig::forQubits(n));
-                ReuseAwareRouter router(machine, {2, seed, policy});
+                ContinuousRouter router(machine,
+                                        RouterOptions{true, seed, policy, 2});
                 Layout layout(machine, n);
                 placeRowMajor(layout, ZoneKind::Storage);
 
@@ -288,11 +289,11 @@ TEST(ResidencyRouterTest, LifetimeInvariantsHoldAcrossRandomPrograms)
                         // Open spans == current residents, and every
                         // resident really sits in the compute zone.
                         const ResidencyStats &stats =
-                            router.residencyStats();
+                            router.residency().stats();
                         ASSERT_EQ(stats.holds_started - stats.holds_ended,
-                                  router.numResidents());
+                                  router.residency().numResidents());
                         for (QubitId q = 0; q < n; ++q) {
-                            if (!router.isResident(q))
+                            if (!router.residency().isResident(q))
                                 continue;
                             EXPECT_EQ(layout.zoneOf(q), ZoneKind::Compute)
                                 << "policy="
@@ -302,11 +303,11 @@ TEST(ResidencyRouterTest, LifetimeInvariantsHoldAcrossRandomPrograms)
                     }
                 }
                 router.endProgram();
-                const ResidencyStats &stats = router.residencyStats();
+                const ResidencyStats &stats = router.residency().stats();
                 EXPECT_EQ(stats.holds_started, stats.holds_ended)
                     << "policy=" << residencyPolicyName(policy)
                     << " seed=" << seed << " n=" << n;
-                EXPECT_EQ(router.numResidents(), 0u);
+                EXPECT_EQ(router.residency().numResidents(), 0u);
             }
         }
     }

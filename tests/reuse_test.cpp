@@ -1,4 +1,4 @@
-/** @file Tests for the reuse-aware routing subsystem (src/reuse/). */
+/** @file Tests for atom reuse: src/reuse/ and the router's residency step. */
 
 #include <gtest/gtest.h>
 
@@ -7,8 +7,8 @@
 #include "isa/json.hpp"
 #include "isa/validator.hpp"
 #include "reuse/analysis.hpp"
-#include "reuse/occupancy.hpp"
-#include "reuse/router.hpp"
+#include "reuse/lifetimes.hpp"
+#include "route/router.hpp"
 #include "workloads/suite.hpp"
 #include "workloads/vqe.hpp"
 
@@ -23,69 +23,34 @@ stageOf(std::initializer_list<CzGate> gates)
     return stage;
 }
 
-// ---------------------------------------------------------- ZoneOccupancy
+// ----------------------------------------------------- ResidencyLifetimes
 
-TEST(ZoneOccupancyTest, BeginTransitionMirrorsTheLayout)
+TEST(ResidencyLifetimesTest, ResidencyLifetimesAreCounted)
 {
-    const Machine machine(MachineConfig::forQubits(4));
-    Layout layout(machine, 4);
-    placeRowMajor(layout, ZoneKind::Storage);
+    ResidencyLifetimes lifetimes;
+    lifetimes.reset(3);
 
-    ZoneOccupancy occupancy(machine);
-    occupancy.beginTransition(layout);
-    EXPECT_EQ(occupancy.totalPlanned(), 4u);
-    for (QubitId q = 0; q < 4; ++q)
-        EXPECT_EQ(occupancy.plannedAt(layout.siteOf(q)), 1);
-    EXPECT_EQ(occupancy.plannedAt(machine.computeSites().front()), 0);
-}
+    lifetimes.hold(0, 1);
+    lifetimes.hold(1, 2);
+    EXPECT_TRUE(lifetimes.isResident(0));
+    EXPECT_EQ(lifetimes.numResidents(), 2u);
+    lifetimes.hold(0, 3); // no-op: span continues
+    EXPECT_EQ(lifetimes.stats().holds_started, 2u);
 
-TEST(ZoneOccupancyTest, DepartArrivePairsConserveTheTotal)
-{
-    const Machine machine(MachineConfig::forQubits(9));
-    Layout layout(machine, 5);
-    placeRowMajor(layout, ZoneKind::Storage);
-
-    ZoneOccupancy occupancy(machine);
-    occupancy.beginTransition(layout);
-    const auto compute = machine.computeSites();
-    for (QubitId q = 0; q < 5; ++q) {
-        occupancy.depart(layout.siteOf(q));
-        occupancy.arrive(compute[q]);
-    }
-    EXPECT_EQ(occupancy.totalPlanned(), 5u);
-    for (QubitId q = 0; q < 5; ++q) {
-        EXPECT_EQ(occupancy.plannedAt(layout.siteOf(q)), 0);
-        EXPECT_EQ(occupancy.plannedAt(compute[q]), 1);
-    }
-}
-
-TEST(ZoneOccupancyTest, ResidencyLifetimesAreCounted)
-{
-    const Machine machine(MachineConfig::forQubits(4));
-    ZoneOccupancy occupancy(machine);
-    occupancy.resetResidency(3);
-
-    occupancy.holdResident(0, 1);
-    occupancy.holdResident(1, 2);
-    EXPECT_TRUE(occupancy.isResident(0));
-    EXPECT_EQ(occupancy.numResidents(), 2u);
-    occupancy.holdResident(0, 3); // no-op: span continues
-    EXPECT_EQ(occupancy.stats().holds_started, 2u);
-
-    occupancy.releaseResident(0, 4); // span length 3
-    occupancy.releaseResident(2, 4); // not resident: no-op
-    EXPECT_FALSE(occupancy.isResident(0));
-    EXPECT_EQ(occupancy.numResidents(), 1u);
-    EXPECT_EQ(occupancy.stats().holds_ended, 1u);
-    EXPECT_EQ(occupancy.stats().resident_stages, 3u);
-    EXPECT_EQ(occupancy.stats().max_concurrent, 2u);
+    lifetimes.release(0, 4); // span length 3
+    lifetimes.release(2, 4); // not resident: no-op
+    EXPECT_FALSE(lifetimes.isResident(0));
+    EXPECT_EQ(lifetimes.numResidents(), 1u);
+    EXPECT_EQ(lifetimes.stats().holds_ended, 1u);
+    EXPECT_EQ(lifetimes.stats().resident_stages, 3u);
+    EXPECT_EQ(lifetimes.stats().max_concurrent, 2u);
 
     // A block boundary ends the surviving span (qubit 1, resident
     // since stage 2) at one past the block's last stage.
-    occupancy.resetResidency(3, /*end_stage=*/5);
-    EXPECT_EQ(occupancy.numResidents(), 0u);
-    EXPECT_EQ(occupancy.stats().holds_ended, 2u);
-    EXPECT_EQ(occupancy.stats().resident_stages, 6u); // 3 + (5 - 2)
+    lifetimes.reset(3, /*end_stage=*/5);
+    EXPECT_EQ(lifetimes.numResidents(), 0u);
+    EXPECT_EQ(lifetimes.stats().holds_ended, 2u);
+    EXPECT_EQ(lifetimes.stats().resident_stages, 6u); // 3 + (5 - 2)
 }
 
 // ---------------------------------------------------------- ReuseAnalysis
@@ -144,7 +109,14 @@ TEST(ReuseAnalysisTest, BeginBlockResetsThePreviousBlock)
     EXPECT_EQ(analysis.nextUseAfter(0, 0), 1u);
 }
 
-// -------------------------------------------------------- ReuseAwareRouter
+// ------------------------------------------------ router residency step
+
+/** Router options with the Lookahead residency policy engaged. */
+RouterOptions
+reuseOptions(std::size_t lookahead, std::uint64_t seed)
+{
+    return RouterOptions{true, seed, ResidencyPolicy::Lookahead, lookahead};
+}
 
 class ReuseRouterTest : public ::testing::Test
 {
@@ -161,7 +133,7 @@ TEST_F(ReuseRouterTest, SoonReusedQubitsStayResident)
 
     const std::vector<Stage> stages = {stageOf({{0, 1}}), stageOf({{2, 3}}),
                                        stageOf({{0, 1}})};
-    ReuseAwareRouter router(machine_, {4, 1});
+    ContinuousRouter router(machine_, reuseOptions(4, 1));
     router.beginBlock(stages, 4);
 
     router.planStageTransition(layout, stages[0]);
@@ -185,8 +157,8 @@ TEST_F(ReuseRouterTest, SoonReusedQubitsStayResident)
     const auto final_plan = router.planStageTransition(layout, stages[2]);
     EXPECT_EQ(final_plan.num_reuse_hits, 2u);
     EXPECT_EQ(layout.siteOf(0), layout.siteOf(1));
-    EXPECT_EQ(router.residencyStats().holds_started, 2u);
-    EXPECT_EQ(router.residencyStats().holds_ended, 2u);
+    EXPECT_EQ(router.residency().stats().holds_started, 2u);
+    EXPECT_EQ(router.residency().stats().holds_ended, 2u);
 }
 
 TEST_F(ReuseRouterTest, QubitsBeyondTheWindowParkInStorage)
@@ -197,7 +169,7 @@ TEST_F(ReuseRouterTest, QubitsBeyondTheWindowParkInStorage)
     // Qubits 0/1 idle for two stages; a window of 1 refuses the hold.
     const std::vector<Stage> stages = {stageOf({{0, 1}}), stageOf({{2, 3}}),
                                        stageOf({{2, 3}}), stageOf({{0, 1}})};
-    ReuseAwareRouter router(machine_, {1, 1});
+    ContinuousRouter router(machine_, reuseOptions(1, 1));
     router.beginBlock(stages, 4);
 
     router.planStageTransition(layout, stages[0]);
@@ -213,7 +185,7 @@ TEST_F(ReuseRouterTest, RoutingBeforeBeginBlockIsRejected)
 {
     Layout layout(machine_, 4);
     placeRowMajor(layout, ZoneKind::Storage);
-    ReuseAwareRouter router(machine_, {4, 1});
+    ContinuousRouter router(machine_, reuseOptions(4, 1));
     EXPECT_THROW(router.planStageTransition(layout, stageOf({{0, 1}})),
                  InternalError);
 }
