@@ -2,16 +2,16 @@
  * @file
  * Observability overhead gate.
  *
- * The observability layer promises to be near-free when disabled (a
- * null bundle costs one branch per instrumented site) and bounded when
- * enabled (relaxed atomics + one histogram bucket increment per
- * sample). This harness measures both promises on the same job set,
+ * The observability layer promises to be near-free without a bundle
+ * (the service then counts into a private registry: relaxed atomics,
+ * no logs, no spans) and bounded with one (spans, exports and pass
+ * profiling on top). This harness measures both promises on the same job set,
  * three ways:
  *
  *   bare  a direct PowerMoveCompiler loop — no service, no
  *         instrumentation — the floor the service layers sit on
  *   off   a one-shard, one-worker JobService with obs == nullptr (the
- *         shipped default)
+ *         shipped default: counters into a private registry)
  *   on    the same JobService with a full Observability bundle and
  *         pass profiling enabled
  *
@@ -38,7 +38,7 @@
  *
  *   off / bare < 1.02   the whole service layer — queue, fingerprint,
  *                       job records, cache bookkeeping, AND the
- *                       disabled-obs branches — stays within 2% of raw
+ *                       registry counters — stays within 2% of raw
  *                       compilation
  *   on  / off  < 1.25   full instrumentation (metrics + spans + pass
  *                       profiling) stays within a generous 25%

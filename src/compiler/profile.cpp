@@ -69,36 +69,4 @@ PassProfiler::finish() const
     return profiles;
 }
 
-void
-mergePassProfiles(std::vector<PassProfile> &into,
-                  const std::vector<PassProfile> &from)
-{
-    for (const PassProfile &profile : from) {
-        auto it = std::find_if(
-            into.begin(), into.end(),
-            [&](const PassProfile &p) { return p.pass == profile.pass; });
-        if (it == into.end()) {
-            into.push_back(profile);
-            continue;
-        }
-        it->wall_time = it->wall_time + profile.wall_time;
-        it->invocations += profile.invocations;
-        for (const PassCounter &counter : profile.counters) {
-            const auto cit = std::find_if(
-                it->counters.begin(), it->counters.end(),
-                [&](const PassCounter &c) { return c.name == counter.name; });
-            if (cit != it->counters.end())
-                cit->value += counter.value;
-            else
-                it->counters.push_back(counter);
-        }
-    }
-    // Keep the aggregate in pipeline order no matter how partial the
-    // incoming profiles were (a pass can be absent from early jobs).
-    std::sort(into.begin(), into.end(),
-              [](const PassProfile &a, const PassProfile &b) {
-                  return static_cast<int>(a.pass) < static_cast<int>(b.pass);
-              });
-}
-
 } // namespace powermove

@@ -4,8 +4,9 @@
  *
  * Every pipeline pass is timed and may publish named counters; the
  * resulting PassProfiles travel inside CompileResult so that callers —
- * the CLI's --profile flag, the compilation service's aggregate stats, and
- * bench/micro_passes — can attribute compile time to individual passes.
+ * the CLI's --profile flag, the compilation service's pass totals
+ * (folded into its metrics registry), and perfbench's `pass.*` layers —
+ * can attribute compile time to individual passes.
  *
  * Wall times are measurement noise by nature; everything else (the
  * invocation counts and every counter) is deterministic for a fixed
@@ -130,14 +131,6 @@ class PassProfiler
     std::array<Slot, kNumPasses> slots_;
     bool enabled_;
 };
-
-/**
- * Accumulates @p from into @p into: wall times and invocations add up,
- * counters merge by name. Used by the compilation service to aggregate pass
- * totals across every job it compiles.
- */
-void mergePassProfiles(std::vector<PassProfile> &into,
-                       const std::vector<PassProfile> &from);
 
 } // namespace powermove
 

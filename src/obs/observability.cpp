@@ -2,6 +2,15 @@
 
 namespace powermove::obs {
 
+std::shared_ptr<Observability>
+bundleOrPrivate(std::shared_ptr<Observability> bundle)
+{
+    if (bundle != nullptr)
+        return bundle;
+    return std::make_shared<Observability>(
+        ObservabilityOptions{LogLevel::Off});
+}
+
 PeriodicReporter::PeriodicReporter(std::chrono::milliseconds interval,
                                    std::function<void()> fn)
     : interval_(interval), fn_(std::move(fn))

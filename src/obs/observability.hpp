@@ -4,11 +4,12 @@
  *
  * One Observability instance groups the three signal planes — a
  * MetricsRegistry, a TraceCollector, and a Logger — behind a single
- * shared_ptr that JobServiceOptions / DiskCacheOptions carry. A null
- * bundle means "observability off": every instrumented call site
- * guards on the pointer, so the disabled path costs one branch and the
- * compile pipeline itself is never touched (its PassProfiles are
- * folded in at job resolution).
+ * shared_ptr that JobServiceOptions / DiskCacheOptions carry. The
+ * registry is where the service counters live; given a null bundle, a
+ * service makes a private one with logging off, so counting never
+ * stops while exports, logs and spans stay off. The compile pipeline
+ * itself is never touched (its PassProfiles are folded in at job
+ * resolution).
  *
  * PeriodicReporter drives the "stats line every N ms" surface: it owns
  * one background thread invoking a caller-supplied callback on a fixed
@@ -22,6 +23,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 
@@ -52,6 +54,13 @@ class Observability
     TraceCollector trace;
     Logger log;
 };
+
+/**
+ * @p bundle itself, or, when it is null, a new bundle with logging off:
+ * the private registry of a service nobody instruments.
+ */
+std::shared_ptr<Observability>
+bundleOrPrivate(std::shared_ptr<Observability> bundle);
 
 /** Calls @p fn every @p interval on a background thread until destroyed. */
 class PeriodicReporter

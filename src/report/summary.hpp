@@ -48,8 +48,8 @@ class RatioSummary
 /**
  * Renders per-pass profiles as an aligned table: pass name, invocation
  * count, wall time, share of the summed pass time, and the pass's
- * counters. Used by `powermove --profile`, the service stats dump, and
- * bench/micro_passes. Returns "(no pass profiles)" when @p profiles is
+ * counters. Used by `powermove --profile` and the service stats dump.
+ * Returns "(no pass profiles)" when @p profiles is
  * empty (profiling disabled or a non-pipeline compiler).
  */
 std::string formatPassProfiles(const std::vector<PassProfile> &profiles);

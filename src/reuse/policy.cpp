@@ -44,40 +44,10 @@ tradeCosts(const HardwareParams &params)
 }
 
 /**
- * The paper's fixed-window policy: hold iff the next interaction lies
- * within the lookahead window. Residency resets at block boundaries,
- * reproducing the pre-policy reuse router bit for bit (the default).
- */
-class LookaheadPolicy final : public ResidencyPolicyImpl
-{
-  public:
-    explicit LookaheadPolicy(std::size_t lookahead) : lookahead_(lookahead)
-    {
-        PM_ASSERT(lookahead_ >= 1, "reuse lookahead must be >= 1");
-    }
-
-    bool persistsAcrossBlocks() const override { return false; }
-
-    void
-    partition(const ResidencyQuery &query, std::vector<QubitId> &holds,
-              std::vector<QubitId> &releases) override
-    {
-        for (const QubitId q : query.candidates) {
-            if (query.analysis.shouldHold(query.stage, q, lookahead_))
-                holds.push_back(q);
-            else
-                releases.push_back(q);
-        }
-    }
-
-  private:
-    std::size_t lookahead_;
-};
-
-/**
  * Shared shape of the pressure-driven policies: hold every candidate
  * while the compute zone has room; above capacity, evict the worst-
- * ranked candidates. Subclasses supply the ranking.
+ * ranked candidates. Subclasses choose the would-be holds and may
+ * override the ranking.
  */
 class PressurePolicy : public ResidencyPolicyImpl
 {
@@ -110,12 +80,67 @@ class PressurePolicy : public ResidencyPolicyImpl
                             std::vector<QubitId> &wanted,
                             std::vector<QubitId> &releases) = 0;
 
-    /** Orders @p wanted evict-first (worst residency value leads). */
-    virtual void rankForEviction(const ResidencyQuery &query,
-                                 std::vector<QubitId> &wanted) = 0;
+    /**
+     * Orders @p wanted evict-first (worst residency value leads). By
+     * default the farthest next use goes first, an unknown next use
+     * (later block) counting as farthest.
+     */
+    virtual void
+    rankForEviction(const ResidencyQuery &query, std::vector<QubitId> &wanted)
+    {
+        constexpr std::size_t kFarthest =
+            std::numeric_limits<std::size_t>::max();
+        const auto distance = [&](QubitId q) {
+            const std::size_t next =
+                query.analysis.effectiveNextUse(query.stage, q);
+            return next == kNoNextUse ? kFarthest : next - query.stage;
+        };
+        std::sort(wanted.begin(), wanted.end(), [&](QubitId a, QubitId b) {
+            const std::size_t da = distance(a);
+            const std::size_t db = distance(b);
+            if (da != db)
+                return da > db;
+            return a < b;
+        });
+    }
 
   private:
     std::vector<QubitId> wanted_;
+};
+
+/**
+ * The paper's fixed-window policy: hold iff the next interaction lies
+ * within the lookahead window. Residency resets at block boundaries,
+ * reproducing the pre-policy reuse router bit for bit (the default)
+ * whenever the holds fit; on a compute zone too small for them, the
+ * farthest next use is released first, as under lti.
+ */
+class LookaheadPolicy final : public PressurePolicy
+{
+  public:
+    explicit LookaheadPolicy(std::size_t lookahead) : lookahead_(lookahead)
+    {
+        PM_ASSERT(lookahead_ >= 1, "reuse lookahead must be >= 1");
+    }
+
+    bool persistsAcrossBlocks() const override { return false; }
+
+  protected:
+    void
+    wantsHolds(const ResidencyQuery &query, std::vector<QubitId> &wanted,
+               std::vector<QubitId> &releases) override
+    {
+        wanted.clear();
+        for (const QubitId q : query.candidates) {
+            if (query.analysis.shouldHold(query.stage, q, lookahead_))
+                wanted.push_back(q);
+            else
+                releases.push_back(q);
+        }
+    }
+
+  private:
+    std::size_t lookahead_;
 };
 
 /**
@@ -135,27 +160,6 @@ class LtiPolicy final : public PressurePolicy
                std::vector<QubitId> &) override
     {
         wanted.assign(query.candidates.begin(), query.candidates.end());
-    }
-
-    void
-    rankForEviction(const ResidencyQuery &query,
-                    std::vector<QubitId> &wanted) override
-    {
-        constexpr std::size_t kFarthest =
-            std::numeric_limits<std::size_t>::max();
-        const auto distance = [&](QubitId q) {
-            const std::size_t next =
-                query.analysis.effectiveNextUse(query.stage, q);
-            return next == kNoNextUse ? kFarthest : next - query.stage;
-        };
-        std::sort(wanted.begin(), wanted.end(),
-                  [&](QubitId a, QubitId b) {
-                      const std::size_t da = distance(a);
-                      const std::size_t db = distance(b);
-                      if (da != db)
-                          return da > db;
-                      return a < b;
-                  });
     }
 };
 

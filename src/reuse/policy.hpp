@@ -19,8 +19,9 @@
  * draw from the RNG, so every policy is deterministic per (circuit,
  * options).
  *
- * Lookahead reproduces the pre-policy router bit for bit and resets
- * residency at block boundaries; the other two let residency persist
+ * Lookahead reproduces the pre-policy router bit for bit wherever its
+ * holds fit the compute zone, and resets residency at block
+ * boundaries; the other two let residency persist
  * across blocks: beginBlock() re-validation happens naturally at the
  * next transition, where every survivor is a candidate again and the
  * policy either re-holds it or finally parks it.
@@ -53,7 +54,7 @@ struct ResidencyQuery
      * Compute-zone pressure bound: compute sites left once this
      * stage's gate pairs have claimed theirs. Holding more residents
      * than this cannot succeed (each survivor needs a site of its
-     * own), so the pressure-driven policies evict down to it.
+     * own), so every policy evicts down to it.
      */
     std::size_t capacity;
 };

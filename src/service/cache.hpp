@@ -62,29 +62,27 @@ class CompileCache
 
     /**
      * Inserts (or refreshes) @p key, evicting least-recently-used
-     * entries beyond capacity.
+     * entries beyond capacity. Returns the number of entries evicted.
      */
-    void
+    std::size_t
     insert(std::uint64_t key, CachedCompile value)
     {
         if (capacity_ == 0)
-            return;
+            return 0;
         if (const auto it = slots_.find(key); it != slots_.end()) {
             it->second.value = std::move(value);
             order_.splice(order_.begin(), order_, it->second.position);
-            return;
+            return 0;
         }
         order_.push_front(key);
         slots_.emplace(key, Slot{std::move(value), order_.begin()});
-        while (slots_.size() > capacity_) {
+        std::size_t evicted = 0;
+        for (; slots_.size() > capacity_; ++evicted) {
             slots_.erase(order_.back());
             order_.pop_back();
-            ++evictions_;
         }
+        return evicted;
     }
-
-    /** Entries dropped to respect the capacity bound. */
-    std::size_t evictions() const { return evictions_; }
 
   private:
     struct Slot
@@ -96,7 +94,6 @@ class CompileCache
     std::size_t capacity_;
     std::list<std::uint64_t> order_; // front = most recently used
     std::unordered_map<std::uint64_t, Slot> slots_;
-    std::size_t evictions_ = 0;
 };
 
 } // namespace powermove::service

@@ -512,26 +512,21 @@ deserializeCompileResult(std::string_view payload, const Machine &machine)
 
 DiskCache::DiskCache(DiskCacheOptions options)
     : dir_(options.dir), max_bytes_(options.max_bytes),
-      obs_(std::move(options.obs))
+      obs_(obs::bundleOrPrivate(std::move(options.obs)))
 {
     if (dir_.empty())
         throw ConfigError("disk cache directory must not be empty");
-    if (obs_ != nullptr) {
-        obs::MetricsRegistry &reg = obs_->metrics;
-        metric_.hits = &reg.counter("powermove_disk_cache_hits_total");
-        metric_.misses = &reg.counter("powermove_disk_cache_misses_total");
-        metric_.stores = &reg.counter("powermove_disk_cache_stores_total");
-        metric_.corrupt = &reg.counter("powermove_disk_cache_corrupt_total");
-        metric_.evictions =
-            &reg.counter("powermove_disk_cache_evictions_total");
-        metric_.read_bytes =
-            &reg.counter("powermove_disk_cache_read_bytes_total");
-        metric_.write_bytes =
-            &reg.counter("powermove_disk_cache_write_bytes_total");
-        metric_.entries = &reg.gauge("powermove_disk_cache_entries");
-        metric_.resident_bytes =
-            &reg.gauge("powermove_disk_cache_resident_bytes");
-    }
+    obs::MetricsRegistry &reg = obs_->metrics;
+    metric_.hits = &reg.counter("powermove_disk_cache_hits_total");
+    metric_.misses = &reg.counter("powermove_disk_cache_misses_total");
+    metric_.stores = &reg.counter("powermove_disk_cache_stores_total");
+    metric_.corrupt = &reg.counter("powermove_disk_cache_corrupt_total");
+    metric_.evictions = &reg.counter("powermove_disk_cache_evictions_total");
+    metric_.read_bytes = &reg.counter("powermove_disk_cache_read_bytes_total");
+    metric_.write_bytes =
+        &reg.counter("powermove_disk_cache_write_bytes_total");
+    metric_.entries = &reg.gauge("powermove_disk_cache_entries");
+    metric_.resident_bytes = &reg.gauge("powermove_disk_cache_resident_bytes");
     std::error_code ec;
     std::filesystem::create_directories(dir_, ec);
     if (ec)
@@ -577,19 +572,14 @@ DiskCache::DiskCache(DiskCacheOptions options)
     const std::vector<std::filesystem::path> victims = collectEvictions(lock);
     const std::size_t entries = index_.size();
     const std::uint64_t resident = resident_bytes_;
+    publishResidency();
     lock.unlock();
     for (const std::filesystem::path &victim : victims)
         std::filesystem::remove(victim, ec);
-    if (obs_ != nullptr) {
-        if (!victims.empty())
-            metric_.evictions->add(victims.size());
-        publishResidency(entries, resident);
-        obs_->log.info("disk_cache_open",
-                       {{"dir", dir_.string()},
-                        {"entries", entries},
-                        {"bytes", resident},
-                        {"swept", victims.size()}});
-    }
+    obs_->log.info("disk_cache_open", {{"dir", dir_.string()},
+                                       {"entries", entries},
+                                       {"bytes", resident},
+                                       {"swept", victims.size()}});
 }
 
 std::filesystem::path
@@ -612,10 +602,7 @@ DiskCache::load(std::uint64_t fingerprint, const Machine &machine)
     {
         std::FILE *file = std::fopen(path.c_str(), "rb");
         if (file == nullptr) {
-            if (obs_ != nullptr)
-                metric_.misses->add(1);
-            const std::lock_guard<std::mutex> lock(mutex_);
-            ++misses_;
+            metric_.misses->add(1);
             return nullptr;
         }
         char buffer[1 << 16];
@@ -645,36 +632,24 @@ DiskCache::load(std::uint64_t fingerprint, const Machine &machine)
 
     std::unique_lock<std::mutex> lock(mutex_);
     if (!ok) {
-        ++misses_;
-        ++corrupt_;
         dropIndexEntry(fingerprint);
-        const std::size_t entries = index_.size();
-        const std::uint64_t resident = resident_bytes_;
+        publishResidency();
         lock.unlock();
         std::error_code ec;
         std::filesystem::remove(path, ec);
-        if (obs_ != nullptr) {
-            metric_.misses->add(1);
-            metric_.corrupt->add(1);
-            metric_.read_bytes->add(blob.size());
-            publishResidency(entries, resident);
-            obs_->log.warn("disk_cache_corrupt",
-                           {{"path", path.string()},
-                            {"bytes", blob.size()}});
-        }
+        metric_.misses->add(1);
+        metric_.corrupt->add(1);
+        metric_.read_bytes->add(blob.size());
+        obs_->log.warn("disk_cache_corrupt",
+                       {{"path", path.string()}, {"bytes", blob.size()}});
         return nullptr;
     }
-    ++hits_;
     // Refresh recency (and adopt entries another process wrote).
     indexEntry(fingerprint, blob.size(), lock);
-    const std::size_t entries = index_.size();
-    const std::uint64_t resident = resident_bytes_;
+    publishResidency();
     lock.unlock();
-    if (obs_ != nullptr) {
-        metric_.hits->add(1);
-        metric_.read_bytes->add(blob.size());
-        publishResidency(entries, resident);
-    }
+    metric_.hits->add(1);
+    metric_.read_bytes->add(blob.size());
     return result;
 }
 
@@ -726,25 +701,18 @@ DiskCache::store(std::uint64_t fingerprint, const CompileResult &result)
     }
 
     std::unique_lock<std::mutex> lock(mutex_);
-    ++stores_;
     indexEntry(fingerprint, blob.size(), lock);
     const std::vector<std::filesystem::path> victims = collectEvictions(lock);
-    const std::size_t entries = index_.size();
     const std::uint64_t resident = resident_bytes_;
+    publishResidency();
     lock.unlock();
     for (const std::filesystem::path &victim : victims)
         std::filesystem::remove(victim, ec);
-    if (obs_ != nullptr) {
-        metric_.stores->add(1);
-        metric_.write_bytes->add(blob.size());
-        if (!victims.empty()) {
-            metric_.evictions->add(victims.size());
-            obs_->log.debug("disk_cache_evict",
-                            {{"victims", victims.size()},
-                             {"bytes", resident}});
-        }
-        publishResidency(entries, resident);
-    }
+    metric_.stores->add(1);
+    metric_.write_bytes->add(blob.size());
+    if (!victims.empty())
+        obs_->log.debug("disk_cache_evict",
+                        {{"victims", victims.size()}, {"bytes", resident}});
 }
 
 bool
@@ -757,13 +725,13 @@ DiskCache::contains(std::uint64_t fingerprint) const
 DiskCacheStats
 DiskCache::stats() const
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
     DiskCacheStats stats;
-    stats.hits = hits_;
-    stats.misses = misses_;
-    stats.stores = stores_;
-    stats.corrupt = corrupt_;
-    stats.evictions = evictions_;
+    stats.hits = metric_.hits->value();
+    stats.misses = metric_.misses->value();
+    stats.stores = metric_.stores->value();
+    stats.corrupt = metric_.corrupt->value();
+    stats.evictions = metric_.evictions->value();
+    const std::lock_guard<std::mutex> lock(mutex_);
     stats.entries = index_.size();
     stats.bytes = resident_bytes_;
     return stats;
@@ -796,12 +764,10 @@ DiskCache::dropIndexEntry(std::uint64_t fingerprint)
 }
 
 void
-DiskCache::publishResidency(std::size_t entries, std::uint64_t bytes)
+DiskCache::publishResidency()
 {
-    if (obs_ == nullptr)
-        return;
-    metric_.entries->set(static_cast<double>(entries));
-    metric_.resident_bytes->set(static_cast<double>(bytes));
+    metric_.entries->set(static_cast<double>(index_.size()));
+    metric_.resident_bytes->set(static_cast<double>(resident_bytes_));
 }
 
 std::vector<std::filesystem::path>
@@ -815,7 +781,7 @@ DiskCache::collectEvictions(std::unique_lock<std::mutex> &)
         const std::uint64_t victim = order_.back();
         victims.push_back(entryPath(victim));
         dropIndexEntry(victim);
-        ++evictions_;
+        metric_.evictions->add(1);
     }
     return victims;
 }

@@ -61,11 +61,17 @@ struct DiskCacheOptions
     std::string dir;
     /** Resident byte budget across all entries; 0 disables storing. */
     std::uint64_t max_bytes = 256ull << 20;
-    /** Observability bundle; null leaves the cache uninstrumented. */
+    /**
+     * Observability bundle; null gives the cache a private bundle with
+     * logging off, whose counters stats() still reads.
+     */
     std::shared_ptr<obs::Observability> obs;
 };
 
-/** Counters snapshot; cumulative since construction except residency. */
+/**
+ * Counters read back from the metrics registry (cumulative; shared by
+ * every cache on one bundle), plus this cache's residency.
+ */
 struct DiskCacheStats
 {
     /** load() calls that returned a result. */
@@ -122,7 +128,7 @@ class DiskCache
     /** True if @p fingerprint is currently indexed (no I/O). */
     bool contains(std::uint64_t fingerprint) const;
 
-    /** Point-in-time counters. */
+    /** The counters from the registry and the index's residency. */
     DiskCacheStats stats() const;
 
     /** The resolved cache directory. */
@@ -146,13 +152,13 @@ class DiskCache
     std::vector<std::filesystem::path>
     collectEvictions(std::unique_lock<std::mutex> &lock);
 
-    /** Publishes residency gauges; no-op when observability is off. */
-    void publishResidency(std::size_t entries, std::uint64_t bytes);
+    /** Publishes the residency gauges; the caller holds the index lock. */
+    void publishResidency();
 
     std::filesystem::path dir_;
     std::uint64_t max_bytes_;
 
-    /** Null when observability is off; handles resolved at construction. */
+    /** options.obs, or a private bundle; handles resolved at construction. */
     std::shared_ptr<obs::Observability> obs_;
     struct MetricHandles
     {
@@ -178,12 +184,6 @@ class DiskCache
     std::unordered_map<std::uint64_t, IndexEntry> index_;
     std::uint64_t resident_bytes_ = 0;
     std::uint64_t temp_counter_ = 0;
-
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
-    std::size_t stores_ = 0;
-    std::size_t corrupt_ = 0;
-    std::size_t evictions_ = 0;
 };
 
 /**

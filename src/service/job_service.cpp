@@ -8,7 +8,9 @@
 
 namespace powermove::service {
 
-JobService::JobService(JobServiceOptions options) : options_(std::move(options))
+JobService::JobService(JobServiceOptions options)
+    : options_(std::move(options)), obs_(obs::bundleOrPrivate(options_.obs)),
+      metric_(obs_->metrics)
 {
     const unsigned hw_raw = std::thread::hardware_concurrency();
     const std::size_t hw = hw_raw == 0 ? 1 : hw_raw;
@@ -18,10 +20,6 @@ JobService::JobService(JobServiceOptions options) : options_(std::move(options))
         options_.workers_per_shard =
             std::max<std::size_t>(1, hw / options_.num_shards);
 
-    obs_ = options_.obs;
-    if (obs_ != nullptr)
-        metric_ = std::make_unique<ServiceMetricHandles>(obs_->metrics);
-
     if (!options_.cache_dir.empty())
         disk_ = std::make_shared<DiskCache>(DiskCacheOptions{
             options_.cache_dir, options_.disk_cache_bytes, obs_});
@@ -29,16 +27,14 @@ JobService::JobService(JobServiceOptions options) : options_(std::move(options))
     shards_.reserve(options_.num_shards);
     for (std::size_t s = 0; s < options_.num_shards; ++s) {
         shards_.push_back(std::make_unique<Shard>(options_.cache_capacity));
-        if (obs_ != nullptr)
-            shards_.back()->depth_gauge = &obs_->metrics.gauge(
-                "powermove_shard_queue_depth", {{"shard", std::to_string(s)}});
+        shards_.back()->depth_gauge = &obs_->metrics.gauge(
+            "powermove_shard_queue_depth", {{"shard", std::to_string(s)}});
     }
-    if (obs_ != nullptr)
-        obs_->log.info("job_service_start",
-                       {{"shards", options_.num_shards},
-                        {"workers_per_shard", options_.workers_per_shard},
-                        {"max_queue", options_.max_queue},
-                        {"cache_dir", options_.cache_dir}});
+    obs_->log.info("job_service_start",
+                   {{"shards", options_.num_shards},
+                    {"workers_per_shard", options_.workers_per_shard},
+                    {"max_queue", options_.max_queue},
+                    {"cache_dir", options_.cache_dir}});
     // Workers start only after every shard exists: a worker touches no
     // shard but its own, so construction order cannot race.
     for (const auto &shard : shards_) {
@@ -69,6 +65,22 @@ JobService::shardFor(std::uint64_t fingerprint)
     return *shards_[fingerprint % shards_.size()];
 }
 
+void
+JobService::publishDepth(Shard &shard)
+{
+    shard.depth_gauge->set(static_cast<double>(shard.queued_jobs));
+    // The other shards' gauges may move concurrently, so the imbalance
+    // is as fresh as the last depth change, not one atomic snapshot.
+    double min_depth = std::numeric_limits<double>::infinity();
+    double max_depth = 0.0;
+    for (const auto &other : shards_) {
+        const double depth = other->depth_gauge->value();
+        min_depth = std::min(min_depth, depth);
+        max_depth = std::max(max_depth, depth);
+    }
+    metric_.shard_imbalance->set(max_depth - min_depth);
+}
+
 JobTicket
 JobService::submit(CompileJob job, int priority, double deadline_ms)
 {
@@ -80,12 +92,7 @@ JobService::submit(JobRequest request)
 {
     const std::uint64_t fingerprint = jobFingerprint(request.job);
     const JobId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        ++submitted_;
-    }
-    if (metric_ != nullptr)
-        metric_->submitted->add(1);
+    metric_.submitted->add(1);
     createRecord(id, fingerprint, request.priority);
 
     Waiter waiter;
@@ -122,14 +129,7 @@ JobService::submit(JobRequest request)
         // job, and a late Admitted would overwrite its terminal state.
         recordState(id, JobState::Admitted);
         lock.unlock();
-        {
-            const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-            ++coalesced_;
-        }
-        if (metric_ != nullptr)
-            metric_->tier_total[static_cast<std::size_t>(
-                                    TierIndex::Coalesced)]
-                ->add(1);
+        metric_.tier(TierIndex::Coalesced).add(1);
         shard.work_ready.notify_one();
         return JobTicket{id, std::move(future)};
     }
@@ -137,13 +137,7 @@ JobService::submit(JobRequest request)
     // Shard-local memory cache: answer at submit, no worker involved.
     if (auto cached = shard.cache.lookup(fingerprint)) {
         lock.unlock();
-        {
-            const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-            ++memory_hits_;
-        }
-        if (metric_ != nullptr)
-            metric_->tier_total[static_cast<std::size_t>(TierIndex::Memory)]
-                ->add(1);
+        metric_.tier(TierIndex::Memory).add(1);
         recordState(id, JobState::Cached, {}, "memory");
         traceJob(id, "memory");
         waiter.promise.set_value(JobResult{std::move(cached.machine),
@@ -157,10 +151,6 @@ JobService::submit(JobRequest request)
     // back instead of buffering, so overload degrades loudly.
     if (options_.max_queue != 0 && shard.queued_jobs >= options_.max_queue) {
         lock.unlock();
-        {
-            const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-            ++rejected_;
-        }
         const std::string reason =
             "rejected: shard queue full (" +
             std::to_string(options_.max_queue) + " jobs queued)";
@@ -179,8 +169,7 @@ JobService::submit(JobRequest request)
     shard.queue.push(QueueEntry{pending.priority, pending.seq, fingerprint});
     shard.pending.emplace(fingerprint, std::move(pending));
     ++shard.queued_jobs;
-    if (shard.depth_gauge != nullptr)
-        shard.depth_gauge->set(static_cast<double>(shard.queued_jobs));
+    publishDepth(shard);
     recordState(id, JobState::Admitted); // under the lock, as above
     lock.unlock();
 
@@ -211,33 +200,29 @@ JobServiceStats
 JobService::stats() const
 {
     JobServiceStats stats;
-    {
-        const std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats.submitted = submitted_;
-        stats.rejected = rejected_;
-        stats.expired = expired_;
-        stats.coalesced = coalesced_;
-        stats.memory_hits = memory_hits_;
-        stats.disk_hits = disk_hits_;
-        stats.compiled = compiled_;
-        stats.failed = failed_;
-        stats.pass_totals = pass_totals_;
-    }
-    std::size_t min_depth = std::numeric_limits<std::size_t>::max();
-    std::size_t max_depth = 0;
+    // Workers bump the miss tier and the failure count under their
+    // shard's lock, so holding every shard lock reads the pair whole
+    // and `compiled` never counts a failing run, even transiently.
+    std::vector<std::unique_lock<std::mutex>> locks;
+    locks.reserve(shards_.size());
     for (const auto &shard : shards_) {
-        const std::lock_guard<std::mutex> lock(shard->mutex);
+        locks.emplace_back(shard->mutex);
         stats.queued += shard->pending.size();
-        min_depth = std::min(min_depth, shard->queued_jobs);
-        max_depth = std::max(max_depth, shard->queued_jobs);
     }
-    if (metric_ != nullptr)
-        metric_->shard_imbalance->set(
-            static_cast<double>(max_depth - min_depth));
+    stats.failed = metric_.compile_failures->value();
+    stats.compiled = metric_.tier(TierIndex::Miss).value() - stats.failed;
+    locks.clear();
+    stats.submitted = metric_.submitted->value();
+    stats.rejected = metric_.state(JobState::Rejected).value();
+    stats.expired = metric_.state(JobState::Expired).value();
+    stats.coalesced = metric_.tier(TierIndex::Coalesced).value();
+    stats.memory_hits = metric_.tier(TierIndex::Memory).value();
+    stats.disk_hits = metric_.tier(TierIndex::Disk).value();
     stats.num_shards = options_.num_shards;
     stats.workers_per_shard = options_.workers_per_shard;
     if (disk_)
         stats.disk = disk_->stats();
+    stats.pass_totals = metric_.passTotals();
     return stats;
 }
 
@@ -250,9 +235,7 @@ JobService::createRecord(JobId id, std::uint64_t fingerprint, int priority)
     record.priority = priority;
     record.state = JobState::Queued;
     record.timeline.record(JobState::Queued);
-    if (metric_ != nullptr)
-        metric_->state_total[static_cast<std::size_t>(JobState::Queued)]
-            ->add(1);
+    metric_.state(JobState::Queued).add(1);
     const std::lock_guard<std::mutex> lock(records_mutex_);
     records_.emplace(id, std::move(record));
 }
@@ -261,13 +244,15 @@ void
 JobService::recordState(JobId id, JobState state, std::string error,
                         std::string detail)
 {
+    metric_.state(state).add(1);
     const bool terminal = jobStateIsTerminal(state);
     int priority = 0;
     double wait_us = 0.0;
     double run_us = -1.0;
     double total_ms = 0.0;
+    const bool log_debug = obs_->log.enabled(obs::LogLevel::Debug);
     std::string log_error;
-    if (obs_ != nullptr)
+    if (log_debug)
         log_error = error;
     {
         const std::lock_guard<std::mutex> lock(records_mutex_);
@@ -280,23 +265,18 @@ JobService::recordState(JobId id, JobState state, std::string error,
             it->second.error = std::move(error);
         if (terminal) {
             priority = it->second.priority;
-            if (obs_ != nullptr) {
-                // Wait covers the queue (submit to Running, or the
-                // whole record when the job never ran); run covers the
-                // worker (Running to terminal).
-                const Timeline &timeline = it->second.timeline;
-                if (timeline.find(JobState::Running) != nullptr) {
-                    wait_us = timeline
-                                  .between(JobState::Queued,
-                                           JobState::Running)
-                                  .micros();
-                    run_us =
-                        timeline.between(JobState::Running, state).micros();
-                } else {
-                    wait_us = timeline.total().micros();
-                }
-                total_ms = timeline.total().micros() / 1000.0;
+            // Wait covers the queue (submit to Running, or the whole
+            // record when the job never ran); run covers the worker
+            // (Running to terminal).
+            const Timeline &timeline = it->second.timeline;
+            if (timeline.find(JobState::Running) != nullptr) {
+                wait_us = timeline.between(JobState::Queued, JobState::Running)
+                              .micros();
+                run_us = timeline.between(JobState::Running, state).micros();
+            } else {
+                wait_us = timeline.total().micros();
             }
+            total_ms = timeline.total().micros() / 1000.0;
             finished_order_.push_back(id);
             if (options_.max_finished_records != 0) {
                 while (finished_order_.size() >
@@ -307,21 +287,18 @@ JobService::recordState(JobId id, JobState state, std::string error,
             }
         }
     }
-    if (obs_ == nullptr)
-        return;
-    metric_->state_total[static_cast<std::size_t>(state)]->add(1);
     if (!terminal)
         return;
     const std::size_t cls = priorityClassIndex(priority);
-    metric_->wait_us[cls]->observe(wait_us);
+    metric_.wait_us[cls]->observe(wait_us);
     if (run_us >= 0.0)
-        metric_->run_us[cls]->observe(run_us);
+        metric_.run_us[cls]->observe(run_us);
     if (options_.slow_job_ms > 0.0 && total_ms >= options_.slow_job_ms)
         obs_->log.warn("slow_job", {{"job", id},
                                     {"state", jobStateName(state)},
                                     {"total_ms", total_ms},
                                     {"priority", priority}});
-    if (obs_->log.enabled(obs::LogLevel::Debug)) {
+    if (log_debug) {
         if (log_error.empty())
             obs_->log.debug("job_finished",
                             {{"job", id},
@@ -341,8 +318,8 @@ JobService::traceJob(JobId id, std::string_view source,
                      const std::vector<PassProfile> *passes,
                      const JobTraceIo *io)
 {
-    if (obs_ == nullptr)
-        return;
+    if (options_.obs == nullptr)
+        return; // spans go only into a caller's bundle
     Timeline timeline;
     {
         const std::lock_guard<std::mutex> lock(records_mutex_);
@@ -351,7 +328,20 @@ JobService::traceJob(JobId id, std::string_view source,
             return; // pruned before its trace was stitched
         timeline = it->second.timeline;
     }
-    appendJobTrace(obs_->trace, id, timeline, passes, source, io);
+    appendJobTrace(options_.obs->trace, id, timeline, passes, source, io);
+}
+
+void
+JobService::expire(std::vector<Waiter> &waiters)
+{
+    for (Waiter &waiter : waiters) {
+        recordState(waiter.id, JobState::Expired,
+                    "expired: deadline passed while queued");
+        traceJob(waiter.id, {});
+        waiter.promise.set_exception(std::make_exception_ptr(
+            ExpiredError("deadline passed while queued")));
+    }
+    waiters.clear();
 }
 
 std::shared_ptr<const Machine>
@@ -415,8 +405,7 @@ JobService::workerLoop(Shard &shard)
         PendingJob &pending = it->second;
         pending.running = true;
         --shard.queued_jobs;
-        if (shard.depth_gauge != nullptr)
-            shard.depth_gauge->set(static_cast<double>(shard.queued_jobs));
+        publishDepth(shard);
 
         // Deadlines bound queue wait: anyone overdue by now expires
         // before the compilation starts.
@@ -436,17 +425,7 @@ JobService::workerLoop(Shard &shard)
             shard.pending.erase(it);
             const bool now_idle = shard.pending.empty();
             lock.unlock();
-            {
-                const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-                expired_ += expired_waiters.size();
-            }
-            for (Waiter &waiter : expired_waiters) {
-                recordState(waiter.id, JobState::Expired,
-                            "expired: deadline passed while queued");
-                traceJob(waiter.id, {});
-                waiter.promise.set_exception(std::make_exception_ptr(
-                    ExpiredError("deadline passed while queued")));
-            }
+            expire(expired_waiters);
             if (now_idle)
                 shard.idle.notify_all();
             lock.lock();
@@ -468,32 +447,16 @@ JobService::workerLoop(Shard &shard)
             CompilerOptions options = pending.job.options;
             const Circuit &circuit = pending.job.circuit;
             lock.unlock();
-
-            if (!expired_waiters.empty()) {
-                const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-                expired_ += expired_waiters.size();
-            }
-            for (Waiter &waiter : expired_waiters) {
-                recordState(waiter.id, JobState::Expired,
-                            "expired: deadline passed while queued");
-                traceJob(waiter.id, {});
-                waiter.promise.set_exception(std::make_exception_ptr(
-                    ExpiredError("deadline passed while queued")));
-            }
-            expired_waiters.clear();
+            expire(expired_waiters);
 
             if (disk_) {
-                if (obs_ != nullptr) {
-                    io.read = true;
-                    io.read_start = JobTraceIo::Clock::now();
-                }
+                io.read = true;
+                io.read_start = JobTraceIo::Clock::now();
                 result = disk_->load(
                     diskCacheKey(fingerprint, options_.derive_job_seeds),
                     *machine);
-                if (obs_ != nullptr) {
-                    io.read_end = JobTraceIo::Clock::now();
-                    io.read_hit = result != nullptr;
-                }
+                io.read_end = JobTraceIo::Clock::now();
+                io.read_hit = result != nullptr;
             }
             if (result) {
                 from_disk = true;
@@ -509,16 +472,13 @@ JobService::workerLoop(Shard &shard)
                 result = std::make_shared<const CompileResult>(
                     compiler.compile(circuit));
                 if (disk_) {
-                    if (obs_ != nullptr) {
-                        io.write = true;
-                        io.write_start = JobTraceIo::Clock::now();
-                    }
+                    io.write = true;
+                    io.write_start = JobTraceIo::Clock::now();
                     disk_->store(
                         diskCacheKey(fingerprint,
                                      options_.derive_job_seeds),
                         *result);
-                    if (obs_ != nullptr)
-                        io.write_end = JobTraceIo::Clock::now();
+                    io.write_end = JobTraceIo::Clock::now();
                 }
             }
             lock.lock();
@@ -528,56 +488,27 @@ JobService::workerLoop(Shard &shard)
                 lock.lock();
         }
 
-        if (result) {
-            const std::size_t evictions_before = shard.cache.evictions();
-            shard.cache.insert(fingerprint, {result, machine});
-            if (metric_ != nullptr &&
-                shard.cache.evictions() > evictions_before)
-                metric_->memory_cache_evictions->add(
-                    shard.cache.evictions() - evictions_before);
-        }
+        if (result)
+            metric_.memory_cache_evictions->add(
+                shard.cache.insert(fingerprint, {result, machine}));
+        // Account before fulfilling any promise, and under the shard
+        // lock so stats() reads miss and failure together. A job that
+        // reached a worker was a disk hit or a full miss (compiled or
+        // failed); coalesced and memory were attributed at submit.
+        metric_.tier(from_disk && !error ? TierIndex::Disk : TierIndex::Miss)
+            .add(1);
+        if (error)
+            metric_.compile_failures->add(1);
         std::vector<Waiter> waiters = std::move(pending.waiters);
         shard.pending.erase(fingerprint);
         const bool now_idle = shard.pending.empty();
         lock.unlock();
-
-        // Account before fulfilling any promise: a waiter that observes
-        // its result (or exception) must already see it in stats().
-        {
-            const std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-            expired_ += expired_waiters.size();
-            if (error) {
-                ++failed_;
-            } else if (from_disk) {
-                ++disk_hits_;
-            } else {
-                ++compiled_;
-                if (!result->pass_profiles.empty())
-                    mergePassProfiles(pass_totals_, result->pass_profiles);
-            }
-        }
-        if (metric_ != nullptr) {
-            // Tier attribution for the job that reached a worker: the
-            // disk tier answered, or it was a full miss (compiled fresh
-            // or failed). Coalesced/memory were attributed at submit.
-            metric_->tier_total[static_cast<std::size_t>(
-                                    from_disk && !error ? TierIndex::Disk
-                                                        : TierIndex::Miss)]
-                ->add(1);
-            if (!error && !from_disk)
-                metric_->foldPassProfiles(obs_->metrics,
-                                          result->pass_profiles);
-        }
+        if (!error && !from_disk)
+            metric_.foldPassProfiles(result->pass_profiles);
 
         // Leftover expired waiters exist only on the error path (the
         // unlock above never ran); resolve them as Expired, not Failed.
-        for (Waiter &waiter : expired_waiters) {
-            recordState(waiter.id, JobState::Expired,
-                        "expired: deadline passed while queued");
-            traceJob(waiter.id, {});
-            waiter.promise.set_exception(std::make_exception_ptr(
-                ExpiredError("deadline passed while queued")));
-        }
+        expire(expired_waiters);
 
         std::string error_text;
         if (error) {

@@ -172,9 +172,10 @@ struct JobServiceOptions
      */
     std::size_t max_finished_records = 1 << 20;
     /**
-     * Observability bundle shared with the disk cache; null (the
-     * default) leaves the service uninstrumented — the disabled path
-     * costs one pointer check per site.
+     * Observability bundle shared with the disk cache. Null (the
+     * default) gives the service a private bundle with logging off:
+     * its counters still count (stats() reads them), but nothing is
+     * exported, logged or traced.
      */
     std::shared_ptr<obs::Observability> obs;
     /**
@@ -184,7 +185,13 @@ struct JobServiceOptions
     double slow_job_ms = 0.0;
 };
 
-/** Counters snapshot; all cumulative except queued. */
+/**
+ * Counters read back from the service's metrics registry; all
+ * cumulative except queued. Counters are bumped before the promise
+ * they account for is fulfilled, so a resolved future is always
+ * counted; while jobs are in flight the fields are not one atomic
+ * snapshot of each other.
+ */
 struct JobServiceStats
 {
     std::size_t submitted = 0;
@@ -200,7 +207,7 @@ struct JobServiceStats
     std::size_t disk_hits = 0;
     /** Compiled fresh (full miss), successfully. */
     std::size_t compiled = 0;
-    /** Compilation threw. */
+    /** Worker compilations that threw (once per run, not per waiter). */
     std::size_t failed = 0;
     /** Jobs currently admitted but not yet resolved, across shards. */
     std::size_t queued = 0;
@@ -248,11 +255,17 @@ class JobService
     /** Blocks until no admitted job remains in any shard. */
     void waitIdle();
 
-    /** Point-in-time counters aggregated over all shards. */
+    /**
+     * The counters, read from the metrics registry (see
+     * JobServiceStats); writes nothing.
+     */
     JobServiceStats stats() const;
 
     /** The options this service resolved at construction. */
     const JobServiceOptions &options() const { return options_; }
+
+    /** The bundle in use: options().obs, or the private one. */
+    obs::Observability &observability() const { return *obs_; }
 
   private:
     using Clock = std::chrono::steady_clock;
@@ -307,13 +320,19 @@ class JobService
         std::unordered_map<std::uint64_t, std::weak_ptr<const Machine>>
             machines;
         std::vector<std::thread> workers;
-        /** powermove_shard_queue_depth{shard=...}; null when obs is off. */
+        /** powermove_shard_queue_depth{shard=...}. */
         obs::Gauge *depth_gauge = nullptr;
 
         explicit Shard(std::size_t cache_capacity) : cache(cache_capacity) {}
     };
 
     Shard &shardFor(std::uint64_t fingerprint);
+
+    /**
+     * Publishes @p shard's queue depth (caller holds its lock) and
+     * refreshes powermove_shard_imbalance from every shard's gauge.
+     */
+    void publishDepth(Shard &shard);
     void workerLoop(Shard &shard);
 
     /** Interned machine for @p config within @p shard (builds on miss). */
@@ -333,9 +352,12 @@ class JobService
     void recordState(JobId id, JobState state, std::string error = {},
                      std::string detail = {});
 
+    /** Resolves each of @p waiters as Expired (no lock held), then clears. */
+    void expire(std::vector<Waiter> &waiters);
+
     /**
      * Stitches @p id's timeline into the trace collector (see
-     * appendJobTrace); no-op when observability is off. @p source
+     * appendJobTrace); no-op without a caller's bundle. @p source
      * annotates the terminal marker with the serving tier.
      */
     void traceJob(JobId id, std::string_view source,
@@ -343,10 +365,9 @@ class JobService
                   const JobTraceIo *io = nullptr);
 
     JobServiceOptions options_;
-    /** Aliases options_.obs; null when observability is off. */
+    /** options_.obs, or a private bundle with logging off. */
     std::shared_ptr<obs::Observability> obs_;
-    /** Resolved metric handles; null exactly when obs_ is null. */
-    std::unique_ptr<ServiceMetricHandles> metric_;
+    ServiceMetricHandles metric_;
     std::shared_ptr<DiskCache> disk_;
     std::vector<std::unique_ptr<Shard>> shards_;
 
@@ -356,17 +377,6 @@ class JobService
     std::deque<JobId> finished_order_;
     std::atomic<JobId> next_id_{1};
     std::atomic<std::uint64_t> next_seq_{1};
-
-    mutable std::mutex stats_mutex_;
-    std::size_t submitted_ = 0;
-    std::size_t rejected_ = 0;
-    std::size_t expired_ = 0;
-    std::size_t coalesced_ = 0;
-    std::size_t memory_hits_ = 0;
-    std::size_t disk_hits_ = 0;
-    std::size_t compiled_ = 0;
-    std::size_t failed_ = 0;
-    std::vector<PassProfile> pass_totals_;
 };
 
 } // namespace powermove::service

@@ -1,5 +1,7 @@
 #include "service/observe.hpp"
 
+#include <algorithm>
+#include <iterator>
 #include <string>
 
 namespace powermove::service {
@@ -37,6 +39,7 @@ priorityClassName(int priority)
 }
 
 ServiceMetricHandles::ServiceMetricHandles(obs::MetricsRegistry &registry)
+    : registry_(registry)
 {
     submitted = &registry.counter("powermove_jobs_submitted_total");
     for (std::size_t s = 0; s < state_total.size(); ++s)
@@ -48,6 +51,7 @@ ServiceMetricHandles::ServiceMetricHandles(obs::MetricsRegistry &registry)
         tier_total[t] = &registry.counter(
             "powermove_jobs_tier_total",
             {{"tier", std::string(tierName(static_cast<TierIndex>(t)))}});
+    compile_failures = &registry.counter("powermove_compile_failures_total");
     static constexpr int kClassRepresentative[kNumPriorityClasses] = {-1, 0,
                                                                       1};
     for (std::size_t p = 0; p < kNumPriorityClasses; ++p) {
@@ -74,21 +78,52 @@ ServiceMetricHandles::ServiceMetricHandles(obs::MetricsRegistry &registry)
 
 void
 ServiceMetricHandles::foldPassProfiles(
-    obs::MetricsRegistry &registry, const std::vector<PassProfile> &profiles)
+    const std::vector<PassProfile> &profiles)
 {
+    const std::lock_guard<std::mutex> lock(pass_counters_mutex_);
     for (const PassProfile &profile : profiles) {
         const std::size_t index = static_cast<std::size_t>(profile.pass);
         if (index >= kNumPasses)
             continue;
         pass_wall_us[index]->observe(profile.wall_time.micros());
         pass_invocations[index]->add(profile.invocations);
-        const std::string pass(passName(profile.pass));
-        for (const PassCounter &counter : profile.counters)
-            registry
-                .counter("powermove_pass_counter_total",
-                         {{"pass", pass}, {"counter", counter.name}})
-                .add(counter.value);
+        auto &handles = pass_counters_[index];
+        for (const PassCounter &counter : profile.counters) {
+            auto it = std::find_if(handles.begin(), handles.end(),
+                                   [&](const auto &handle) {
+                                       return handle.first == counter.name;
+                                   });
+            if (it == handles.end()) {
+                handles.emplace_back(
+                    counter.name,
+                    &registry_.counter(
+                        "powermove_pass_counter_total",
+                        {{"pass", std::string(passName(profile.pass))},
+                         {"counter", counter.name}}));
+                it = std::prev(handles.end());
+            }
+            it->second->add(counter.value);
+        }
     }
+}
+
+std::vector<PassProfile>
+ServiceMetricHandles::passTotals() const
+{
+    std::vector<PassProfile> totals;
+    const std::lock_guard<std::mutex> lock(pass_counters_mutex_);
+    for (std::size_t p = 0; p < kNumPasses; ++p) {
+        PassProfile total;
+        total.pass = static_cast<PassId>(p);
+        total.invocations = pass_invocations[p]->value();
+        if (total.invocations == 0)
+            continue;
+        total.wall_time = Duration::micros(pass_wall_us[p]->sum());
+        for (const auto &[name, handle] : pass_counters_[p])
+            total.counters.push_back({name, handle->value()});
+        totals.push_back(std::move(total));
+    }
+    return totals;
 }
 
 void

@@ -6,13 +6,18 @@
  *
  * Metric catalog (all series pre-registered by ServiceMetricHandles so
  * an export always covers every cache tier, pipeline pass, and job
- * state, even at zero):
+ * state, even at zero). These series are the service's only counters:
+ * JobService::stats() and DiskCache::stats() read them back, so
+ * services sharing one bundle also share their stats():
  *
  *   powermove_jobs_submitted_total           counter
  *   powermove_job_states_total{state=...}    counter, all 8 JobStates
  *   powermove_jobs_tier_total{tier=...}      counter, the 4 serving
  *                                            tiers: coalesced / memory
  *                                            / disk / miss
+ *   powermove_compile_failures_total         counter, worker compiles
+ *                                            that threw (one per run,
+ *                                            not per waiter)
  *   powermove_job_wait_us{priority=...}      histogram of queue wait,
  *                                            per priority class
  *                                            (low / normal / high)
@@ -48,7 +53,10 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <mutex>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "compiler/profile.hpp"
@@ -86,17 +94,16 @@ std::string_view priorityClassName(int priority);
  * Every service-layer metric handle, registered and resolved once at
  * service construction so the instrumented paths touch only atomics.
  * Registering twice against the same registry returns the same
- * underlying series (both service front-ends may share one registry).
+ * underlying series.
  */
 struct ServiceMetricHandles
 {
     explicit ServiceMetricHandles(obs::MetricsRegistry &registry);
 
     obs::Counter *submitted;
-    /** Indexed by static_cast<size_t>(JobState). */
     std::array<obs::Counter *, kNumJobStates> state_total;
-    /** Indexed by static_cast<size_t>(TierIndex). */
     std::array<obs::Counter *, kNumTiers> tier_total;
+    obs::Counter *compile_failures;
     std::array<obs::Histogram *, kNumPriorityClasses> wait_us;
     std::array<obs::Histogram *, kNumPriorityClasses> run_us;
     std::array<obs::Histogram *, kNumPasses> pass_wall_us;
@@ -104,16 +111,40 @@ struct ServiceMetricHandles
     obs::Counter *memory_cache_evictions;
     obs::Gauge *shard_imbalance;
 
+    /** The job_states_total / jobs_tier_total series of @p s / @p t. */
+    obs::Counter &state(JobState s) const
+    {
+        return *state_total[static_cast<std::size_t>(s)];
+    }
+    obs::Counter &tier(TierIndex t) const
+    {
+        return *tier_total[static_cast<std::size_t>(t)];
+    }
+
     /**
      * Folds one compiled job's PassProfiles in: per pass, the wall time
      * becomes one histogram observation, invocations accumulate, and
      * every profile counter lands on
-     * powermove_pass_counter_total{pass, counter}. @p registry must be
-     * the registry the handles were resolved from (profile counters are
-     * registered by name on first sight).
+     * powermove_pass_counter_total{pass, counter}.
      */
-    void foldPassProfiles(obs::MetricsRegistry &registry,
-                          const std::vector<PassProfile> &profiles);
+    void foldPassProfiles(const std::vector<PassProfile> &profiles);
+
+    /**
+     * The folded totals read back as PassProfiles, in pipeline order:
+     * every pass with an invocation, its summed wall time, and its
+     * counters in the order this fold first saw them (on a shared
+     * registry, counters only another service folded are left out).
+     */
+    std::vector<PassProfile> passTotals() const;
+
+  private:
+    obs::MetricsRegistry &registry_;
+    /** Guards pass_counters_ (the handle lists, not their values). */
+    mutable std::mutex pass_counters_mutex_;
+    /** Per pass, the counter handles in first-fold order. */
+    std::array<std::vector<std::pair<std::string, obs::Counter *>>,
+               kNumPasses>
+        pass_counters_;
 };
 
 /** Real-timestamped disk-tier I/O of the worker that resolved a job. */

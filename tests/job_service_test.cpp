@@ -10,13 +10,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "compiler/powermove.hpp"
 #include "isa/validator.hpp"
+#include "obs/observability.hpp"
 #include "service/disk_cache.hpp"
 #include "service/fingerprint.hpp"
 #include "service/job_service.hpp"
@@ -486,6 +492,164 @@ TEST(JobServiceTest, FinishedRecordPruningForgetsOldestFirst)
     EXPECT_TRUE(svc.status(b.id).has_value());
     EXPECT_TRUE(svc.status(c.id).has_value());
 }
+
+/** The value of counter @p name{@p labels} in a MetricsRegistry::toJson(). */
+std::uint64_t
+jsonCounter(const std::string &json, const std::string &name,
+            const std::string &labels = "{}")
+{
+    const std::string key =
+        "{\"name\":\"" + name + "\",\"labels\":" + labels + ",\"value\":";
+    const std::size_t at = json.find(key);
+    if (at == std::string::npos) {
+        ADD_FAILURE() << "no series " << name << labels;
+        return 0;
+    }
+    return std::strtoull(json.c_str() + at + key.size(), nullptr, 10);
+}
+
+/** Every counter field of @p stats, for the monotonicity check. */
+std::vector<std::size_t>
+counterFields(const JobServiceStats &stats)
+{
+    return {stats.submitted,    stats.rejected,       stats.expired,
+            stats.coalesced,    stats.memory_hits,    stats.disk_hits,
+            stats.compiled,     stats.failed,         stats.disk.hits,
+            stats.disk.misses,  stats.disk.stores,    stats.disk.corrupt,
+            stats.disk.evictions};
+}
+
+/**
+ * Counter property: a seeded random mix of duplicates, a 1-entry memory
+ * cache, a disk tier, queue-bound rejections, already-passed deadlines
+ * and failing compiles, run with a caller's bundle and without one.
+ * The stats() counters are reads of the metrics registry, so they must
+ * add up, match the exported series, and never step backwards under a
+ * concurrent reader.
+ */
+class JobServiceCounterTest : public ::testing::TestWithParam<bool>
+{};
+
+TEST_P(JobServiceCounterTest, CountersAddUpOverARandomMix)
+{
+    const bool with_bundle = GetParam();
+    const TempDir dir(with_bundle ? "counters_bundle" : "counters_private");
+    std::shared_ptr<obs::Observability> bundle;
+    if (with_bundle)
+        bundle = std::make_shared<obs::Observability>(
+            obs::ObservabilityOptions{obs::LogLevel::Off});
+    JobServiceOptions options = shardOptions(2, 2, 1);
+    options.max_queue = 1;
+    options.cache_dir = dir.str();
+    options.obs = bundle;
+
+    testing::internal::CaptureStderr();
+    JobServiceStats stats;
+    std::string json;
+    std::size_t trace_events = 0;
+    std::size_t submitted = 0;
+    {
+        JobService svc(options);
+        std::atomic<bool> done{false};
+        std::thread reader([&] {
+            std::vector<std::size_t> previous = counterFields(svc.stats());
+            while (!done.load()) {
+                const std::vector<std::size_t> now = counterFields(svc.stats());
+                for (std::size_t f = 0; f < now.size(); ++f)
+                    EXPECT_GE(now[f], previous[f]) << "field " << f;
+                previous = now;
+            }
+        });
+
+        // Bursts of 1..4 submissions, each drained before the next, so
+        // the queue bound rejects inside a burst while repeats across
+        // bursts reach the memory and disk tiers.
+        Rng rng(with_bundle ? 7 : 11);
+        while (submitted < 160) {
+            std::vector<JobTicket> burst;
+            for (std::size_t b = 1 + rng.nextBelow(4); b > 0; --b) {
+                CompileJob job = smallJob(1 + rng.nextBelow(6));
+                if (rng.nextBelow(8) == 0)
+                    job.options.num_aods = 0; // fails in the compiler
+                const double deadline_ms =
+                    rng.nextBelow(6) == 0 ? 1e-6 : 0.0;
+                const int priority = static_cast<int>(rng.nextBelow(3)) - 1;
+                burst.push_back(
+                    svc.submit(std::move(job), priority, deadline_ms));
+                ++submitted;
+            }
+            for (JobTicket &ticket : burst) {
+                try {
+                    (void)ticket.result.get();
+                } catch (const Error &) {
+                    // Rejected, Expired, or the failing compile.
+                }
+            }
+        }
+        svc.waitIdle();
+        done.store(true);
+        reader.join();
+
+        stats = svc.stats();
+        json = svc.observability().metrics.toJson();
+        trace_events = svc.observability().trace.size();
+    }
+    const std::string err = testing::internal::GetCapturedStderr();
+
+    const auto state = [&](JobState s) {
+        return jsonCounter(json, "powermove_job_states_total",
+                           "{\"state\":\"" + std::string(jobStateName(s)) +
+                               "\"}");
+    };
+    const auto tier = [&](TierIndex t) {
+        return jsonCounter(json, "powermove_jobs_tier_total",
+                           "{\"tier\":\"" + std::string(tierName(t)) + "\"}");
+    };
+    EXPECT_EQ(stats.submitted, submitted);
+    EXPECT_EQ(state(JobState::Cached) + state(JobState::Done) +
+                  state(JobState::Failed) + state(JobState::Rejected) +
+                  state(JobState::Expired),
+              stats.submitted);
+    EXPECT_EQ(tier(TierIndex::Miss), stats.compiled + stats.failed);
+    EXPECT_EQ(stats.queued, 0u);
+
+    // Every stats() field is a read of its series.
+    EXPECT_EQ(jsonCounter(json, "powermove_jobs_submitted_total"),
+              stats.submitted);
+    EXPECT_EQ(state(JobState::Rejected), stats.rejected);
+    EXPECT_EQ(state(JobState::Expired), stats.expired);
+    EXPECT_EQ(tier(TierIndex::Coalesced), stats.coalesced);
+    EXPECT_EQ(tier(TierIndex::Memory), stats.memory_hits);
+    EXPECT_EQ(tier(TierIndex::Disk), stats.disk_hits);
+    EXPECT_EQ(jsonCounter(json, "powermove_compile_failures_total"),
+              stats.failed);
+    EXPECT_EQ(jsonCounter(json, "powermove_disk_cache_hits_total"),
+              stats.disk.hits);
+    EXPECT_EQ(jsonCounter(json, "powermove_disk_cache_misses_total"),
+              stats.disk.misses);
+    EXPECT_EQ(jsonCounter(json, "powermove_disk_cache_stores_total"),
+              stats.disk.stores);
+    EXPECT_EQ(jsonCounter(json, "powermove_disk_cache_corrupt_total"),
+              stats.disk.corrupt);
+    EXPECT_EQ(jsonCounter(json, "powermove_disk_cache_evictions_total"),
+              stats.disk.evictions);
+    EXPECT_EQ(stats.disk.hits, stats.disk_hits);
+    EXPECT_EQ(stats.disk.stores, stats.compiled);
+
+    if (with_bundle) {
+        EXPECT_GT(trace_events, 0u);
+    } else {
+        // No caller's bundle: counters count, but nothing is logged or
+        // traced.
+        EXPECT_EQ(err, "");
+        EXPECT_EQ(trace_events, 0u);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Bundle, JobServiceCounterTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &info) {
+                             return info.param ? "WithBundle" : "Private";
+                         });
 
 } // namespace
 } // namespace powermove::service

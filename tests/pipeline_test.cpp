@@ -274,35 +274,5 @@ TEST(StrategyNameTest, NamesRoundTripThroughParsing)
     }
 }
 
-TEST(PassProfileMergeTest, MergeAddsTimesInvocationsAndCounters)
-{
-    std::vector<PassProfile> totals;
-    PassProfile routing;
-    routing.pass = PassId::Routing;
-    routing.wall_time = Duration::micros(5.0);
-    routing.invocations = 2;
-    routing.counters = {{"moves_planned", 10}};
-    mergePassProfiles(totals, {routing});
-
-    PassProfile more = routing;
-    more.wall_time = Duration::micros(3.0);
-    more.invocations = 1;
-    more.counters = {{"moves_planned", 4}, {"qubits_parked", 2}};
-    PassProfile placement;
-    placement.pass = PassId::Placement;
-    placement.invocations = 1;
-    mergePassProfiles(totals, {more, placement});
-
-    ASSERT_EQ(totals.size(), 2u);
-    // Pipeline order restored even though routing arrived first.
-    EXPECT_EQ(totals[0].pass, PassId::Placement);
-    EXPECT_EQ(totals[1].pass, PassId::Routing);
-    EXPECT_DOUBLE_EQ(totals[1].wall_time.micros(), 8.0);
-    EXPECT_EQ(totals[1].invocations, 3u);
-    ASSERT_EQ(totals[1].counters.size(), 2u);
-    EXPECT_EQ(totals[1].counters[0].value, 14u);
-    EXPECT_EQ(totals[1].counters[1].value, 2u);
-}
-
 } // namespace
 } // namespace powermove

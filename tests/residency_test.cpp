@@ -13,8 +13,10 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "compiler/powermove.hpp"
 #include "isa/json.hpp"
@@ -134,14 +136,24 @@ TEST(ResidencyPolicyTest, LookaheadMatchesTheWindowDecision)
     EXPECT_TRUE(holds.empty());
     EXPECT_EQ(releases, (std::vector<QubitId>{0, 1}));
 
-    // ...and a window of 2 holds them both, regardless of capacity
-    // (the window policy leaves displacement to the router's step 4).
+    // ...and a window of 2 holds them both while they fit...
     const auto wide = makeResidencyPolicy(ResidencyPolicy::Lookahead, 2,
                                           defaultParams());
     std::tie(holds, releases) =
-        partitionOnce(*wide, analysis, {0, 1}, 1, 0);
+        partitionOnce(*wide, analysis, {0, 1}, 1, 2);
     EXPECT_EQ(holds, (std::vector<QubitId>{0, 1}));
     EXPECT_TRUE(releases.empty());
+
+    // ...but never beyond capacity: the tie on next use releases the
+    // lower id first, and a zone with no free site holds nothing.
+    std::tie(holds, releases) =
+        partitionOnce(*wide, analysis, {0, 1}, 1, 1);
+    EXPECT_EQ(holds, (std::vector<QubitId>{1}));
+    EXPECT_EQ(releases, (std::vector<QubitId>{0}));
+    std::tie(holds, releases) =
+        partitionOnce(*wide, analysis, {0, 1}, 1, 0);
+    EXPECT_TRUE(holds.empty());
+    EXPECT_EQ(releases, (std::vector<QubitId>{0, 1}));
 }
 
 TEST(ResidencyPolicyTest, LtiEvictsTheFarthestNextUse)
@@ -337,6 +349,64 @@ TEST(ResidencyPipelineTest, DefaultIsLookaheadAndEveryPolicyIsDeterministic)
         EXPECT_EQ(scheduleToJson(a.schedule), scheduleToJson(b.schedule))
             << residencyPolicyName(policy);
     }
+}
+
+/**
+ * Random programs on a 2x2 compute zone, smaller than every circuit:
+ * wherever the continuous router compiles, reuse compiles and validates
+ * under every policy. The lookahead window used to hold past capacity
+ * here and throw "compute zone has no free site" (seed 1 among them).
+ */
+TEST(ResidencyPipelineTest, CrampedComputeZoneCompilesWhereContinuousDoes)
+{
+    std::size_t compiled = 0;
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        Rng rng(seed);
+        const std::size_t n = 6 + rng.nextBelow(7);
+        Circuit circuit(n);
+        const std::size_t gates = 4 + rng.nextBelow(12);
+        for (std::size_t g = 0; g < gates; ++g) {
+            const QubitId a = static_cast<QubitId>(rng.nextBelow(n));
+            QubitId b = static_cast<QubitId>(rng.nextBelow(n - 1));
+            if (b >= a)
+                ++b;
+            circuit.append(CzGate{a, b});
+        }
+        MachineConfig config = MachineConfig::forQubits(n);
+        config.compute_cols = 2;
+        config.compute_rows = 2;
+        const Machine machine(config);
+
+        CompilerOptions options;
+        options.seed = seed;
+        try {
+            (void)PowerMoveCompiler(machine, options).compile(circuit);
+        } catch (const Error &) {
+            continue; // a stage with more gates than compute sites
+        }
+        ++compiled;
+        options.routing = RoutingStrategy::Reuse;
+        for (const auto policy : {ResidencyPolicy::Lookahead,
+                                  ResidencyPolicy::Lti,
+                                  ResidencyPolicy::Fidelity}) {
+            for (const std::uint32_t window : {1u, 4u}) {
+                options.residency = policy;
+                options.reuse_lookahead = window;
+                const std::string where =
+                    "seed " + std::to_string(seed) + " " +
+                    std::string(residencyPolicyName(policy)) + "/w" +
+                    std::to_string(window);
+                try {
+                    const CompileResult result =
+                        PowerMoveCompiler(machine, options).compile(circuit);
+                    validateAgainstCircuit(result.schedule, circuit);
+                } catch (const Error &e) {
+                    ADD_FAILURE() << where << ": " << e.what();
+                }
+            }
+        }
+    }
+    EXPECT_GE(compiled, 20u);
 }
 
 TEST(ResidencyPipelineTest, AccountingInvariantsHoldForEveryPolicy)

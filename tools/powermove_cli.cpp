@@ -784,7 +784,6 @@ main(int argc, char **argv)
     // Machine-readable exports, after the final stats line so the
     // registry snapshot includes everything the run observed.
     reporter.reset();
-    (void)svc.stats(); // refreshes the shard-imbalance gauge
     if (bundle != nullptr) {
         if (!cli.metrics_out.empty() &&
             !writeTextFile(cli.metrics_out,
