@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <string>
+
 #include "arch/layout.hpp"
 #include "collsched/intra_stage.hpp"
 #include "collsched/multi_aod.hpp"
@@ -14,6 +18,7 @@
 #include "route/grouping.hpp"
 #include "schedule/stage_order.hpp"
 #include "schedule/stage_partition.hpp"
+#include "service/fingerprint.hpp"
 #include "workloads/suite.hpp"
 
 namespace powermove {
@@ -239,6 +244,103 @@ TEST(StrategySelectionTest, AblationStrategiesMatchTheInlineBaselines)
     const auto grouped =
         PowerMoveCompiler(machine, raw_groups).compile(circuit);
     EXPECT_NO_THROW(validateAgainstCircuit(grouped.schedule, circuit));
+}
+
+/**
+ * Pins every strategy's schedules and profiles, not just their
+ * properties: all Table 2 circuits, with and without the storage zone,
+ * under {row-major, routing-aware} placement crossed with every routing
+ * setting, plus the three ablation orderings with defaults elsewhere
+ * (690 compiles). Digest (a) covers what a compile emits — the ISA
+ * JSON, the Eq. 1 breakdown, the stage and Coll-Move counts; digest (b)
+ * covers the pass profiles without their wall times — pass, invocation
+ * count, counter names in first-touch order and values. A refactor of
+ * the compile driver that claims "same schedules" must move neither.
+ */
+TEST(StrategyMatrixPinTest, Table2SchedulesAndProfilesMatchRecordedDigests)
+{
+    struct Routing
+    {
+        RoutingStrategy strategy;
+        ResidencyPolicy residency;
+    };
+    const Routing routings[] = {
+        {RoutingStrategy::Continuous, ResidencyPolicy::Lookahead},
+        {RoutingStrategy::Fast, ResidencyPolicy::Lookahead},
+        {RoutingStrategy::Windowed, ResidencyPolicy::Lookahead},
+        {RoutingStrategy::Reuse, ResidencyPolicy::Lookahead},
+        {RoutingStrategy::Reuse, ResidencyPolicy::Lti},
+        {RoutingStrategy::Reuse, ResidencyPolicy::Fidelity},
+    };
+    std::vector<CompilerOptions> matrix;
+    for (const bool use_storage : {true, false}) {
+        CompilerOptions base;
+        base.use_storage = use_storage;
+        for (const auto placement :
+             {PlacementStrategy::RowMajor, PlacementStrategy::RoutingAware}) {
+            for (const Routing &routing : routings) {
+                CompilerOptions options = base;
+                options.placement = placement;
+                options.routing = routing.strategy;
+                options.residency = routing.residency;
+                matrix.push_back(options);
+            }
+        }
+        CompilerOptions as_partitioned = base;
+        as_partitioned.stage_order = StageOrderStrategy::AsPartitioned;
+        CompilerOptions as_grouped = base;
+        as_grouped.coll_move_order = CollMoveOrderStrategy::AsGrouped;
+        CompilerOptions both = as_partitioned;
+        both.coll_move_order = CollMoveOrderStrategy::AsGrouped;
+        matrix.insert(matrix.end(), {as_partitioned, as_grouped, both});
+    }
+
+    service::Fnv1a emitted;
+    service::Fnv1a profiled;
+    std::size_t compiles = 0;
+    for (const BenchmarkSpec &spec : table2Suite()) {
+        const Machine machine(spec.machine_config);
+        const Circuit circuit = spec.build();
+        for (const CompilerOptions &options : matrix) {
+            const auto result =
+                PowerMoveCompiler(machine, options).compile(circuit);
+            ++compiles;
+
+            const std::string json = scheduleToJson(result.schedule);
+            emitted.addBytes(json.data(), json.size());
+            const FidelityBreakdown &m = result.metrics;
+            for (const double value :
+                 {m.exec_time.micros(), m.total_idle.micros(),
+                  m.one_q_factor, m.two_q_factor, m.excitation_factor,
+                  m.transfer_factor, m.decoherence_factor})
+                emitted.add(value);
+            emitted.add(static_cast<std::uint64_t>(result.num_stages));
+            emitted.add(static_cast<std::uint64_t>(result.num_coll_moves));
+
+            profiled.add(
+                static_cast<std::uint64_t>(result.pass_profiles.size()));
+            for (const PassProfile &profile : result.pass_profiles) {
+                profiled.add(static_cast<std::uint64_t>(profile.pass));
+                profiled.add(static_cast<std::uint64_t>(profile.invocations));
+                profiled.add(
+                    static_cast<std::uint64_t>(profile.counters.size()));
+                for (const PassCounter &counter : profile.counters) {
+                    profiled.add(
+                        static_cast<std::uint64_t>(counter.name.size()));
+                    profiled.addBytes(counter.name.data(),
+                                      counter.name.size());
+                    profiled.add(counter.value);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compiles, 690u);
+
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016" PRIx64, emitted.digest());
+    EXPECT_STREQ(hex, "899c89d0c8c593f8") << "digest (a): schedules";
+    std::snprintf(hex, sizeof(hex), "%016" PRIx64, profiled.digest());
+    EXPECT_STREQ(hex, "8df027aa856b1813") << "digest (b): profiles";
 }
 
 TEST(StrategyNameTest, NamesRoundTripThroughParsing)
