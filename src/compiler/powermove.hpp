@@ -1,16 +1,18 @@
 /**
  * @file
- * The PowerMove compiler (paper Fig. 1b) — a thin facade over the pass
- * pipeline in compiler/pipeline.hpp:
+ * The PowerMove compiler (paper Fig. 1b). PowerMoveCompiler::compile()
+ * walks the circuit's moments and runs six steps, each timed and
+ * counted under its PassId (compiler/profile.hpp):
  *
- *   PlacementPass      initial layout (strategy-selected);
- *   StagePartitionPass edge-coloring stage partition (Sec. 4.1);
- *   StageOrderPass     zone-aware stage ordering (Sec. 4.2);
- *   RoutingPass        direct layout-to-layout transitions (Sec. 5),
- *                      with optional atom reuse (src/reuse/);
- *   CollMoveOrderPass  distance-aware grouping + storage-dwell order
- *                      (Sec. 5.3 / 6.1);
- *   AodBatchPass       multi-AOD parallel batching (Sec. 6.2).
+ *   Placement       initial layout, row-major or routing-aware  [once]
+ *   StagePartition  edge-coloring stage partition (Sec. 4.1)    [per block]
+ *   StageOrder      zone-aware stage ordering (Sec. 4.2)        [per block]
+ *   Routing         direct layout-to-layout transitions         [per stage]
+ *                   (Sec. 5), optionally with atom reuse
+ *                   (src/reuse/) or the windowed search
+ *   CollMoveOrder   distance-aware grouping + storage-dwell     [per stage]
+ *                   order (Sec. 5.3 / 6.1)
+ *   AodBatch        multi-AOD parallel batching (Sec. 6.2)      [per stage]
  *
  * The initial layout sits entirely in the storage zone (compute zone in
  * the storage-free configuration) and is never returned to: layouts flow
@@ -25,7 +27,6 @@
 #include "arch/machine.hpp"
 #include "circuit/circuit.hpp"
 #include "compiler/options.hpp"
-#include "compiler/pipeline.hpp"
 #include "compiler/result.hpp"
 
 namespace powermove {
@@ -49,12 +50,12 @@ class PowerMoveCompiler
      */
     CompileResult compile(const Circuit &circuit) const;
 
-    const CompilerOptions &options() const { return pipeline_.options(); }
+    const CompilerOptions &options() const { return options_; }
     const Machine &machine() const { return machine_; }
 
   private:
     const Machine &machine_;
-    Pipeline pipeline_;
+    CompilerOptions options_;
 };
 
 } // namespace powermove

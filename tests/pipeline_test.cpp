@@ -9,7 +9,6 @@
 #include "arch/layout.hpp"
 #include "collsched/intra_stage.hpp"
 #include "collsched/multi_aod.hpp"
-#include "compiler/pipeline.hpp"
 #include "compiler/powermove.hpp"
 #include "isa/json.hpp"
 #include "isa/validator.hpp"
