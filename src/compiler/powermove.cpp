@@ -85,8 +85,6 @@ countTransition(PassProfiler &profiler, const TransitionPlan &plan,
                             plan.num_window_misses);
         profiler.addCounter(PassId::Routing, "reuse_relocations",
                             plan.num_reuse_relocated);
-        profiler.addCounter(PassId::Routing, "holds_denied",
-                            plan.num_hold_denied);
     }
     if (windowed) {
         profiler.addCounter(PassId::Routing, "orderings_evaluated",

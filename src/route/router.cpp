@@ -216,9 +216,8 @@ ContinuousRouter::claimStorageSlot(std::int32_t origin_x) const
     // Lexicographic minimum of (|dx|, y, x) over planned-free storage
     // slots, scanning columns outward so the first hit at column
     // distance dx settles the answer after comparing both sides — the
-    // same selection the oracle's forward cursors make while parking is
-    // monotonic (a denied hold, which parks after storage departures,
-    // is where a cursor can return a deeper slot than this minimum).
+    // same selection the oracle's forward cursors make, since every park
+    // is planned before any storage qubit departs for its gate.
     const std::int32_t cols = storage_cols_;
     const std::int32_t span = cols + std::abs(origin_x);
     for (std::int32_t dx = 0; dx < span; ++dx) {
@@ -506,7 +505,6 @@ void
 ContinuousRouter::settleHolds(TransitionPlan &plan)
 {
     relocated_.clear();
-    denied_.clear();
     if (holds_.empty())
         return;
     const std::size_t global_index = global_stage_ - 1; // this transition
@@ -525,27 +523,20 @@ ContinuousRouter::settleHolds(TransitionPlan &plan)
             lifetimes_.hold(q, global_index);
             continue;
         }
-        // Relocate to the nearest surviving compute site; with none
-        // left the hold is denied and the qubit parks after all.
-        SiteId dest = findNearestFreeCompute(site);
-        const bool kept = dest != kInvalidSite;
-        if (!kept)
-            dest = claimStorageSlot(coord_x_[site]);
+        // Relocate to the nearest surviving compute site. One always
+        // survives: every policy holds at most the compute sites the
+        // stage's gate pairs leave free (ResidencyQuery::capacity).
+        const SiteId dest = findNearestFreeCompute(site);
+        PM_ASSERT(dest != kInvalidSite,
+                  "a hold within capacity found no free compute site");
         plannedDec(site);
         plannedInc(dest);
         target_[q] = dest;
         target_epoch_[q] = epoch_;
-        if (kept) {
-            relocated_.push_back(q);
-            ++plan.num_held;
-            ++plan.num_reuse_relocated;
-            lifetimes_.hold(q, global_index);
-        } else {
-            denied_.push_back(q);
-            ++plan.num_hold_denied;
-            ++plan.num_parked;
-            lifetimes_.release(q, global_index);
-        }
+        relocated_.push_back(q);
+        ++plan.num_held;
+        ++plan.num_reuse_relocated;
+        lifetimes_.hold(q, global_index);
     }
 }
 
@@ -750,7 +741,7 @@ ContinuousRouter::planStageTransition(Layout &layout, const Stage &stage)
         if (target_[q] != site_of_[q])
             plan.moves.push_back({q, site_of_[q], target_[q]});
     }
-    for (const auto *settled : {&evicted_, &relocated_, &denied_}) {
+    for (const auto *settled : {&evicted_, &relocated_}) {
         for (const QubitId q : *settled)
             plan.moves.push_back({q, site_of_[q], target_[q]});
     }

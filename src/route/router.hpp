@@ -20,8 +20,9 @@
  *  - Step 3: undecided qubits claim the nearest compute site that will
  *    be empty after all planned departures; their partners follow.
  *  - Step 4: each hold keeps its site if it ends the transition alone
- *    there, else moves to the nearest planned-free compute site, else
- *    (a denied hold) parks after all.
+ *    there, else moves to the nearest planned-free compute site (one
+ *    always exists: the policy holds at most the sites the gate pairs
+ *    leave free).
  *
  * Holding an idle atom is the atom reuse of Lin et al. ("Reuse-Aware
  * Compilation for Zoned Quantum Architectures Based on Neutral Atoms"):
@@ -125,8 +126,6 @@ struct TransitionPlan
     std::size_t num_held = 0;
     /** Held qubits relocated within the compute zone to dodge a pair. */
     std::size_t num_reuse_relocated = 0;
-    /** Hold candidates denied a surviving site, released to storage. */
-    std::size_t num_hold_denied = 0;
     /** Interacting qubits that entered the stage already held resident. */
     std::size_t num_reuse_hits = 0;
     /** Idle qubits released to storage by the residency policy. */
@@ -333,7 +332,6 @@ class ContinuousRouter
     std::vector<QubitId> holds_;
     std::vector<QubitId> releases_;
     std::vector<QubitId> relocated_;
-    std::vector<QubitId> denied_;
 
     // Residency step (engaged iff options.residency is set).
     std::unique_ptr<ResidencyPolicyImpl> policy_;

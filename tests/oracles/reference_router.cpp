@@ -443,8 +443,6 @@ ReferenceContinuousRouter::planStageTransition(Layout &layout,
     // ---- Step 4: settle the holds, farthest from storage first. ----------
     auto &relocated = relocated_;
     relocated.clear();
-    auto &denied = denied_;
-    denied.clear();
     std::sort(holds.begin(), holds.end(), vertical_order);
     for (const QubitId q : holds) {
         const SiteId site = layout.siteOf(q);
@@ -454,25 +452,15 @@ ReferenceContinuousRouter::planStageTransition(Layout &layout,
             continue;
         }
         const SiteId dest = findNearestFreeComputeSite(machine_, site, planned);
-        if (dest != kInvalidSite) {
-            --planned[site];
-            ++planned[dest];
-            target[q] = dest;
-            relocated.push_back(q);
-            ++plan.num_held;
-            ++plan.num_reuse_relocated;
-            lifetimes_.hold(q, global_index);
-        } else {
-            const SiteId slot =
-                storage_index_.claimSlot(machine_.coordOf(site), planned);
-            --planned[site];
-            ++planned[slot];
-            target[q] = slot;
-            denied.push_back(q);
-            ++plan.num_hold_denied;
-            ++plan.num_parked;
-            lifetimes_.release(q, global_index);
-        }
+        PM_ASSERT(dest != kInvalidSite,
+                  "a hold within capacity found no free compute site");
+        --planned[site];
+        ++planned[dest];
+        target[q] = dest;
+        relocated.push_back(q);
+        ++plan.num_held;
+        ++plan.num_reuse_relocated;
+        lifetimes_.hold(q, global_index);
     }
 
     // ---- Emit gate-related and eviction moves in decision order. ---------
@@ -483,7 +471,7 @@ ReferenceContinuousRouter::planStageTransition(Layout &layout,
         if (target[q] != layout.siteOf(q))
             plan.moves.push_back({q, layout.siteOf(q), target[q]});
     }
-    for (const auto *settled : {&evicted, &relocated, &denied}) {
+    for (const auto *settled : {&evicted, &relocated}) {
         for (const QubitId q : *settled)
             plan.moves.push_back({q, layout.siteOf(q), target[q]});
     }

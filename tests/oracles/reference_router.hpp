@@ -13,9 +13,8 @@
  * the same TransitionPlans move for move, label for label, with the
  * same RNG draws. With a residency policy this is the former
  * reuse-aware router, which planned against its own rebuilt occupancy
- * array; the one place the two may differ is a denied hold's storage
- * slot (see StorageSlotIndex). The differential tests and
- * bench/micro_router drive the routers side by side.
+ * array. The differential tests and bench/micro_router drive the
+ * routers side by side.
  */
 
 #ifndef POWERMOVE_TESTS_ORACLES_REFERENCE_ROUTER_HPP
@@ -40,11 +39,10 @@ namespace powermove {
  * First-free-row cursors over the storage zone, one per column.
  *
  * Cursors are rewound per transition and only advance past rows seen
- * occupied. A slot freed *behind* a cursor in the same transition (a
- * storage qubit departing for its gate before a denied hold parks) may
- * make claimSlot() return a deeper slot than the Sec. 5.2 minimum,
- * never an occupied one; it rewinds for one full rescan before
- * declaring the zone full.
+ * occupied. Every park is claimed before any storage qubit departs for
+ * its gate, so no slot frees behind a cursor and claimSlot() returns
+ * the Sec. 5.2 minimum; it rewinds for one full rescan before declaring
+ * the zone full.
  */
 class StorageSlotIndex
 {
@@ -151,7 +149,6 @@ class ReferenceContinuousRouter
     std::vector<int> holds_at_; // per site: holds parked there
     std::vector<QubitId> releases_;
     std::vector<QubitId> relocated_;
-    std::vector<QubitId> denied_;
 };
 
 } // namespace powermove

@@ -11,11 +11,9 @@
  * residency lifetime stats.
  *
  * Every policy holds at most the compute sites a stage leaves free, so
- * no hold is ever denied (left without a compute site and parked after
- * all). That was the one path where the two routers could differ: the
- * reference's column cursors may return a deeper storage slot for a
- * denied hold than the library's (|dx|, y, x) minimum. The random
- * programs on a cramped compute zone assert that no hold is denied.
+ * every hold finds a compute site; both routers assert this, and the
+ * random programs on a cramped compute zone, where relocations are
+ * frequent, would surface a violation as an InternalError.
  */
 
 #include <gtest/gtest.h>
@@ -39,24 +37,18 @@ constexpr ResidencyPolicy kPolicies[] = {
     ResidencyPolicy::Fidelity};
 constexpr std::size_t kWindows[] = {1, 4};
 
-/** Hold outcomes summed over the plans of expectSameRouting(). */
-struct HoldTotals
-{
-    std::size_t relocated = 0;
-    std::size_t denied = 0;
-};
-
 /**
  * Drives both routers through @p blocks from a storage-resident
  * row-major layout and compares every plan, the layouts after every
- * transition, and the final residency stats. Adds the relocated and
- * denied holds to @p totals when given.
+ * transition, and the final residency stats. Adds the relocated holds
+ * to @p relocated when given. Only a ConfigError is an agreed refusal;
+ * a broken invariant (InternalError) fails the test.
  */
 void
 expectSameRouting(const Machine &machine, std::size_t num_qubits,
                   const std::vector<std::vector<Stage>> &blocks,
                   const RouterOptions &options, const std::string &where,
-                  HoldTotals *totals = nullptr)
+                  std::size_t *relocated = nullptr)
 {
     Rng reference_stream(options.seed);
     Rng core_stream(options.seed);
@@ -82,12 +74,12 @@ expectSameRouting(const Machine &machine, std::size_t num_qubits,
             std::string got_error;
             try {
                 ref = reference.planStageTransition(reference_layout, stage);
-            } catch (const Error &e) {
+            } catch (const ConfigError &e) {
                 ref_error = e.what();
             }
             try {
                 got = core.planStageTransition(core_layout, stage);
-            } catch (const Error &e) {
+            } catch (const ConfigError &e) {
                 got_error = e.what();
             }
             ASSERT_EQ(ref_error, got_error) << at;
@@ -98,7 +90,6 @@ expectSameRouting(const Machine &machine, std::size_t num_qubits,
             EXPECT_EQ(ref.num_held, got.num_held) << at;
             EXPECT_EQ(ref.num_reuse_relocated, got.num_reuse_relocated)
                 << at;
-            EXPECT_EQ(ref.num_hold_denied, got.num_hold_denied) << at;
             EXPECT_EQ(ref.num_reuse_hits, got.num_reuse_hits) << at;
             EXPECT_EQ(ref.num_lookahead_misses, got.num_lookahead_misses)
                 << at;
@@ -106,10 +97,8 @@ expectSameRouting(const Machine &machine, std::size_t num_qubits,
                 << at;
             EXPECT_EQ(ref.num_window_misses, got.num_window_misses) << at;
             ASSERT_EQ(ref.moves, got.moves) << at;
-            if (totals != nullptr) {
-                totals->relocated += got.num_reuse_relocated;
-                totals->denied += got.num_hold_denied;
-            }
+            if (relocated != nullptr)
+                *relocated += got.num_reuse_relocated;
             for (QubitId q = 0; q < num_qubits; ++q) {
                 ASSERT_EQ(reference_layout.siteOf(q), core_layout.siteOf(q))
                     << at << ": layouts diverged at qubit " << q;
@@ -173,11 +162,11 @@ randomStage(Rng &rng, std::size_t num_qubits, std::size_t max_pairs)
 /**
  * Seeded random multi-block programs, on the default zone shape and on
  * a 2x2 compute zone where the idle atoms outnumber free sites, so
- * evictions and relocations are frequent and no hold may be denied.
+ * evictions and relocations are frequent.
  */
 TEST(ReuseRouterDifferentialTest, RandomMultiBlockProgramsMatch)
 {
-    HoldTotals totals;
+    std::size_t relocated = 0;
     for (const bool cramped : {false, true}) {
         for (const std::size_t n : {9u, 16u, 24u}) {
             MachineConfig config = MachineConfig::forQubits(n);
@@ -208,14 +197,13 @@ TEST(ReuseRouterDifferentialTest, RandomMultiBlockProgramsMatch)
                                 " seed=" + std::to_string(seed) + " " +
                                 std::string(residencyPolicyName(policy)) +
                                 "/w" + std::to_string(window),
-                            &totals);
+                            &relocated);
                     }
                 }
             }
         }
     }
-    EXPECT_GT(totals.relocated, 0u) << "the cramped programs must relocate";
-    EXPECT_EQ(totals.denied, 0u) << "no policy holds beyond capacity";
+    EXPECT_GT(relocated, 0u) << "the cramped programs must relocate";
 }
 
 /**
@@ -227,7 +215,7 @@ TEST(ReuseRouterDifferentialTest, RandomMultiBlockProgramsMatch)
  * 4 with 6, which claims two of the three compute sites, so only one of
  * 0 and 1 may stay: the lookahead window wants both, and the tie on
  * next use releases the lower id up front. The other hold keeps its
- * site, nothing is denied, and both routers plan the same moves.
+ * site and both routers plan the same moves.
  */
 TEST(ReuseRouterDifferentialTest, HoldsAboveCapacityReleaseUpFront)
 {
@@ -266,7 +254,6 @@ TEST(ReuseRouterDifferentialTest, HoldsAboveCapacityReleaseUpFront)
     reference.beginBlock(block, 7);
 
     const TransitionPlan plan = core.planStageTransition(layout, block[0]);
-    EXPECT_EQ(plan.num_hold_denied, 0u);
     EXPECT_EQ(plan.num_held, 1u);
     EXPECT_EQ(plan.num_parked, 2u) << "qubits 0 and 2";
     EXPECT_EQ(layout.siteOf(1), site_a) << "the kept hold keeps its site";
