@@ -102,6 +102,13 @@ PowerMoveCompiler::PowerMoveCompiler(const Machine &machine,
 {
     if (options_.num_aods == 0)
         fatal("compiler requires at least one AOD array");
+    // Storage-free reuse routes continuously and reads no lookahead.
+    if (options_.routing == RoutingStrategy::Reuse && options_.use_storage &&
+        options_.reuse_lookahead == 0)
+        fatal("reuse routing requires a lookahead window >= 1 stage");
+    if (options_.routing == RoutingStrategy::Windowed &&
+        options_.routing_window == 0)
+        fatal("windowed routing requires a window >= 1 ordering");
 }
 
 CompileResult
@@ -123,16 +130,12 @@ PowerMoveCompiler::compile(const Circuit &circuit) const
     // configurations route continuously.
     RouterOptions router_options{options_.use_storage, options_.seed};
     if (options_.routing == RoutingStrategy::Reuse && options_.use_storage) {
-        if (options_.reuse_lookahead == 0)
-            fatal("reuse routing requires a lookahead window >= 1 stage");
         router_options.residency = options_.residency;
         router_options.lookahead = options_.reuse_lookahead;
     }
     std::unique_ptr<ContinuousRouter> router;
     std::unique_ptr<WindowedRouter> windowed_router;
     if (options_.routing == RoutingStrategy::Windowed) {
-        if (options_.routing_window == 0)
-            fatal("windowed routing requires a window >= 1 ordering");
         windowed_router = std::make_unique<WindowedRouter>(
             machine_, router_options, options_.routing_window, rng);
     } else {

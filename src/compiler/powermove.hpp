@@ -38,8 +38,10 @@ class PowerMoveCompiler
     /**
      * @param machine target machine; must outlive the compiler and every
      *                CompileResult it produces
-     * @param options pipeline configuration; validated here (e.g. a zero
-     *                AOD count throws ConfigError at construction)
+     * @param options compile configuration; validated here: a zero AOD
+     *                count, a zero windowed-routing window, or a zero
+     *                reuse lookahead with the storage zone throws
+     *                ConfigError
      */
     explicit PowerMoveCompiler(const Machine &machine,
                                CompilerOptions options = {});

@@ -16,6 +16,25 @@ TEST(CompilerTest, ZeroAodsRejected)
     EXPECT_THROW(PowerMoveCompiler(machine, {true, 0}), ConfigError);
 }
 
+TEST(CompilerTest, ZeroWindowAndZeroLookaheadRejectedAtConstruction)
+{
+    const Machine machine(MachineConfig::forQubits(4));
+    CompilerOptions windowed;
+    windowed.routing = RoutingStrategy::Windowed;
+    windowed.routing_window = 0;
+    EXPECT_THROW(PowerMoveCompiler(machine, windowed), ConfigError);
+
+    CompilerOptions reuse;
+    reuse.routing = RoutingStrategy::Reuse;
+    reuse.reuse_lookahead = 0;
+    EXPECT_THROW(PowerMoveCompiler(machine, reuse), ConfigError);
+
+    // Without a storage zone reuse falls back to the continuous router,
+    // which has no lookahead to validate.
+    reuse.use_storage = false;
+    EXPECT_NO_THROW(PowerMoveCompiler(machine, reuse));
+}
+
 TEST(CompilerTest, EmptyCircuitCompilesToEmptySchedule)
 {
     const Machine machine(MachineConfig::forQubits(4));
