@@ -58,7 +58,7 @@ struct CompilerOptions
      */
     std::uint64_t seed = 0xC0FFEE;
 
-    /** How the PlacementPass builds the initial layout. */
+    /** How the Placement step builds the initial layout. */
     PlacementStrategy placement = PlacementStrategy::RowMajor;
 
     /**
@@ -85,12 +85,12 @@ struct CompilerOptions
     CollMoveOrderStrategy coll_move_order = CollMoveOrderStrategy::StorageDwell;
 
     /**
-     * How the RoutingPass plans stage transitions. Continuous is the
+     * How the Routing step plans stage transitions. Continuous is the
      * paper's Sec. 5 router (every idle qubit parks in storage); Reuse
      * keeps idle qubits resident in the compute zone when they interact
      * again within reuse_lookahead stages (src/reuse/). Reuse requires
-     * the storage zone: with use_storage = false the pass falls back to
-     * the continuous router.
+     * the storage zone: with use_storage = false the compiler falls back
+     * to the continuous router.
      */
     RoutingStrategy routing = RoutingStrategy::Continuous;
 

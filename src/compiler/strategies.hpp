@@ -1,9 +1,9 @@
 /**
  * @file
- * Strategy selections for the pass pipeline.
+ * Strategy selections for the compiler's passes.
  *
- * Each pipeline pass that admits more than one algorithm exposes its
- * choice as a small enum here, selected through CompilerOptions. The
+ * Each pass that admits more than one algorithm exposes its choice as
+ * a small enum here, selected through CompilerOptions. The
  * paper's Fig. 1b flow is the default in every dimension; alternatives
  * either reproduce an ablation (the "as-is" orderings) or trade compile
  * time for Eq. 1 fidelity (routing-aware placement, reuse and windowed
@@ -62,7 +62,7 @@ enum class CollMoveOrderStrategy : std::uint8_t
     StorageDwell,
 };
 
-/** How the RoutingPass plans stage transitions. */
+/** How the Routing step plans stage transitions. */
 enum class RoutingStrategy : std::uint8_t
 {
     /** The paper's Sec. 5 continuous router: every idle qubit parks. */

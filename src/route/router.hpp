@@ -156,8 +156,8 @@ class ContinuousRouter
     /**
      * Uses @p rng for the randomized mobile/static choice instead of an
      * internally seeded stream (options.seed is then ignored). The
-     * pipeline threads its PipelineContext RNG through here so every
-     * randomized decision of a compilation draws from one stream.
+     * compiler passes its per-compile RNG here so every randomized
+     * decision of a compilation draws from one stream.
      * @p rng must outlive the router.
      */
     ContinuousRouter(const Machine &machine, RouterOptions options, Rng &rng);
