@@ -26,6 +26,8 @@
 
 #include "arch/machine.hpp"
 #include "circuit/circuit.hpp"
+// Not used here; callers such as perfbench/ reach Rng through this header.
+#include "common/rng.hpp"
 #include "compiler/options.hpp"
 #include "compiler/result.hpp"
 
