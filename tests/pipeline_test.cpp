@@ -1,4 +1,4 @@
-/** @file Tests for the pass-pipeline compiler core. */
+/** @file Tests for the compile driver's passes, profiles and strategies. */
 
 #include <gtest/gtest.h>
 
