@@ -1,10 +1,11 @@
 #include "qasm/converter.hpp"
 
+#include <deque>
 #include <fstream>
-#include <iterator>
+#include <limits>
 #include <numbers>
+#include <span>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/error.hpp"
 #include "qasm/parser.hpp"
@@ -14,147 +15,141 @@ namespace powermove::qasm {
 namespace {
 
 constexpr std::size_t kMaxExpansionDepth = 64;
-
-/** Quantum register table: name -> (offset, size). */
-struct RegisterTable
-{
-    std::unordered_map<std::string, std::pair<QubitId, std::size_t>> regs;
-    std::size_t total = 0;
-
-    void
-    declare(const RegDecl &decl)
-    {
-        if (regs.contains(decl.name))
-            throw ParseError("register '" + decl.name + "' redeclared", 0, 0);
-        regs.emplace(decl.name,
-                     std::make_pair(static_cast<QubitId>(total), decl.size));
-        total += decl.size;
-    }
-
-    QubitId
-    resolve(const QuantumArg &arg) const
-    {
-        const auto it = regs.find(arg.reg);
-        if (it == regs.end())
-            throw ParseError("unknown quantum register '" + arg.reg + "'",
-                             arg.line, arg.column);
-        const auto [offset, size] = it->second;
-        if (!arg.index)
-            throw ParseError("expected an indexed qubit", arg.line,
-                             arg.column);
-        if (*arg.index >= size)
-            throw ParseError("index " + std::to_string(*arg.index) +
-                                 " out of range for '" + arg.reg + "'",
-                             arg.line, arg.column);
-        return offset + static_cast<QubitId>(*arg.index);
-    }
-
-    std::size_t
-    sizeOf(const QuantumArg &arg) const
-    {
-        const auto it = regs.find(arg.reg);
-        if (it == regs.end())
-            throw ParseError("unknown quantum register '" + arg.reg + "'",
-                             arg.line, arg.column);
-        return it->second.second;
-    }
-};
+constexpr std::uint32_t kNoGate = ~std::uint32_t{0};
 
 class Lowering
 {
   public:
-    explicit Lowering(const Program &program, std::string name)
-        : program_(program)
+    Lowering(const Program &program, std::string name)
+        : program_(program), regs_(program.names.size()),
+          gate_of_(program.names.size(), kNoGate)
     {
         // Pass 1: registers and gate definitions.
-        for (const auto &statement : program.statements) {
-            if (const auto *reg = std::get_if<RegDecl>(&statement)) {
-                if (reg->quantum)
-                    qregs_.declare(*reg);
-            } else if (const auto *gate = std::get_if<GateDecl>(&statement)) {
-                if (gate_decls_.contains(gate->name))
-                    throw ParseError("gate '" + gate->name + "' redefined", 0,
-                                     0);
-                gate_decls_.emplace(gate->name, gate);
+        std::uint64_t total = 0;
+        for (const Statement &statement : program.statements) {
+            if (statement.kind == Statement::Qreg) {
+                const QuantumArg &decl = program.args[statement.first_arg];
+                if (regs_[decl.name].size != 0)
+                    throw ParseError("register '" + text(decl.name) +
+                                         "' redeclared",
+                                     0, 0);
+                if (decl.index > std::numeric_limits<QubitId>::max() - total)
+                    throw ParseError("registers hold more than 2^32 - 1 "
+                                     "qubits in total",
+                                     decl.line, decl.column);
+                regs_[decl.name] = Register{static_cast<QubitId>(total),
+                                            decl.index};
+                total += decl.index;
+            } else if (statement.kind == Statement::GateDef) {
+                const std::uint32_t id = program.gates[statement.name].name;
+                if (gate_of_[id] != kNoGate)
+                    throw ParseError("gate '" + text(id) + "' redefined", 0, 0);
+                gate_of_[id] = statement.name;
             }
         }
-        if (qregs_.total == 0)
+        if (total == 0)
             throw ParseError("program declares no quantum register", 0, 0);
-        result_.circuit = Circuit(qregs_.total, std::move(name));
+        result_.circuit = Circuit(total, std::move(name));
     }
 
     ConvertResult
     run()
     {
-        for (const auto &statement : program_.statements) {
-            if (const auto *call = std::get_if<GateCall>(&statement))
-                applyTopLevelCall(*call);
-            else if (const auto *measure =
-                         std::get_if<MeasureStmt>(&statement))
-                applyMeasure(*measure);
-            else if (std::get_if<BarrierStmt>(&statement) != nullptr)
+        for (const Statement &statement : program_.statements) {
+            if (statement.kind == Statement::Call) {
+                if (statement.error != 0)
+                    throw program_.errors[statement.error - 1];
+                applyTopLevelCall(statement);
+            } else if (statement.kind == Statement::Measure) {
+                applyMeasure(program_.args[statement.first_arg]);
+            } else if (statement.kind == Statement::Barrier) {
                 result_.circuit.barrier();
+            }
         }
         return std::move(result_);
     }
 
   private:
-    void
-    applyMeasure(const MeasureStmt &measure)
+    struct Register
     {
-        if (measure.source.index) {
-            result_.measured.push_back(qregs_.resolve(measure.source));
+        QubitId offset = 0;
+        std::uint64_t size = 0; // 0: not declared
+    };
+
+    std::string text(std::uint32_t id) const
+    {
+        return std::string(program_.names[id].text);
+    }
+
+    const Register &
+    reg(const QuantumArg &arg) const
+    {
+        const Register &reg = regs_[arg.name];
+        if (reg.size == 0)
+            throw ParseError("unknown quantum register '" + text(arg.name) +
+                                 "'",
+                             arg.line, arg.column);
+        return reg;
+    }
+
+    QubitId
+    resolve(const QuantumArg &arg, std::uint64_t index) const
+    {
+        const Register &r = reg(arg);
+        if (index >= r.size)
+            throw ParseError("index " + std::to_string(index) +
+                                 " out of range for '" + text(arg.name) + "'",
+                             arg.line, arg.column);
+        return r.offset + static_cast<QubitId>(index);
+    }
+
+    void
+    applyMeasure(const QuantumArg &arg)
+    {
+        if (arg.indexed) {
+            result_.measured.push_back(resolve(arg, arg.index));
             return;
         }
-        const std::size_t size = qregs_.sizeOf(measure.source);
-        for (std::size_t i = 0; i < size; ++i) {
-            QuantumArg arg = measure.source;
-            arg.index = i;
-            result_.measured.push_back(qregs_.resolve(arg));
-        }
+        const Register &r = reg(arg);
+        for (std::uint64_t i = 0; i < r.size; ++i)
+            result_.measured.push_back(r.offset + static_cast<QubitId>(i));
     }
 
     /** Broadcasts register arguments, then emits the gate. */
     void
-    applyTopLevelCall(const GateCall &call)
+    applyTopLevelCall(const Statement &call)
     {
-        std::vector<double> params;
-        params.reserve(call.params.size());
-        for (const auto &expr : call.params)
-            params.push_back(evaluateExpr(expr, {}));
+        const std::span<const QuantumArg> args(
+            program_.args.data() + call.first_arg, call.num_args);
+        const std::span<const double> params(
+            program_.params.data() + call.first_param, call.num_params);
 
         // Determine broadcast width: all whole-register args must agree.
-        std::size_t width = 1;
+        std::uint64_t width = 1;
         bool broadcast = false;
-        for (const auto &arg : call.args) {
-            if (arg.index)
+        for (const QuantumArg &arg : args) {
+            if (arg.indexed)
                 continue;
-            const std::size_t size = qregs_.sizeOf(arg);
+            const std::uint64_t size = reg(arg).size;
             if (broadcast && size != width)
-                throw ParseError(
-                    "broadcast registers must have equal sizes", call.line,
-                    call.column);
+                throw ParseError("broadcast registers must have equal sizes",
+                                 call.line, call.column);
             broadcast = true;
             width = size;
         }
 
-        for (std::size_t i = 0; i < width; ++i) {
-            std::vector<QubitId> qubits;
-            qubits.reserve(call.args.size());
-            for (const auto &arg : call.args) {
-                QuantumArg concrete = arg;
-                if (!concrete.index)
-                    concrete.index = i;
-                qubits.push_back(qregs_.resolve(concrete));
-            }
-            emitGate(call.name, params, qubits, call.line, call.column, 0);
+        for (std::uint64_t i = 0; i < width; ++i) {
+            qubits_.clear();
+            for (const QuantumArg &arg : args)
+                qubits_.push_back(resolve(arg, arg.indexed ? arg.index : i));
+            emitGate(call.name, params, qubits_, call.line, call.column, 0);
         }
     }
 
     void
-    emitGate(const std::string &name, const std::vector<double> &params,
-             const std::vector<QubitId> &qubits, std::size_t line,
-             std::size_t column, std::size_t depth)
+    emitGate(std::uint32_t name, std::span<const double> params,
+             std::span<const QubitId> qubits, std::uint32_t line,
+             std::uint32_t column, std::size_t depth)
     {
         if (depth > kMaxExpansionDepth)
             throw ParseError("gate expansion too deep (recursive definition?)",
@@ -162,64 +157,55 @@ class Lowering
 
         // User definitions may shadow builtins (qelib1-style files define
         // the standard gates textually).
-        const auto decl_it = gate_decls_.find(name);
-        if (decl_it != gate_decls_.end()) {
-            expandUserGate(*decl_it->second, params, qubits, line, column,
-                           depth);
+        if (gate_of_[name] != kNoGate) {
+            expandUserGate(program_.gates[gate_of_[name]], params, qubits,
+                           line, column, depth);
             return;
         }
-        if (emitBuiltin(name, params, qubits, line, column, depth))
-            return;
-        throw ParseError("unknown gate '" + name + "'", line, column);
+        if (!emitBuiltin(name, params, qubits, line, column))
+            throw ParseError("unknown gate '" + text(name) + "'", line,
+                             column);
     }
 
     void
-    expandUserGate(const GateDecl &decl, const std::vector<double> &params,
-                   const std::vector<QubitId> &qubits, std::size_t line,
-                   std::size_t column, std::size_t depth)
+    expandUserGate(const GateDecl &decl, std::span<const double> params,
+                   std::span<const QubitId> qubits, std::uint32_t line,
+                   std::uint32_t column, std::size_t depth)
     {
         if (params.size() != decl.params.size())
-            throw ParseError("gate '" + decl.name + "' expects " +
+            throw ParseError("gate '" + text(decl.name) + "' expects " +
                                  std::to_string(decl.params.size()) +
                                  " parameters",
                              line, column);
         if (qubits.size() != decl.qubits.size())
-            throw ParseError("gate '" + decl.name + "' expects " +
+            throw ParseError("gate '" + text(decl.name) + "' expects " +
                                  std::to_string(decl.qubits.size()) +
                                  " qubits",
                              line, column);
 
-        std::vector<std::pair<std::string, double>> bindings;
-        bindings.reserve(params.size());
-        for (std::size_t i = 0; i < params.size(); ++i)
-            bindings.emplace_back(decl.params[i], params[i]);
-
-        std::unordered_map<std::string, QubitId> qubit_map;
-        for (std::size_t i = 0; i < qubits.size(); ++i)
-            qubit_map.emplace(decl.qubits[i], qubits[i]);
-
-        for (const auto &body_call : decl.body) {
-            if (body_call.name == "barrier") {
+        std::vector<double> body_params;
+        std::vector<QubitId> body_qubits;
+        for (const BodyCall &call : decl.body) {
+            if (call.name == BodyCall::kBarrier) {
                 result_.circuit.barrier();
                 continue;
             }
-            std::vector<double> body_params;
-            body_params.reserve(body_call.params.size());
-            for (const auto &expr : body_call.params)
-                body_params.push_back(evaluateExpr(expr, bindings));
+            body_params.clear();
+            const ExprOp *pc = decl.code.data() + call.code;
+            for (std::uint32_t p = 0; p < call.num_params; ++p)
+                body_params.push_back(evaluate(pc, params, program_.names));
 
-            std::vector<QubitId> body_qubits;
-            body_qubits.reserve(body_call.args.size());
-            for (const auto &arg : body_call.args) {
-                const auto it = qubit_map.find(arg.reg);
-                if (it == qubit_map.end())
-                    throw ParseError("unknown gate-body qubit '" + arg.reg +
-                                         "'",
+            body_qubits.clear();
+            for (std::uint32_t a = 0; a < call.num_args; ++a) {
+                const QuantumArg &arg = decl.args[call.first_arg + a];
+                if (arg.index == GateDecl::kUnknownQubit)
+                    throw ParseError("unknown gate-body qubit '" +
+                                         text(arg.name) + "'",
                                      arg.line, arg.column);
-                body_qubits.push_back(it->second);
+                body_qubits.push_back(qubits[arg.index]);
             }
-            emitGate(body_call.name, body_params, body_qubits, body_call.line,
-                     body_call.column, depth + 1);
+            emitGate(call.name, body_params, body_qubits, call.line,
+                     call.column, depth + 1);
         }
     }
 
@@ -240,150 +226,115 @@ class Lowering
         one(OneQKind::H, target);
     }
 
-    void
-    checkArity(const std::string &name, const std::vector<double> &params,
-               std::size_t want_params, const std::vector<QubitId> &qubits,
-               std::size_t want_qubits, std::size_t line, std::size_t column)
-    {
-        if (params.size() != want_params || qubits.size() != want_qubits) {
-            std::ostringstream os;
-            os << "gate '" << name << "' expects " << want_params
-               << " parameter(s) and " << want_qubits << " qubit(s)";
-            throw ParseError(os.str(), line, column);
-        }
-    }
-
     bool
-    emitBuiltin(const std::string &name, const std::vector<double> &params,
-                const std::vector<QubitId> &qubits, std::size_t line,
-                std::size_t column, std::size_t depth)
+    emitBuiltin(std::uint32_t name, std::span<const double> params,
+                std::span<const QubitId> q, std::uint32_t line,
+                std::uint32_t column)
     {
-        static const std::unordered_map<std::string, OneQKind> kSimple1Q = {
-            {"h", OneQKind::H},     {"x", OneQKind::X},
-            {"y", OneQKind::Y},     {"z", OneQKind::Z},
-            {"s", OneQKind::S},     {"sdg", OneQKind::Sdg},
-            {"t", OneQKind::T},     {"tdg", OneQKind::Tdg},
+        const Builtin builtin = program_.names[name].builtin;
+        const auto arity = [&](std::size_t want_params,
+                               std::size_t want_qubits) {
+            if (params.size() != want_params || q.size() != want_qubits)
+                throw ParseError("gate '" + text(name) + "' expects " +
+                                     std::to_string(want_params) +
+                                     " parameter(s) and " +
+                                     std::to_string(want_qubits) +
+                                     " qubit(s)",
+                                 line, column);
         };
-        static const std::unordered_map<std::string, OneQKind> kRotation1Q = {
-            {"rx", OneQKind::Rx},
-            {"ry", OneQKind::Ry},
-            {"rz", OneQKind::Rz},
-        };
-
-        if (const auto it = kSimple1Q.find(name); it != kSimple1Q.end()) {
-            checkArity(name, params, 0, qubits, 1, line, column);
-            one(it->second, qubits[0]);
+        switch (builtin) {
+          case Builtin::None:
+            return false;
+          case Builtin::H: case Builtin::X: case Builtin::Y: case Builtin::Z:
+          case Builtin::S: case Builtin::Sdg: case Builtin::T:
+          case Builtin::Tdg:
+            arity(0, 1);
+            one(static_cast<OneQKind>(static_cast<int>(builtin) -
+                                      static_cast<int>(Builtin::H)),
+                q[0]);
             return true;
-        }
-        if (const auto it = kRotation1Q.find(name); it != kRotation1Q.end()) {
-            checkArity(name, params, 1, qubits, 1, line, column);
-            one(it->second, qubits[0], params[0]);
+          case Builtin::Rx: case Builtin::Ry: case Builtin::Rz:
+            arity(1, 1);
+            one(static_cast<OneQKind>(static_cast<int>(builtin) -
+                                      static_cast<int>(Builtin::H)),
+                q[0], params[0]);
             return true;
-        }
-        if (name == "id") {
-            checkArity(name, params, 0, qubits, 1, line, column);
+          case Builtin::Id:
+            arity(0, 1);
             return true; // identity: no operation
-        }
-        if (name == "u1" || name == "p") {
-            checkArity(name, params, 1, qubits, 1, line, column);
-            one(OneQKind::Rz, qubits[0], params[0]);
+          case Builtin::U1:
+            arity(1, 1);
+            one(OneQKind::Rz, q[0], params[0]);
             return true;
-        }
-        if (name == "u2") {
-            checkArity(name, params, 2, qubits, 1, line, column);
+          case Builtin::U2:
+            arity(2, 1);
             // u2(phi, lambda) is one hardware pulse: a generic U with
             // theta = pi/2 (angles beyond theta do not affect costing).
-            one(OneQKind::U, qubits[0], std::numbers::pi / 2.0);
+            one(OneQKind::U, q[0], std::numbers::pi / 2.0);
             return true;
-        }
-        if (name == "u3" || name == "u") {
-            checkArity(name, params, 3, qubits, 1, line, column);
-            one(OneQKind::U, qubits[0], params[0]);
+          case Builtin::U3:
+            arity(3, 1);
+            one(OneQKind::U, q[0], params[0]);
             return true;
-        }
-        if (name == "cz") {
-            checkArity(name, params, 0, qubits, 2, line, column);
-            cz(qubits[0], qubits[1]);
+          case Builtin::Cz:
+            arity(0, 2);
+            cz(q[0], q[1]);
             return true;
-        }
-        if (name == "cx" || name == "CX") {
-            checkArity(name, params, 0, qubits, 2, line, column);
-            cx(qubits[0], qubits[1]);
+          case Builtin::Cx:
+            arity(0, 2);
+            cx(q[0], q[1]);
             return true;
-        }
-        if (name == "cp" || name == "cu1") {
-            checkArity(name, params, 1, qubits, 2, line, column);
+          case Builtin::Cp: {
+            arity(1, 2);
             const double lambda = params[0];
-            one(OneQKind::Rz, qubits[0], lambda / 2.0);
-            cx(qubits[0], qubits[1]);
-            one(OneQKind::Rz, qubits[1], -lambda / 2.0);
-            cx(qubits[0], qubits[1]);
-            one(OneQKind::Rz, qubits[1], lambda / 2.0);
+            one(OneQKind::Rz, q[0], lambda / 2.0);
+            cx(q[0], q[1]);
+            one(OneQKind::Rz, q[1], -lambda / 2.0);
+            cx(q[0], q[1]);
+            one(OneQKind::Rz, q[1], lambda / 2.0);
             return true;
-        }
-        if (name == "rzz") {
-            checkArity(name, params, 1, qubits, 2, line, column);
-            cx(qubits[0], qubits[1]);
-            one(OneQKind::Rz, qubits[1], params[0]);
-            cx(qubits[0], qubits[1]);
+          }
+          case Builtin::Rzz:
+            arity(1, 2);
+            cx(q[0], q[1]);
+            one(OneQKind::Rz, q[1], params[0]);
+            cx(q[0], q[1]);
             return true;
-        }
-        if (name == "swap") {
-            checkArity(name, params, 0, qubits, 2, line, column);
-            cx(qubits[0], qubits[1]);
-            cx(qubits[1], qubits[0]);
-            cx(qubits[0], qubits[1]);
+          case Builtin::Swap:
+            arity(0, 2);
+            cx(q[0], q[1]);
+            cx(q[1], q[0]);
+            cx(q[0], q[1]);
             return true;
-        }
-        if (name == "ccx") {
-            checkArity(name, params, 0, qubits, 3, line, column);
-            const QubitId a = qubits[0];
-            const QubitId b = qubits[1];
-            const QubitId c = qubits[2];
+          case Builtin::Ccx:
+            arity(0, 3);
             // Standard six-CX Toffoli decomposition.
-            one(OneQKind::H, c);
-            cx(b, c);
-            one(OneQKind::Tdg, c);
-            cx(a, c);
-            one(OneQKind::T, c);
-            cx(b, c);
-            one(OneQKind::Tdg, c);
-            cx(a, c);
-            one(OneQKind::T, b);
-            one(OneQKind::T, c);
-            one(OneQKind::H, c);
-            cx(a, b);
-            one(OneQKind::T, a);
-            one(OneQKind::Tdg, b);
-            cx(a, b);
+            one(OneQKind::H, q[2]);
+            cx(q[1], q[2]);
+            one(OneQKind::Tdg, q[2]);
+            cx(q[0], q[2]);
+            one(OneQKind::T, q[2]);
+            cx(q[1], q[2]);
+            one(OneQKind::Tdg, q[2]);
+            cx(q[0], q[2]);
+            one(OneQKind::T, q[1]);
+            one(OneQKind::T, q[2]);
+            one(OneQKind::H, q[2]);
+            cx(q[0], q[1]);
+            one(OneQKind::T, q[0]);
+            one(OneQKind::Tdg, q[1]);
+            cx(q[0], q[1]);
             return true;
         }
-        (void)depth;
         return false;
     }
 
     const Program &program_;
-    RegisterTable qregs_;
-    std::unordered_map<std::string, const GateDecl *> gate_decls_;
+    std::vector<Register> regs_;       // by name id
+    std::vector<std::uint32_t> gate_of_; // name id -> index into gates
+    std::vector<QubitId> qubits_;      // one top-level call's operands
     ConvertResult result_;
 };
-
-} // namespace
-
-ConvertResult
-convertProgram(const Program &program, std::string circuit_name)
-{
-    return Lowering(program, std::move(circuit_name)).run();
-}
-
-ConvertResult
-loadQasm(std::string_view source, std::string circuit_name)
-{
-    const Program program = parseProgram(source);
-    return convertProgram(program, std::move(circuit_name));
-}
-
-namespace {
 
 std::string
 readFileOrFatal(const std::string &path)
@@ -406,51 +357,61 @@ directoryOf(const std::string &path)
 
 /** True for includes whose gates the converter provides natively. */
 bool
-isStandardInclude(const std::string &name)
+isStandardInclude(std::string_view name)
 {
     return name == "qelib1.inc" || name == "stdgates.inc";
 }
 
 /**
- * Parses @p path and recursively splices non-standard includes (resolved
- * relative to the including file) ahead of the including program's own
- * statements, so included gate definitions are visible downstream.
+ * Parses @p path into @p program (its text kept alive in @p sources),
+ * then its non-standard includes, resolved relative to it; returns the
+ * statements of the includes, recursively spliced, ahead of its own.
  */
-Program
-parseFileWithIncludes(const std::string &path, std::size_t depth)
+std::vector<Statement>
+parseFileWithIncludes(const std::string &path, std::size_t depth,
+                      Program &program, std::deque<std::string> &sources)
 {
     if (depth > 16)
         fatal("QASM include nesting too deep (cycle?): " + path);
-    Program program = parseProgram(readFileOrFatal(path));
+    sources.push_back(readFileOrFatal(path));
+    program.statements.clear();
+    parseProgram(sources.back(), program);
+    std::vector<Statement> own = std::move(program.statements);
+    const std::vector<std::string_view> includes = program.includes;
 
     std::vector<Statement> spliced;
-    for (const auto &include : program.includes) {
+    for (const std::string_view include : includes) {
         if (isStandardInclude(include))
             continue;
-        Program inner =
-            parseFileWithIncludes(directoryOf(path) + include, depth + 1);
-        for (auto &statement : inner.statements)
-            spliced.push_back(std::move(statement));
+        const std::vector<Statement> inner = parseFileWithIncludes(
+            directoryOf(path) + std::string(include), depth + 1, program,
+            sources);
+        spliced.insert(spliced.end(), inner.begin(), inner.end());
     }
-    if (!spliced.empty()) {
-        spliced.insert(spliced.end(),
-                       std::make_move_iterator(program.statements.begin()),
-                       std::make_move_iterator(program.statements.end()));
-        program.statements = std::move(spliced);
-    }
-    return program;
+    spliced.insert(spliced.end(), own.begin(), own.end());
+    return spliced;
 }
 
 } // namespace
 
 ConvertResult
+loadQasm(std::string_view source, std::string circuit_name)
+{
+    Program program;
+    parseProgram(source, program);
+    return Lowering(program, std::move(circuit_name)).run();
+}
+
+ConvertResult
 loadQasmFile(const std::string &path)
 {
-    const Program program = parseFileWithIncludes(path, 0);
+    Program program;
+    std::deque<std::string> sources; // the names' text lives here
+    program.statements = parseFileWithIncludes(path, 0, program, sources);
     std::string name = path;
     if (const auto slash = name.find_last_of('/'); slash != std::string::npos)
         name = name.substr(slash + 1);
-    return convertProgram(program, std::move(name));
+    return Lowering(program, std::move(name)).run();
 }
 
 } // namespace powermove::qasm

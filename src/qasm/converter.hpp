@@ -1,10 +1,15 @@
 /**
  * @file
- * Lowering of OpenQASM 2.0 programs to the {1Q, CZ} circuit IR.
+ * Loading OpenQASM 2.0 into the {1Q, CZ} circuit IR.
  *
- * Standard qelib1 gates are provided natively; user gate definitions are
- * expanded recursively with parameter substitution. Multi-qubit gates
- * are decomposed into CZ-basis sequences:
+ * The parser (qasm/parser.hpp) turns the source into flat statement
+ * records over interned names; the converter lowers them once the whole
+ * file has parsed: first a declaration pass (registers and gate
+ * definitions, so a declaration is visible to every call), then the
+ * statements in order. Standard qelib1 gates are provided natively;
+ * user gate definitions are expanded recursively with parameter
+ * substitution. Multi-qubit gates are decomposed into CZ-basis
+ * sequences:
  *
  *   cx c,t   -> h t; cz c,t; h t
  *   cp/cu1   -> rz halves + two cx (full decomposition, unlike the
@@ -15,7 +20,9 @@
  *
  * `barrier` closes the current commutable CZ block; `measure` targets
  * are recorded but produce no operations (the compiler handles unitary
- * circuits; measurement happens after execution).
+ * circuits; measurement happens after execution). The original
+ * AST-based front end is kept in tests/oracles/reference_qasm_* as the
+ * differential oracle of this one.
  */
 
 #ifndef POWERMOVE_QASM_CONVERTER_HPP
@@ -26,7 +33,6 @@
 #include <vector>
 
 #include "circuit/circuit.hpp"
-#include "qasm/ast.hpp"
 
 namespace powermove::qasm {
 
@@ -38,15 +44,19 @@ struct ConvertResult
     std::vector<QubitId> measured;
 };
 
-/** Lowers a parsed program. Throws ParseError on semantic errors. */
-ConvertResult convertProgram(const Program &program,
-                             std::string circuit_name = "qasm");
-
-/** Convenience: parse + lower a source buffer. */
+/**
+ * Parses and lowers a source buffer. Throws ParseError on a syntax or
+ * semantic error (every syntax error first), ConfigError if the circuit
+ * rejects a gate.
+ */
 ConvertResult loadQasm(std::string_view source,
                        std::string circuit_name = "qasm");
 
-/** Convenience: parse + lower a file on disk. */
+/**
+ * Parses and lowers a file on disk. Non-standard includes resolve
+ * relative to the including file, and their statements go ahead of the
+ * including file's own.
+ */
 ConvertResult loadQasmFile(const std::string &path);
 
 } // namespace powermove::qasm

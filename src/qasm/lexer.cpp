@@ -1,196 +1,168 @@
 #include "qasm/lexer.hpp"
 
-#include <cctype>
 #include <charconv>
-#include <unordered_map>
+#include <iterator>
+#include <string>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace powermove::qasm {
 
-std::string
+const char *
 tokenKindName(TokenKind kind)
 {
-    switch (kind) {
-      case TokenKind::Identifier:
-        return "identifier";
-      case TokenKind::Real:
-        return "real literal";
-      case TokenKind::Integer:
-        return "integer literal";
-      case TokenKind::String:
-        return "string literal";
-      case TokenKind::KwOpenQasm:
-        return "'OPENQASM'";
-      case TokenKind::KwInclude:
-        return "'include'";
-      case TokenKind::KwQreg:
-        return "'qreg'";
-      case TokenKind::KwCreg:
-        return "'creg'";
-      case TokenKind::KwGate:
-        return "'gate'";
-      case TokenKind::KwMeasure:
-        return "'measure'";
-      case TokenKind::KwBarrier:
-        return "'barrier'";
-      case TokenKind::KwReset:
-        return "'reset'";
-      case TokenKind::KwIf:
-        return "'if'";
-      case TokenKind::KwPi:
-        return "'pi'";
-      case TokenKind::Semicolon:
-        return "';'";
-      case TokenKind::Comma:
-        return "','";
-      case TokenKind::LParen:
-        return "'('";
-      case TokenKind::RParen:
-        return "')'";
-      case TokenKind::LBracket:
-        return "'['";
-      case TokenKind::RBracket:
-        return "']'";
-      case TokenKind::LBrace:
-        return "'{'";
-      case TokenKind::RBrace:
-        return "'}'";
-      case TokenKind::Arrow:
-        return "'->'";
-      case TokenKind::Plus:
-        return "'+'";
-      case TokenKind::Minus:
-        return "'-'";
-      case TokenKind::Star:
-        return "'*'";
-      case TokenKind::Slash:
-        return "'/'";
-      case TokenKind::Caret:
-        return "'^'";
-      case TokenKind::EqualEqual:
-        return "'=='";
-      case TokenKind::EndOfFile:
-        return "end of input";
-    }
-    panic("unknown token kind");
+    static constexpr const char *kNames[] = {
+        "identifier", "real literal", "integer literal", "string literal",
+        "'OPENQASM'", "'include'", "'qreg'", "'creg'", "'gate'", "'measure'",
+        "'barrier'", "'reset'", "'if'", "'pi'", "';'", "','", "'('", "')'",
+        "'['", "']'", "'{'", "'}'", "'->'", "'+'", "'-'", "'*'", "'/'", "'^'",
+        "'=='", "end of input"};
+    static_assert(std::size(kNames) ==
+                  static_cast<std::size_t>(TokenKind::EndOfFile) + 1);
+    return kNames[static_cast<std::size_t>(kind)];
 }
 
 namespace {
 
-const std::unordered_map<std::string_view, TokenKind> kKeywords = {
-    {"OPENQASM", TokenKind::KwOpenQasm},
-    {"include", TokenKind::KwInclude},
-    {"qreg", TokenKind::KwQreg},
-    {"creg", TokenKind::KwCreg},
-    {"gate", TokenKind::KwGate},
-    {"measure", TokenKind::KwMeasure},
-    {"barrier", TokenKind::KwBarrier},
-    {"reset", TokenKind::KwReset},
-    {"if", TokenKind::KwIf},
-    {"pi", TokenKind::KwPi},
-};
+// The "C" locale's character classes, without the locale lookup.
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
+bool
+isIdentStart(char c)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
+}
+
+bool isIdentChar(char c) { return isIdentStart(c) || isDigit(c); }
+
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+TokenKind
+keywordOrIdentifier(std::string_view text)
+{
+    static constexpr std::pair<std::string_view, TokenKind> kKeywords[] = {
+        {"OPENQASM", TokenKind::KwOpenQasm}, {"include", TokenKind::KwInclude},
+        {"qreg", TokenKind::KwQreg},         {"creg", TokenKind::KwCreg},
+        {"gate", TokenKind::KwGate},         {"measure", TokenKind::KwMeasure},
+        {"barrier", TokenKind::KwBarrier},   {"reset", TokenKind::KwReset},
+        {"if", TokenKind::KwIf},             {"pi", TokenKind::KwPi},
+    };
+    // Most identifiers are gate and register names that no keyword
+    // shares a first letter and length with.
+    for (const auto &[keyword, kind] : kKeywords) {
+        if (keyword.size() == text.size() && keyword[0] == text[0] &&
+            keyword == text)
+            return kind;
+    }
+    return TokenKind::Identifier;
+}
 
 } // namespace
 
 Token
-Lexer::next()
+Lexer::make(TokenKind kind, std::size_t begin) const
 {
-    skipWhitespaceAndComments();
-    return atEnd() ? make(TokenKind::EndOfFile, "") : lexToken();
-}
-
-char
-Lexer::peekAt(std::size_t offset) const
-{
-    return pos_ + offset < source_.size() ? source_[pos_ + offset] : '\0';
-}
-
-void
-Lexer::advance()
-{
-    if (source_[pos_] == '\n') {
-        ++line_;
-        column_ = 1;
-    } else {
-        ++column_;
-    }
-    ++pos_;
-}
-
-Token
-Lexer::make(TokenKind kind, std::string text) const
-{
-    return Token{kind, std::move(text), 0.0, token_line_, token_column_};
+    return Token{kind, source_.substr(begin, pos_ - begin), 0.0, line_,
+                 token_column_};
 }
 
 void
 Lexer::skipWhitespaceAndComments()
 {
-    for (;;) {
-        while (!atEnd() && std::isspace(static_cast<unsigned char>(peek())))
-            advance();
-        if (!atEnd() && peek() == '/' && peekAt(1) == '/') {
-            while (!atEnd() && peek() != '\n')
-                advance();
-            continue;
+    const std::size_t size = source_.size();
+    while (pos_ < size) {
+        const char c = source_[pos_];
+        if (c == '\n') {
+            ++line_;
+            line_start_ = ++pos_;
+        } else if (isSpace(c)) {
+            ++pos_;
+        } else if (c == '/' && pos_ + 1 < size && source_[pos_ + 1] == '/') {
+            const std::size_t end = source_.find('\n', pos_);
+            pos_ = end == std::string_view::npos ? size : end;
+        } else {
+            return;
         }
-        return;
     }
 }
 
 Token
-Lexer::lexToken()
+Lexer::next()
 {
-    token_line_ = line_;
-    token_column_ = column_;
-    const char c = peek();
-
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_')
-        return identifier();
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && std::isdigit(static_cast<unsigned char>(peekAt(1))))) {
-        return number();
+    skipWhitespaceAndComments();
+    if (pos_ >= source_.size()) {
+        // End of input reports the position of the last token.
+        return Token{TokenKind::EndOfFile, {}, 0.0, token_line_,
+                     token_column_};
     }
-    if (c == '"')
-        return stringLiteral();
+    token_line_ = line_;
+    token_column_ = pos_ - line_start_ + 1;
+    const std::size_t begin = pos_;
+    const char c = source_[pos_];
+    const auto at = [&](std::size_t i) {
+        return i < source_.size() ? source_[i] : '\0';
+    };
 
-    advance();
+    if (isIdentStart(c)) {
+        while (++pos_ < source_.size() && isIdentChar(source_[pos_])) {
+        }
+        Token token = make(TokenKind::Identifier, begin);
+        token.kind = keywordOrIdentifier(token.text);
+        return token;
+    }
+    if (isDigit(c) || (c == '.' && isDigit(at(pos_ + 1))))
+        return number(begin);
+    if (c == '"') {
+        const std::size_t end = source_.find_first_of("\"\n", pos_ + 1);
+        if (end == std::string_view::npos || source_[end] == '\n')
+            throw ParseError("unterminated string literal", token_line_,
+                             token_column_);
+        pos_ = end + 1;
+        return Token{TokenKind::String, source_.substr(begin + 1, end - begin - 1),
+                     0.0, token_line_, token_column_};
+    }
+
+    ++pos_;
     switch (c) {
       case ';':
-        return make(TokenKind::Semicolon, ";");
+        return make(TokenKind::Semicolon, begin);
       case ',':
-        return make(TokenKind::Comma, ",");
+        return make(TokenKind::Comma, begin);
       case '(':
-        return make(TokenKind::LParen, "(");
+        return make(TokenKind::LParen, begin);
       case ')':
-        return make(TokenKind::RParen, ")");
+        return make(TokenKind::RParen, begin);
       case '[':
-        return make(TokenKind::LBracket, "[");
+        return make(TokenKind::LBracket, begin);
       case ']':
-        return make(TokenKind::RBracket, "]");
+        return make(TokenKind::RBracket, begin);
       case '{':
-        return make(TokenKind::LBrace, "{");
+        return make(TokenKind::LBrace, begin);
       case '}':
-        return make(TokenKind::RBrace, "}");
+        return make(TokenKind::RBrace, begin);
       case '+':
-        return make(TokenKind::Plus, "+");
+        return make(TokenKind::Plus, begin);
       case '*':
-        return make(TokenKind::Star, "*");
+        return make(TokenKind::Star, begin);
       case '/':
-        return make(TokenKind::Slash, "/");
+        return make(TokenKind::Slash, begin);
       case '^':
-        return make(TokenKind::Caret, "^");
+        return make(TokenKind::Caret, begin);
       case '-':
-        if (!atEnd() && peek() == '>') {
-            advance();
-            return make(TokenKind::Arrow, "->");
+        if (at(pos_) == '>') {
+            ++pos_;
+            return make(TokenKind::Arrow, begin);
         }
-        return make(TokenKind::Minus, "-");
+        return make(TokenKind::Minus, begin);
       case '=':
-        if (!atEnd() && peek() == '=') {
-            advance();
-            return make(TokenKind::EqualEqual, "==");
+        if (at(pos_) == '=') {
+            ++pos_;
+            return make(TokenKind::EqualEqual, begin);
         }
         throw ParseError("stray '='", token_line_, token_column_);
       default:
@@ -200,87 +172,38 @@ Lexer::lexToken()
 }
 
 Token
-Lexer::identifier()
+Lexer::number(std::size_t begin)
 {
-    std::string text;
-    while (!atEnd() &&
-           (std::isalnum(static_cast<unsigned char>(peek())) ||
-            peek() == '_')) {
-        text += peek();
-        advance();
-    }
-    const auto it = kKeywords.find(text);
-    if (it != kKeywords.end())
-        return make(it->second, std::move(text));
-    return make(TokenKind::Identifier, std::move(text));
-}
-
-Token
-Lexer::number()
-{
-    std::string text;
+    const std::size_t size = source_.size();
+    const auto digits = [&] {
+        while (pos_ < size && isDigit(source_[pos_]))
+            ++pos_;
+    };
     bool is_real = false;
-    while (!atEnd() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        text += peek();
-        advance();
-    }
-    if (!atEnd() && peek() == '.') {
+    digits();
+    if (pos_ < size && source_[pos_] == '.') {
         is_real = true;
-        text += peek();
-        advance();
-        while (!atEnd() &&
-               std::isdigit(static_cast<unsigned char>(peek()))) {
-            text += peek();
-            advance();
-        }
+        ++pos_;
+        digits();
     }
-    if (!atEnd() && (peek() == 'e' || peek() == 'E')) {
+    if (pos_ < size && (source_[pos_] == 'e' || source_[pos_] == 'E')) {
         is_real = true;
-        text += peek();
-        advance();
-        if (!atEnd() && (peek() == '+' || peek() == '-')) {
-            text += peek();
-            advance();
-        }
-        if (atEnd() || !std::isdigit(static_cast<unsigned char>(peek())))
-            throw ParseError("malformed exponent", token_line_,
-                             token_column_);
-        while (!atEnd() &&
-               std::isdigit(static_cast<unsigned char>(peek()))) {
-            text += peek();
-            advance();
-        }
+        ++pos_;
+        if (pos_ < size && (source_[pos_] == '+' || source_[pos_] == '-'))
+            ++pos_;
+        if (pos_ >= size || !isDigit(source_[pos_]))
+            throw ParseError("malformed exponent", token_line_, token_column_);
+        digits();
     }
 
-    Token token =
-        make(is_real ? TokenKind::Real : TokenKind::Integer, text);
-    double value = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || ptr != text.data() + text.size())
-        throw ParseError("malformed number '" + text + "'", token_line_,
-                         token_column_);
-    token.number = value;
+    Token token = make(is_real ? TokenKind::Real : TokenKind::Integer, begin);
+    const char *first = token.text.data();
+    const char *last = first + token.text.size();
+    const auto [ptr, ec] = std::from_chars(first, last, token.number);
+    if (ec != std::errc{} || ptr != last)
+        throw ParseError("malformed number '" + std::string(token.text) + "'",
+                         token_line_, token_column_);
     return token;
-}
-
-Token
-Lexer::stringLiteral()
-{
-    advance(); // opening quote
-    std::string text;
-    while (!atEnd() && peek() != '"') {
-        if (peek() == '\n')
-            throw ParseError("unterminated string literal", token_line_,
-                             token_column_);
-        text += peek();
-        advance();
-    }
-    if (atEnd())
-        throw ParseError("unterminated string literal", token_line_,
-                         token_column_);
-    advance(); // closing quote
-    return make(TokenKind::String, std::move(text));
 }
 
 } // namespace powermove::qasm

@@ -4,25 +4,75 @@
  *
  * Handles line comments (// ...), both integer and real literals
  * (including exponent notation), string literals for include paths, and
- * the keyword set of the OpenQASM 2.0 grammar. Unknown characters raise
- * ParseError with a 1-based line/column position.
+ * the keyword set of the OpenQASM 2.0 grammar. Tokens are views into
+ * the source buffer, which must outlive them: no token allocates.
+ * Unknown characters raise ParseError with a 1-based line/column
+ * position.
  */
 
 #ifndef POWERMOVE_QASM_LEXER_HPP
 #define POWERMOVE_QASM_LEXER_HPP
 
 #include <cstddef>
-#include <string>
+#include <cstdint>
 #include <string_view>
-
-#include "qasm/token.hpp"
 
 namespace powermove::qasm {
 
+/** Token kinds of the OpenQASM 2.0 grammar subset we accept. */
+enum class TokenKind : std::uint8_t
+{
+    Identifier,
+    Real,       // 3.14, 1e-3
+    Integer,    // 42
+    String,     // "qelib1.inc"
+    // Keywords
+    KwOpenQasm, // OPENQASM
+    KwInclude,
+    KwQreg,
+    KwCreg,
+    KwGate,
+    KwMeasure,
+    KwBarrier,
+    KwReset,
+    KwIf,
+    KwPi,
+    // Punctuation and operators
+    Semicolon,
+    Comma,
+    LParen,
+    RParen,
+    LBracket,
+    RBracket,
+    LBrace,
+    RBrace,
+    Arrow, // ->
+    Plus,
+    Minus,
+    Star,
+    Slash,
+    Caret,
+    EqualEqual,
+    EndOfFile,
+};
+
+/** Human-readable token-kind name for diagnostics. */
+const char *tokenKindName(TokenKind kind);
+
+/** One lexed token with its source position (1-based). */
+struct Token
+{
+    TokenKind kind = TokenKind::EndOfFile;
+    /** The token's text in the source (a string literal's without quotes). */
+    std::string_view text;
+    double number = 0.0; // value for Real/Integer
+    std::size_t line = 0;
+    std::size_t column = 0;
+};
+
 /**
  * Lexes a source buffer one token at a time, so the parser keeps one
- * token of lookahead instead of the whole token list (a large circuit's
- * list runs to megabytes).
+ * token of lookahead instead of the whole token list.
  */
 class Lexer
 {
@@ -33,22 +83,14 @@ class Lexer
     Token next();
 
   private:
-    bool atEnd() const { return pos_ >= source_.size(); }
-    char peek() const { return source_[pos_]; }
-    char peekAt(std::size_t offset) const;
-    void advance();
-    Token make(TokenKind kind, std::string text) const;
+    Token make(TokenKind kind, std::size_t begin) const;
     void skipWhitespaceAndComments();
-    /** The token starting at the current (non-blank) position. */
-    Token lexToken();
-    Token identifier();
-    Token number();
-    Token stringLiteral();
+    Token number(std::size_t begin);
 
     std::string_view source_;
     std::size_t pos_ = 0;
     std::size_t line_ = 1;
-    std::size_t column_ = 1;
+    std::size_t line_start_ = 0; // offset of the current line's first byte
     std::size_t token_line_ = 1;
     std::size_t token_column_ = 1;
 };

@@ -1,33 +1,84 @@
 #include "qasm/parser.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <numbers>
 #include <string>
 #include <utility>
 
-#include "common/error.hpp"
 #include "qasm/lexer.hpp"
 
 namespace powermove::qasm {
 
 namespace {
 
+Builtin
+builtinOf(std::string_view name)
+{
+    static constexpr std::pair<std::string_view, Builtin> kBuiltins[] = {
+        {"h", Builtin::H},      {"x", Builtin::X},       {"y", Builtin::Y},
+        {"z", Builtin::Z},      {"s", Builtin::S},       {"sdg", Builtin::Sdg},
+        {"t", Builtin::T},      {"tdg", Builtin::Tdg},   {"rx", Builtin::Rx},
+        {"ry", Builtin::Ry},    {"rz", Builtin::Rz},     {"id", Builtin::Id},
+        {"u1", Builtin::U1},    {"p", Builtin::U1},      {"u2", Builtin::U2},
+        {"u3", Builtin::U3},    {"u", Builtin::U3},      {"cz", Builtin::Cz},
+        {"cx", Builtin::Cx},    {"CX", Builtin::Cx},     {"cp", Builtin::Cp},
+        {"cu1", Builtin::Cp},   {"rzz", Builtin::Rzz},   {"swap", Builtin::Swap},
+        {"ccx", Builtin::Ccx},
+    };
+    for (const auto &[text, builtin] : kBuiltins) {
+        if (text == name)
+            return builtin;
+    }
+    return Builtin::None;
+}
+
+ExprOp::Code
+functionOf(std::string_view name)
+{
+    static constexpr std::pair<std::string_view, ExprOp::Code> kFunctions[] = {
+        {"sin", ExprOp::Sin}, {"cos", ExprOp::Cos}, {"tan", ExprOp::Tan},
+        {"exp", ExprOp::Exp}, {"ln", ExprOp::Ln},   {"sqrt", ExprOp::Sqrt},
+    };
+    for (const auto &[text, code] : kFunctions) {
+        if (text == name)
+            return code;
+    }
+    return ExprOp::UnknownCall;
+}
+
+/** Index of the first @p id in @p formals, or @p none. */
+std::uint64_t
+formalIndex(const std::vector<std::uint32_t> &formals, std::uint32_t id,
+            std::uint64_t none)
+{
+    const auto it = std::find(formals.begin(), formals.end(), id);
+    return it == formals.end() ? none : static_cast<std::uint64_t>(
+                                            it - formals.begin());
+}
+
 class Parser
 {
   public:
-    explicit Parser(std::string_view source)
-        : lexer_(source), current_(lexer_.next())
+    Parser(std::string_view source, Program &program)
+        : lexer_(source), current_(lexer_.next()), program_(program)
     {}
 
-    Program
+    void
     run()
     {
-        Program program;
-        parseHeader(program);
+        program_.includes.clear();
+        // The OPENQASM header is conventionally required; accept programs
+        // without it for robustness.
+        if (match(TokenKind::KwOpenQasm)) {
+            expect(TokenKind::Real, "after OPENQASM");
+            expect(TokenKind::Semicolon, "after the OPENQASM header");
+        }
+        while (match(TokenKind::KwInclude))
+            parseInclude();
         while (!check(TokenKind::EndOfFile))
-            program.statements.push_back(parseStatement(program));
-        return program;
+            parseStatement();
     }
 
   private:
@@ -54,13 +105,11 @@ class Parser
     }
 
     Token
-    expect(TokenKind kind, const std::string &context)
+    expect(TokenKind kind, const char *context)
     {
         if (!check(kind)) {
-            throw ParseError("expected " + tokenKindName(kind) + " " +
-                                 context + ", found " +
-                                 tokenKindName(peek().kind),
-                             peek().line, peek().column);
+            errorHere(std::string("expected ") + tokenKindName(kind) + " " +
+                      context + ", found " + tokenKindName(peek().kind));
         }
         return advance();
     }
@@ -71,31 +120,60 @@ class Parser
         throw ParseError(message, peek().line, peek().column);
     }
 
-    void
-    parseHeader(Program &program)
+    std::uint32_t
+    intern(std::string_view text)
     {
-        // The OPENQASM header is conventionally required; accept programs
-        // without it for robustness but record the version when present.
-        if (match(TokenKind::KwOpenQasm)) {
-            const Token &version = expect(TokenKind::Real, "after OPENQASM");
-            program.version = version.text;
-            expect(TokenKind::Semicolon, "after the OPENQASM header");
-        }
-        while (match(TokenKind::KwInclude)) {
-            const Token &path = expect(TokenKind::String, "after include");
-            expect(TokenKind::Semicolon, "after include");
-            program.includes.push_back(path.text);
-        }
+        const auto [it, inserted] = program_.ids.try_emplace(
+            text, static_cast<std::uint32_t>(program_.names.size()));
+        if (inserted)
+            program_.names.push_back(Name{text, builtinOf(text)});
+        return it->second;
     }
 
-    Statement
-    parseStatement(Program &program)
+    /** The exact value of an integer literal used as a size or index. */
+    static std::uint64_t
+    integerValue(const Token &token)
     {
+        std::uint64_t value = 0;
+        const char *last = token.text.data() + token.text.size();
+        if (std::from_chars(token.text.data(), last, value).ec != std::errc{})
+            throw ParseError("integer literal out of range", token.line,
+                             token.column);
+        return value;
+    }
+
+    static QuantumArg
+    argAt(const Token &token, std::uint32_t name)
+    {
+        return QuantumArg{name, false, 0, static_cast<std::uint32_t>(token.line),
+                          static_cast<std::uint32_t>(token.column)};
+    }
+
+    void
+    push(Statement statement, const Token &at)
+    {
+        statement.line = static_cast<std::uint32_t>(at.line);
+        statement.column = static_cast<std::uint32_t>(at.column);
+        program_.statements.push_back(statement);
+    }
+
+    void
+    parseInclude()
+    {
+        const Token path = expect(TokenKind::String, "after include");
+        expect(TokenKind::Semicolon, "after include");
+        program_.includes.push_back(path.text);
+    }
+
+    void
+    parseStatement()
+    {
+        const Token start = peek();
         if (match(TokenKind::KwInclude)) {
-            const Token &path = expect(TokenKind::String, "after include");
-            expect(TokenKind::Semicolon, "after include");
-            program.includes.push_back(path.text);
-            return BarrierStmt{}; // no-op placeholder
+            parseInclude();
+            // A late include closes the current CZ block, as it always has.
+            push(Statement{.kind = Statement::Barrier}, start);
+            return;
         }
         if (check(TokenKind::KwQreg) || check(TokenKind::KwCreg))
             return parseRegDecl();
@@ -112,164 +190,215 @@ class Parser
             errorHere("classically controlled gates ('if') are not supported");
         if (check(TokenKind::Identifier))
             return parseGateCall();
-        errorHere("expected a statement, found " + tokenKindName(peek().kind));
+        errorHere(std::string("expected a statement, found ") +
+                  tokenKindName(peek().kind));
     }
 
-    Statement
+    void
     parseRegDecl()
     {
-        RegDecl decl;
-        decl.quantum = advance().kind == TokenKind::KwQreg;
-        decl.name = expect(TokenKind::Identifier, "as register name").text;
+        const bool quantum = advance().kind == TokenKind::KwQreg;
+        const Token name = expect(TokenKind::Identifier, "as register name");
         expect(TokenKind::LBracket, "in register declaration");
-        const Token &size = expect(TokenKind::Integer, "as register size");
+        const Token size = expect(TokenKind::Integer, "as register size");
         expect(TokenKind::RBracket, "in register declaration");
         expect(TokenKind::Semicolon, "after register declaration");
-        decl.size = static_cast<std::size_t>(size.number);
-        if (decl.size == 0)
+        QuantumArg decl = argAt(size, 0);
+        decl.index = integerValue(size);
+        if (decl.index == 0)
             throw ParseError("register size must be positive", size.line,
                              size.column);
-        return decl;
+        if (!quantum)
+            return;
+        decl.name = intern(name.text);
+        push(Statement{.kind = Statement::Qreg,
+                       .first_arg = static_cast<std::uint32_t>(
+                           program_.args.size()),
+                       .num_args = 1},
+             name);
+        program_.args.push_back(decl);
     }
 
-    Statement
+    void
     parseGateDecl()
     {
-        advance(); // gate
+        const Token keyword = advance(); // gate
         GateDecl decl;
-        decl.name = expect(TokenKind::Identifier, "as gate name").text;
+        decl.name = intern(expect(TokenKind::Identifier, "as gate name").text);
         if (match(TokenKind::LParen)) {
             if (!check(TokenKind::RParen)) {
                 do {
-                    decl.params.push_back(
+                    decl.params.push_back(intern(
                         expect(TokenKind::Identifier, "as gate parameter")
-                            .text);
+                            .text));
                 } while (match(TokenKind::Comma));
             }
             expect(TokenKind::RParen, "after gate parameters");
         }
         do {
             decl.qubits.push_back(
-                expect(TokenKind::Identifier, "as gate qubit").text);
+                intern(expect(TokenKind::Identifier, "as gate qubit").text));
         } while (match(TokenKind::Comma));
         expect(TokenKind::LBrace, "to open the gate body");
         while (!match(TokenKind::RBrace)) {
             if (match(TokenKind::KwBarrier)) {
-                GateCall barrier;
-                barrier.name = "barrier";
-                while (!check(TokenKind::Semicolon))
+                while (!check(TokenKind::Semicolon) &&
+                       !check(TokenKind::EndOfFile))
                     advance();
                 expect(TokenKind::Semicolon, "after barrier");
-                decl.body.push_back(std::move(barrier));
+                decl.body.emplace_back();
                 continue;
             }
-            decl.body.push_back(parseGateCallBody());
+            parseGateCallBody(decl);
         }
-        return decl;
+        push(Statement{.kind = Statement::GateDef,
+                       .name = static_cast<std::uint32_t>(
+                           program_.gates.size())},
+             keyword);
+        program_.gates.push_back(std::move(decl));
     }
 
     /** A gate call inside a gate body (identifier args, no indices). */
-    GateCall
-    parseGateCallBody()
+    void
+    parseGateCallBody(GateDecl &decl)
     {
-        GateCall call;
-        const Token &name = expect(TokenKind::Identifier, "as gate name");
-        call.name = name.text;
-        call.line = name.line;
-        call.column = name.column;
+        const Token name = expect(TokenKind::Identifier, "as gate name");
+        BodyCall call;
+        call.name = intern(name.text);
+        call.line = static_cast<std::uint32_t>(name.line);
+        call.column = static_cast<std::uint32_t>(name.column);
+        call.code = static_cast<std::uint32_t>(decl.code.size());
         if (match(TokenKind::LParen)) {
             if (!check(TokenKind::RParen)) {
+                code_ = &decl.code;
+                formals_ = &decl.params;
                 do {
-                    call.params.push_back(parseExpr());
+                    parseExpr();
+                    decl.code.push_back(ExprOp{});
+                    ++call.num_params;
                 } while (match(TokenKind::Comma));
             }
             expect(TokenKind::RParen, "after gate arguments");
         }
+        call.first_arg = static_cast<std::uint32_t>(decl.args.size());
         do {
-            const Token &arg =
+            const Token arg =
                 expect(TokenKind::Identifier, "as gate body argument");
-            call.args.push_back(
-                QuantumArg{arg.text, std::nullopt, arg.line, arg.column});
+            QuantumArg formal = argAt(arg, intern(arg.text));
+            formal.index = formalIndex(decl.qubits, formal.name,
+                                       GateDecl::kUnknownQubit);
+            decl.args.push_back(formal);
+            ++call.num_args;
         } while (match(TokenKind::Comma));
         expect(TokenKind::Semicolon, "after gate call");
-        return call;
+        decl.body.push_back(call);
     }
 
-    Statement
+    void
     parseGateCall()
     {
-        GateCall call;
-        const Token &name = advance();
-        call.name = name.text;
-        call.line = name.line;
-        call.column = name.column;
+        const Token name = advance();
+        Statement call{.kind = Statement::Call, .name = intern(name.text)};
+        call.first_param = static_cast<std::uint32_t>(program_.params.size());
         if (match(TokenKind::LParen)) {
             if (!check(TokenKind::RParen)) {
+                code_ = &scratch_;
+                formals_ = nullptr;
                 do {
-                    call.params.push_back(parseExpr());
+                    scratch_.clear();
+                    parseExpr();
+                    scratch_.push_back(ExprOp{});
+                    program_.params.push_back(evaluateTopLevel(call));
+                    ++call.num_params;
                 } while (match(TokenKind::Comma));
             }
             expect(TokenKind::RParen, "after gate parameters");
         }
+        call.first_arg = static_cast<std::uint32_t>(program_.args.size());
         do {
-            call.args.push_back(parseQuantumArg());
+            program_.args.push_back(parseQuantumArg());
+            ++call.num_args;
         } while (match(TokenKind::Comma));
         expect(TokenKind::Semicolon, "after gate call");
-        return call;
+        push(call, name);
+    }
+
+    /**
+     * The value of the expression in scratch_; an evaluation error is
+     * kept on @p call, to be raised in statement order after the parse.
+     */
+    double
+    evaluateTopLevel(Statement &call)
+    {
+        if (scratch_.size() == 2 && scratch_[0].code == ExprOp::Number)
+            return scratch_[0].number;
+        try {
+            const ExprOp *pc = scratch_.data();
+            return evaluate(pc, {}, program_.names);
+        } catch (const ParseError &error) {
+            if (call.error == 0) {
+                program_.errors.push_back(error);
+                call.error = static_cast<std::uint32_t>(program_.errors.size());
+            }
+            return 0.0;
+        }
     }
 
     QuantumArg
     parseQuantumArg()
     {
-        const Token &reg = expect(TokenKind::Identifier, "as register name");
-        QuantumArg arg{reg.text, std::nullopt, reg.line, reg.column};
+        const Token reg = expect(TokenKind::Identifier, "as register name");
+        QuantumArg arg = argAt(reg, intern(reg.text));
         if (match(TokenKind::LBracket)) {
-            const Token &index = expect(TokenKind::Integer, "as qubit index");
+            const Token index = expect(TokenKind::Integer, "as qubit index");
             expect(TokenKind::RBracket, "after qubit index");
-            arg.index = static_cast<std::size_t>(index.number);
+            arg.indexed = true;
+            arg.index = integerValue(index);
         }
         return arg;
     }
 
-    Statement
+    void
     parseMeasure()
     {
-        advance(); // measure
-        MeasureStmt stmt;
-        stmt.source = parseQuantumArg();
+        const Token keyword = advance(); // measure
+        const QuantumArg source = parseQuantumArg();
         expect(TokenKind::Arrow, "in measure statement");
-        const Token &target = expect(TokenKind::Identifier, "as creg name");
-        stmt.target_reg = target.text;
+        expect(TokenKind::Identifier, "as creg name");
         if (match(TokenKind::LBracket)) {
             expect(TokenKind::Integer, "as creg index");
             expect(TokenKind::RBracket, "after creg index");
         }
         expect(TokenKind::Semicolon, "after measure");
-        return stmt;
+        push(Statement{.kind = Statement::Measure,
+                       .first_arg = static_cast<std::uint32_t>(
+                           program_.args.size()),
+                       .num_args = 1},
+             keyword);
+        program_.args.push_back(source);
     }
 
-    Statement
+    void
     parseBarrier()
     {
-        advance(); // barrier
-        BarrierStmt stmt;
+        const Token keyword = advance(); // barrier
         do {
-            stmt.args.push_back(parseQuantumArg());
+            parseQuantumArg(); // arguments are informational only
         } while (match(TokenKind::Comma));
         expect(TokenKind::Semicolon, "after barrier");
-        return stmt;
+        push(Statement{.kind = Statement::Barrier}, keyword);
     }
 
     // ---- expression grammar: additive > multiplicative > power > unary ----
     //
-    // Each parse function leaves the depth of the expression it returns
-    // in depth_: its parse-tree height, where every parenthesis, unary
-    // minus, '^', call and binary operator adds one level. Going deeper
-    // than kMaxExprDepth is a ParseError, checked on the way down
-    // (nesting_) and when a binary chain grows, so neither this descent
-    // nor any later recursive walk of the tree (evaluation, copy,
-    // destruction) can exhaust the stack. A ParseError abandons the
-    // parser, so the nesting count needs no unwinding.
+    // Each parse function appends its expression's postfix code to
+    // *code_ and leaves its depth in depth_: its parse-tree height, where
+    // every parenthesis, unary minus, '^', call and binary operator adds
+    // one level. Going deeper than kMaxExprDepth is a ParseError, checked
+    // on the way down (nesting_) and when a binary chain grows, so
+    // neither this descent nor evaluate's stack can overflow. A
+    // ParseError abandons the parser, so the nesting count needs no
+    // unwinding.
 
     /** Throws unless an expression @p depth levels deep is allowed. */
     void
@@ -282,202 +411,220 @@ class Parser
         }
     }
 
-    /** A node of @p kind over @p children, one level above the deepest. */
-    Expr
-    makeNode(ExprKind kind, char op, std::vector<Expr> children,
-             std::size_t child_depth, const Token &at)
+    /** Emits @p code, one level above its deepest operand. */
+    void
+    emitNode(ExprOp::Code code, std::size_t child_depth, const Token &at,
+             std::uint32_t index = 0)
     {
         checkDepth(child_depth + 1, at);
         depth_ = child_depth + 1;
-        Expr node;
-        node.kind = kind;
-        node.op = op;
-        node.children = std::move(children);
-        return node;
+        code_->push_back(ExprOp{code, index, 0.0});
     }
 
-    /**
-     * Binary @p op node over @p left and the operand @p parse_rhs reads
-     * next; @p at is the operator token.
-     */
-    Expr
-    binary(const Token &at, char op, Expr left, Expr (Parser::*parse_rhs)())
+    /** Emits the operand @p parse_rhs reads next, then binary @p code. */
+    void
+    binary(const Token &at, ExprOp::Code code, void (Parser::*parse_rhs)())
     {
         const std::size_t left_depth = depth_;
-        std::vector<Expr> children;
-        children.reserve(2);
-        children.push_back(std::move(left));
-        children.push_back((this->*parse_rhs)());
-        return makeNode(ExprKind::Binary, op, std::move(children),
-                        std::max(left_depth, depth_), at);
+        (this->*parse_rhs)();
+        emitNode(code, std::max(left_depth, depth_), at);
     }
 
-    Expr
+    void
     parseExpr()
     {
-        Expr left = parseTerm();
+        parseTerm();
         while (check(TokenKind::Plus) || check(TokenKind::Minus)) {
-            const Token &at = advance();
-            const char op = at.kind == TokenKind::Plus ? '+' : '-';
-            left = binary(at, op, std::move(left), &Parser::parseTerm);
+            const Token at = advance();
+            binary(at, at.kind == TokenKind::Plus ? ExprOp::Add : ExprOp::Sub,
+                   &Parser::parseTerm);
         }
-        return left;
     }
 
-    Expr
+    void
     parseTerm()
     {
-        Expr left = parsePower();
+        parsePower();
         while (check(TokenKind::Star) || check(TokenKind::Slash)) {
-            const Token &at = advance();
-            const char op = at.kind == TokenKind::Star ? '*' : '/';
-            left = binary(at, op, std::move(left), &Parser::parsePower);
+            const Token at = advance();
+            binary(at, at.kind == TokenKind::Star ? ExprOp::Mul : ExprOp::Div,
+                   &Parser::parsePower);
         }
-        return left;
     }
 
-    Expr
+    void
     parsePower()
     {
-        Expr base = parseUnary();
+        parseUnary();
         if (check(TokenKind::Caret)) {
             // Right associative.
-            const Token &at = advance();
+            const Token at = advance();
             checkDepth(++nesting_, at);
-            Expr node = binary(at, '^', std::move(base), &Parser::parsePower);
+            binary(at, ExprOp::Pow, &Parser::parsePower);
             --nesting_;
-            return node;
         }
-        return base;
     }
 
-    Expr
+    void
     parseUnary()
     {
-        if (check(TokenKind::Minus)) {
-            const Token &at = advance();
-            checkDepth(++nesting_, at);
-            std::vector<Expr> children;
-            children.push_back(parseUnary());
-            --nesting_;
-            return makeNode(ExprKind::Unary, '+', std::move(children), depth_,
-                            at);
-        }
-        return parsePrimary();
+        if (!check(TokenKind::Minus))
+            return parsePrimary();
+        const Token at = advance();
+        checkDepth(++nesting_, at);
+        parseUnary();
+        --nesting_;
+        emitNode(ExprOp::Neg, depth_, at);
     }
 
-    Expr
+    void
     parsePrimary()
     {
-        Expr node;
         depth_ = 1;
         if (check(TokenKind::Real) || check(TokenKind::Integer)) {
-            node.kind = ExprKind::Number;
-            node.number = advance().number;
-            return node;
+            code_->push_back(ExprOp{ExprOp::Number, 0, advance().number});
+            return;
         }
         if (match(TokenKind::KwPi)) {
-            node.kind = ExprKind::Pi;
-            return node;
+            code_->push_back(ExprOp{ExprOp::Pi, 0, 0.0});
+            return;
         }
         if (check(TokenKind::Identifier)) {
-            const Token &name = advance();
+            const Token name = advance();
             if (check(TokenKind::LParen)) {
-                const Token &open = advance();
+                const Token open = advance();
                 checkDepth(++nesting_, open);
-                std::vector<Expr> children;
-                children.push_back(parseExpr());
+                parseExpr();
                 expect(TokenKind::RParen, "after function argument");
                 --nesting_;
-                node = makeNode(ExprKind::Call, '+', std::move(children),
-                                depth_, open);
-                node.name = name.text;
-                return node;
+                const ExprOp::Code code = functionOf(name.text);
+                emitNode(code, depth_, open,
+                         code == ExprOp::UnknownCall ? intern(name.text) : 0);
+                return;
             }
-            node.kind = ExprKind::Parameter;
-            node.name = name.text;
-            return node;
+            const std::uint32_t id = intern(name.text);
+            const std::uint64_t formal =
+                formals_ ? formalIndex(*formals_, id, kUnbound) : kUnbound;
+            code_->push_back(formal == kUnbound
+                                 ? ExprOp{ExprOp::Unbound, id, 0.0}
+                                 : ExprOp{ExprOp::Param,
+                                          static_cast<std::uint32_t>(formal),
+                                          0.0});
+            return;
         }
         if (check(TokenKind::LParen)) {
-            const Token &open = advance();
+            const Token open = advance();
             checkDepth(++nesting_, open);
-            Expr inner = parseExpr();
+            parseExpr();
             expect(TokenKind::RParen, "to close the expression");
             --nesting_;
             checkDepth(++depth_, open);
-            return inner;
+            return;
         }
-        errorHere("expected an expression, found " +
+        errorHere(std::string("expected an expression, found ") +
                   tokenKindName(peek().kind));
     }
 
+    static constexpr std::uint64_t kUnbound = ~std::uint64_t{0};
+
     Lexer lexer_;
     Token current_; // one token of lookahead
+    Program &program_;
+    std::vector<ExprOp> scratch_; // a top-level parameter's code
+    std::vector<ExprOp> *code_ = nullptr;
+    const std::vector<std::uint32_t> *formals_ = nullptr;
     std::size_t depth_ = 0;   // depth of the expression last parsed
     std::size_t nesting_ = 0; // nested levels open on the way down
 };
 
 } // namespace
 
-Program
-parseProgram(std::string_view source)
+void
+parseProgram(std::string_view source, Program &program)
 {
-    return Parser(source).run();
+    Parser(source, program).run();
 }
 
 double
-evaluateExpr(const Expr &expr,
-             const std::vector<std::pair<std::string, double>> &bindings)
+evaluate(const ExprOp *&pc, std::span<const double> bindings,
+         const std::vector<Name> &names)
 {
-    switch (expr.kind) {
-      case ExprKind::Number:
-        return expr.number;
-      case ExprKind::Pi:
-        return std::numbers::pi;
-      case ExprKind::Parameter:
-        for (const auto &[name, value] : bindings) {
-            if (name == expr.name)
-                return value;
-        }
-        throw ParseError("unbound parameter '" + expr.name + "'", 0, 0);
-      case ExprKind::Unary:
-        return -evaluateExpr(expr.children[0], bindings);
-      case ExprKind::Binary: {
-        const double lhs = evaluateExpr(expr.children[0], bindings);
-        const double rhs = evaluateExpr(expr.children[1], bindings);
-        switch (expr.op) {
-          case '+':
-            return lhs + rhs;
-          case '-':
-            return lhs - rhs;
-          case '*':
-            return lhs * rhs;
-          case '/':
-            return lhs / rhs;
-          case '^':
-            return std::pow(lhs, rhs);
+    // Postfix code of a tree at most kMaxExprDepth high never holds more
+    // than that many operands at once.
+    double stack[kMaxExprDepth + 1];
+    std::size_t top = 0;
+    for (;; ++pc) {
+        const ExprOp &op = *pc;
+        switch (op.code) {
+          case ExprOp::Number:
+            stack[top++] = op.number;
+            continue;
+          case ExprOp::Pi:
+            stack[top++] = std::numbers::pi;
+            continue;
+          case ExprOp::Param:
+            stack[top++] = bindings[op.index];
+            continue;
+          case ExprOp::Unbound:
+            throw ParseError("unbound parameter '" +
+                                 std::string(names[op.index].text) + "'",
+                             0, 0);
+          case ExprOp::UnknownCall:
+            throw ParseError("unknown function '" +
+                                 std::string(names[op.index].text) + "'",
+                             0, 0);
+          case ExprOp::End:
+            ++pc;
+            return stack[0];
           default:
-            panic("unknown binary operator");
+            break;
         }
-      }
-      case ExprKind::Call: {
-        const double arg = evaluateExpr(expr.children[0], bindings);
-        if (expr.name == "sin")
-            return std::sin(arg);
-        if (expr.name == "cos")
-            return std::cos(arg);
-        if (expr.name == "tan")
-            return std::tan(arg);
-        if (expr.name == "exp")
-            return std::exp(arg);
-        if (expr.name == "ln")
-            return std::log(arg);
-        if (expr.name == "sqrt")
-            return std::sqrt(arg);
-        throw ParseError("unknown function '" + expr.name + "'", 0, 0);
-      }
+        double &x = stack[top - 1];
+        switch (op.code) {
+          case ExprOp::Neg:
+            x = -x;
+            continue;
+          case ExprOp::Sin:
+            x = std::sin(x);
+            continue;
+          case ExprOp::Cos:
+            x = std::cos(x);
+            continue;
+          case ExprOp::Tan:
+            x = std::tan(x);
+            continue;
+          case ExprOp::Exp:
+            x = std::exp(x);
+            continue;
+          case ExprOp::Ln:
+            x = std::log(x);
+            continue;
+          case ExprOp::Sqrt:
+            x = std::sqrt(x);
+            continue;
+          default:
+            break;
+        }
+        const double rhs = stack[--top];
+        double &lhs = stack[top - 1];
+        switch (op.code) {
+          case ExprOp::Add:
+            lhs = lhs + rhs;
+            break;
+          case ExprOp::Sub:
+            lhs = lhs - rhs;
+            break;
+          case ExprOp::Mul:
+            lhs = lhs * rhs;
+            break;
+          case ExprOp::Div:
+            lhs = lhs / rhs;
+            break;
+          default:
+            lhs = std::pow(lhs, rhs);
+            break;
+        }
     }
-    panic("unknown expression kind");
 }
 
 } // namespace powermove::qasm

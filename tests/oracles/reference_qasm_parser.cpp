@@ -157,7 +157,10 @@ class Parser
             if (match(TokenKind::KwBarrier)) {
                 GateCall barrier;
                 barrier.name = "barrier";
-                while (!check(TokenKind::Semicolon))
+                // Stops at the end of input too: the original loop spun
+                // forever on a body barrier with no ';' after it.
+                while (!check(TokenKind::Semicolon) &&
+                       !check(TokenKind::EndOfFile))
                     advance();
                 expect(TokenKind::Semicolon, "after barrier");
                 decl.body.push_back(std::move(barrier));
