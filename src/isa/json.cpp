@@ -1,15 +1,67 @@
 #include "isa/json.hpp"
 
-#include <sstream>
+#include <charconv>
+#include <string_view>
+#include <type_traits>
 
 namespace powermove {
 
 namespace {
 
-void
-emitCoord(std::ostringstream &os, SiteCoord coord)
+/** Appends JSON text to one string, formatting numbers with to_chars. */
+class JsonOut
 {
-    os << "[" << coord.x << "," << coord.y << "]";
+  public:
+    explicit JsonOut(std::size_t reserve) { out_.reserve(reserve); }
+
+    JsonOut &
+    operator<<(std::string_view text)
+    {
+        out_.append(text);
+        return *this;
+    }
+
+    template <typename Number>
+    JsonOut &
+    operator<<(Number value)
+        requires std::is_arithmetic_v<Number>
+    {
+        char buffer[32];
+        char *end = buffer + sizeof buffer;
+        if constexpr (std::is_floating_point_v<Number>) // a stream's %g
+            end = std::to_chars(buffer, end, value, std::chars_format::general,
+                                6).ptr;
+        else
+            end = std::to_chars(buffer, end, value).ptr;
+        out_.append(buffer, end);
+        return *this;
+    }
+
+    JsonOut &
+    operator<<(SiteCoord coord)
+    {
+        return *this << "[" << coord.x << "," << coord.y << "]";
+    }
+
+    std::string take() { return std::move(out_); }
+
+  private:
+    std::string out_;
+};
+
+/** A size estimate of the document: typical widths of each element. */
+std::size_t
+estimateSize(const MachineSchedule &schedule)
+{
+    std::size_t bytes = 256 + 10 * schedule.initialSites().size();
+    for (const auto &instruction : schedule.instructions()) {
+        bytes += 40;
+        if (const auto *op = std::get_if<MoveBatchOp>(&instruction))
+            bytes += 40 * op->batch.numMoves() + 2 * op->batch.groups.size();
+        else if (const auto *pulse = std::get_if<RydbergOp>(&instruction))
+            bytes += 10 * pulse->gates.size();
+    }
+    return bytes;
 }
 
 } // namespace
@@ -19,7 +71,7 @@ scheduleToJson(const MachineSchedule &schedule)
 {
     const Machine &machine = schedule.machine();
     const auto &config = machine.config();
-    std::ostringstream os;
+    JsonOut os(estimateSize(schedule));
 
     os << "{\n";
     os << "  \"machine\": {\"compute\": [" << config.compute_cols << ","
@@ -30,38 +82,27 @@ scheduleToJson(const MachineSchedule &schedule)
     os << "  \"qubits\": " << schedule.numQubits() << ",\n";
 
     os << "  \"initial_sites\": [";
-    for (std::size_t q = 0; q < schedule.initialSites().size(); ++q) {
-        if (q > 0)
-            os << ",";
-        emitCoord(os, machine.coordOf(schedule.initialSites()[q]));
-    }
+    for (std::size_t q = 0; q < schedule.initialSites().size(); ++q)
+        os << (q > 0 ? "," : "") << machine.coordOf(schedule.initialSites()[q]);
     os << "],\n";
 
     os << "  \"instructions\": [\n";
     bool first = true;
     for (const auto &instruction : schedule.instructions()) {
-        if (!first)
-            os << ",\n";
+        os << (first ? "    " : ",\n    ");
         first = false;
-        os << "    ";
         if (const auto *layer = std::get_if<OneQLayerOp>(&instruction)) {
             os << "{\"op\": \"1q\", \"gates\": " << layer->gate_count
                << ", \"depth\": " << layer->depth << "}";
         } else if (const auto *op = std::get_if<MoveBatchOp>(&instruction)) {
             os << "{\"op\": \"move\", \"groups\": [";
             for (std::size_t g = 0; g < op->batch.groups.size(); ++g) {
-                if (g > 0)
-                    os << ",";
-                os << "[";
+                os << (g > 0 ? ",[" : "[");
                 const auto &moves = op->batch.groups[g].moves;
                 for (std::size_t m = 0; m < moves.size(); ++m) {
-                    if (m > 0)
-                        os << ",";
-                    os << "{\"q\": " << moves[m].qubit << ", \"from\": ";
-                    emitCoord(os, machine.coordOf(moves[m].from));
-                    os << ", \"to\": ";
-                    emitCoord(os, machine.coordOf(moves[m].to));
-                    os << "}";
+                    os << (m > 0 ? ",{\"q\": " : "{\"q\": ") << moves[m].qubit
+                       << ", \"from\": " << machine.coordOf(moves[m].from)
+                       << ", \"to\": " << machine.coordOf(moves[m].to) << "}";
                 }
                 os << "]";
             }
@@ -71,16 +112,14 @@ scheduleToJson(const MachineSchedule &schedule)
             os << "{\"op\": \"rydberg\", \"block\": " << pulse.block_index
                << ", \"gates\": [";
             for (std::size_t g = 0; g < pulse.gates.size(); ++g) {
-                if (g > 0)
-                    os << ",";
-                os << "[" << pulse.gates[g].a << "," << pulse.gates[g].b
-                   << "]";
+                os << (g > 0 ? ",[" : "[") << pulse.gates[g].a << ","
+                   << pulse.gates[g].b << "]";
             }
             os << "]}";
         }
     }
     os << "\n  ]\n}\n";
-    return os.str();
+    return os.take();
 }
 
 } // namespace powermove

@@ -1,5 +1,6 @@
 #include "qasm/lexer.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <iterator>
 #include <string>
@@ -42,6 +43,12 @@ isSpace(char c)
     return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
+[[noreturn]] void
+fail(const std::string &message, std::uint32_t line, std::uint32_t column)
+{
+    throw ParseError(message, line, column);
+}
+
 TokenKind
 keywordOrIdentifier(std::string_view text)
 {
@@ -64,146 +71,144 @@ keywordOrIdentifier(std::string_view text)
 
 } // namespace
 
-Token
-Lexer::make(TokenKind kind, std::size_t begin) const
-{
-    return Token{kind, source_.substr(begin, pos_ - begin), 0.0, line_,
-                 token_column_};
-}
-
 void
-Lexer::skipWhitespaceAndComments()
+Lexer::next(Token &token)
 {
+    const char *const data = source_.data();
     const std::size_t size = source_.size();
-    while (pos_ < size) {
-        const char c = source_[pos_];
-        if (c == '\n') {
-            ++line_;
-            line_start_ = ++pos_;
-        } else if (isSpace(c)) {
-            ++pos_;
-        } else if (c == '/' && pos_ + 1 < size && source_[pos_ + 1] == '/') {
-            const std::size_t end = source_.find('\n', pos_);
-            pos_ = end == std::string_view::npos ? size : end;
-        } else {
+    std::size_t p = pos_;
+    for (;; ++p) { // whitespace and comments
+        if (p >= size) {
+            // End of input reports the position of the last token.
+            pos_ = p;
+            token = Token{TokenKind::EndOfFile, {}, 0.0, token_line_,
+                          token_column_};
             return;
         }
-    }
-}
-
-Token
-Lexer::next()
-{
-    skipWhitespaceAndComments();
-    if (pos_ >= source_.size()) {
-        // End of input reports the position of the last token.
-        return Token{TokenKind::EndOfFile, {}, 0.0, token_line_,
-                     token_column_};
+        if (data[p] == '\n') {
+            ++line_;
+            line_start_ = p + 1;
+        } else if (data[p] == '/' && p + 1 < size && data[p + 1] == '/') {
+            p = std::min(source_.find('\n', p), size) - 1;
+        } else if (!isSpace(data[p])) {
+            break;
+        }
     }
     token_line_ = line_;
-    token_column_ = pos_ - line_start_ + 1;
-    const std::size_t begin = pos_;
-    const char c = source_[pos_];
-    const auto at = [&](std::size_t i) {
-        return i < source_.size() ? source_[i] : '\0';
+    token_column_ = static_cast<std::uint32_t>(p - line_start_ + 1);
+    const std::size_t begin = p;
+    const char c = data[p++];
+    const auto digits = [&] {
+        while (p < size && isDigit(data[p]))
+            ++p;
+    };
+    const auto error = [&](const std::string &message) {
+        fail(message, token_line_, token_column_);
+    };
+    const auto follows = [&](char want) {
+        return p < size && data[p] == want && (++p, true);
+    };
+    const auto finish = [&](TokenKind kind) {
+        pos_ = p;
+        token = Token{kind, std::string_view(data + begin, p - begin), 0.0,
+                      token_line_, token_column_};
     };
 
     if (isIdentStart(c)) {
-        while (++pos_ < source_.size() && isIdentChar(source_[pos_])) {
+        while (p < size && isIdentChar(data[p]))
+            ++p;
+        return finish(keywordOrIdentifier({data + begin, p - begin}));
+    }
+    if (isDigit(c) || (c == '.' && p < size && isDigit(data[p]))) {
+        digits();
+        bool real = c == '.' || follows('.');
+        if (real)
+            digits();
+        if (follows('e') || follows('E')) {
+            real = true;
+            if (!follows('+'))
+                follows('-');
+            if (p >= size || !isDigit(data[p]))
+                error("malformed exponent");
+            digits();
         }
-        Token token = make(TokenKind::Identifier, begin);
-        token.kind = keywordOrIdentifier(token.text);
-        return token;
+        finish(real ? TokenKind::Real : TokenKind::Integer);
+        const std::string_view text = token.text;
+        if (!real && text.size() < 16) {
+            // Exact in a double, so the same value from_chars would give.
+            std::uint64_t value = 0;
+            for (const char digit : text)
+                value = value * 10 + static_cast<std::uint64_t>(digit - '0');
+            token.number = static_cast<double>(value);
+            return;
+        }
+        const auto [ptr, ec] = std::from_chars(
+            text.data(), text.data() + text.size(), token.number);
+        if (ec != std::errc{} || ptr != text.data() + text.size())
+            error("malformed number '" + std::string(text) + "'");
+        return;
     }
-    if (isDigit(c) || (c == '.' && isDigit(at(pos_ + 1))))
-        return number(begin);
     if (c == '"') {
-        const std::size_t end = source_.find_first_of("\"\n", pos_ + 1);
-        if (end == std::string_view::npos || source_[end] == '\n')
-            throw ParseError("unterminated string literal", token_line_,
-                             token_column_);
-        pos_ = end + 1;
-        return Token{TokenKind::String, source_.substr(begin + 1, end - begin - 1),
-                     0.0, token_line_, token_column_};
+        const std::size_t end = source_.find_first_of("\"\n", p);
+        if (end == std::string_view::npos || data[end] == '\n')
+            error("unterminated string literal");
+        p = end + 1;
+        finish(TokenKind::String);
+        token.text = token.text.substr(1, token.text.size() - 2);
+        return;
     }
-
-    ++pos_;
     switch (c) {
       case ';':
-        return make(TokenKind::Semicolon, begin);
+        return finish(TokenKind::Semicolon);
       case ',':
-        return make(TokenKind::Comma, begin);
+        return finish(TokenKind::Comma);
       case '(':
-        return make(TokenKind::LParen, begin);
+        return finish(TokenKind::LParen);
       case ')':
-        return make(TokenKind::RParen, begin);
+        return finish(TokenKind::RParen);
       case '[':
-        return make(TokenKind::LBracket, begin);
+        return finish(TokenKind::LBracket);
       case ']':
-        return make(TokenKind::RBracket, begin);
+        return finish(TokenKind::RBracket);
       case '{':
-        return make(TokenKind::LBrace, begin);
+        return finish(TokenKind::LBrace);
       case '}':
-        return make(TokenKind::RBrace, begin);
+        return finish(TokenKind::RBrace);
       case '+':
-        return make(TokenKind::Plus, begin);
+        return finish(TokenKind::Plus);
       case '*':
-        return make(TokenKind::Star, begin);
+        return finish(TokenKind::Star);
       case '/':
-        return make(TokenKind::Slash, begin);
+        return finish(TokenKind::Slash);
       case '^':
-        return make(TokenKind::Caret, begin);
+        return finish(TokenKind::Caret);
       case '-':
-        if (at(pos_) == '>') {
-            ++pos_;
-            return make(TokenKind::Arrow, begin);
-        }
-        return make(TokenKind::Minus, begin);
+        return finish(follows('>') ? TokenKind::Arrow : TokenKind::Minus);
       case '=':
-        if (at(pos_) == '=') {
-            ++pos_;
-            return make(TokenKind::EqualEqual, begin);
-        }
-        throw ParseError("stray '='", token_line_, token_column_);
+        if (follows('='))
+            return finish(TokenKind::EqualEqual);
+        fail("stray '='", token_line_, token_column_);
       default:
-        throw ParseError(std::string("unexpected character '") + c + "'",
-                         token_line_, token_column_);
+        fail(std::string("unexpected character '") + c + "'", token_line_,
+             token_column_);
     }
 }
 
-Token
-Lexer::number(std::size_t begin)
+bool
+Lexer::closeIndex(std::uint64_t &value)
 {
-    const std::size_t size = source_.size();
-    const auto digits = [&] {
-        while (pos_ < size && isDigit(source_[pos_]))
-            ++pos_;
-    };
-    bool is_real = false;
-    digits();
-    if (pos_ < size && source_[pos_] == '.') {
-        is_real = true;
-        ++pos_;
-        digits();
-    }
-    if (pos_ < size && (source_[pos_] == 'e' || source_[pos_] == 'E')) {
-        is_real = true;
-        ++pos_;
-        if (pos_ < size && (source_[pos_] == '+' || source_[pos_] == '-'))
-            ++pos_;
-        if (pos_ >= size || !isDigit(source_[pos_]))
-            throw ParseError("malformed exponent", token_line_, token_column_);
-        digits();
-    }
-
-    Token token = make(is_real ? TokenKind::Real : TokenKind::Integer, begin);
-    const char *first = token.text.data();
-    const char *last = first + token.text.size();
-    const auto [ptr, ec] = std::from_chars(first, last, token.number);
-    if (ec != std::errc{} || ptr != last)
-        throw ParseError("malformed number '" + std::string(token.text) + "'",
-                         token_line_, token_column_);
-    return token;
+    const char *const data = source_.data();
+    std::size_t p = pos_;
+    std::uint64_t n = 0;
+    while (p < source_.size() && p - pos_ < 16 && isDigit(data[p]))
+        n = n * 10 + static_cast<std::uint64_t>(data[p++] - '0');
+    if (p == pos_ || p - pos_ >= 16 || p >= source_.size() || data[p] != ']')
+        return false;
+    token_line_ = line_; // the ']' is now the last token
+    token_column_ = static_cast<std::uint32_t>(p - line_start_ + 1);
+    pos_ = p + 1;
+    value = n;
+    return true;
 }
 
 } // namespace powermove::qasm

@@ -66,8 +66,8 @@ struct Token
     /** The token's text in the source (a string literal's without quotes). */
     std::string_view text;
     double number = 0.0; // value for Real/Integer
-    std::size_t line = 0;
-    std::size_t column = 0;
+    std::uint32_t line = 0;
+    std::uint32_t column = 0;
 };
 
 /**
@@ -79,20 +79,27 @@ class Lexer
   public:
     explicit Lexer(std::string_view source) : source_(source) {}
 
-    /** The next token; EndOfFile at (and after) the end of the source. */
-    Token next();
+    /**
+     * Overwrites @p token with the next token; EndOfFile at (and after)
+     * the end of the source.
+     */
+    void next(Token &token);
+
+    /**
+     * Fast path for a qubit index: right after a '[' token, consumes
+     * "<digits>]" when no blank, comment or other token intervenes and
+     * the literal has at most 15 digits, stores its value in @p value and
+     * returns true; otherwise consumes nothing and returns false.
+     */
+    bool closeIndex(std::uint64_t &value);
 
   private:
-    Token make(TokenKind kind, std::size_t begin) const;
-    void skipWhitespaceAndComments();
-    Token number(std::size_t begin);
-
     std::string_view source_;
     std::size_t pos_ = 0;
-    std::size_t line_ = 1;
     std::size_t line_start_ = 0; // offset of the current line's first byte
-    std::size_t token_line_ = 1;
-    std::size_t token_column_ = 1;
+    std::uint32_t line_ = 1;
+    std::uint32_t token_line_ = 1;
+    std::uint32_t token_column_ = 1;
 };
 
 } // namespace powermove::qasm

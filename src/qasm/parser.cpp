@@ -62,8 +62,10 @@ class Parser
 {
   public:
     Parser(std::string_view source, Program &program)
-        : lexer_(source), current_(lexer_.next()), program_(program)
-    {}
+        : lexer_(source), program_(program)
+    {
+        lexer_.next(current_);
+    }
 
     void
     run()
@@ -88,9 +90,10 @@ class Parser
     Token
     advance()
     {
-        if (check(TokenKind::EndOfFile))
-            return current_;
-        return std::exchange(current_, lexer_.next());
+        const Token consumed = current_;
+        if (!check(TokenKind::EndOfFile))
+            lexer_.next(current_);
+        return consumed;
     }
 
     bool check(TokenKind kind) const { return peek().kind == kind; }
@@ -107,11 +110,16 @@ class Parser
     Token
     expect(TokenKind kind, const char *context)
     {
-        if (!check(kind)) {
-            errorHere(std::string("expected ") + tokenKindName(kind) + " " +
-                      context + ", found " + tokenKindName(peek().kind));
-        }
+        if (!check(kind)) [[unlikely]]
+            unexpected(kind, context);
         return advance();
+    }
+
+    [[noreturn, gnu::cold, gnu::noinline]] void
+    unexpected(TokenKind kind, const char *context) const
+    {
+        errorHere(std::string("expected ") + tokenKindName(kind) + " " +
+                  context + ", found " + tokenKindName(peek().kind));
     }
 
     [[noreturn]] void
@@ -120,20 +128,52 @@ class Parser
         throw ParseError(message, peek().line, peek().column);
     }
 
+    static std::size_t
+    hashOf(std::string_view text)
+    {
+        std::uint64_t h = text.size();
+        for (const char c : text)
+            h = h * 31 + static_cast<unsigned char>(c);
+        return static_cast<std::size_t>((h * 0x9e3779b97f4a7c15ULL) >> 32);
+    }
+
+    /** The id of @p text, a new one if it is not yet a name. */
     std::uint32_t
     intern(std::string_view text)
     {
-        const auto [it, inserted] = program_.ids.try_emplace(
-            text, static_cast<std::uint32_t>(program_.names.size()));
-        if (inserted)
-            program_.names.push_back(Name{text, builtinOf(text)});
-        return it->second;
+        std::vector<std::uint32_t> &slots = program_.slots;
+        std::vector<Name> &names = program_.names;
+        if (2 * names.size() >= slots.size()) {
+            slots.assign(std::max<std::size_t>(64, 2 * slots.size()), 0);
+            for (std::uint32_t id = 0; id < names.size(); ++id)
+                *findSlot(names[id].text) = id + 1;
+        }
+        std::uint32_t *slot = findSlot(text);
+        if (*slot == 0) {
+            names.push_back(Name{text, builtinOf(text)});
+            *slot = static_cast<std::uint32_t>(names.size());
+        }
+        return *slot - 1;
+    }
+
+    /** The slot holding @p text, or the empty slot where it belongs. */
+    std::uint32_t *
+    findSlot(std::string_view text)
+    {
+        std::vector<std::uint32_t> &slots = program_.slots;
+        const std::size_t mask = slots.size() - 1;
+        for (std::size_t i = hashOf(text) & mask;; i = (i + 1) & mask) {
+            if (slots[i] == 0 || program_.names[slots[i] - 1].text == text)
+                return &slots[i];
+        }
     }
 
     /** The exact value of an integer literal used as a size or index. */
     static std::uint64_t
     integerValue(const Token &token)
     {
+        if (token.text.size() < 16) // the lexer's double is exact
+            return static_cast<std::uint64_t>(token.number);
         std::uint64_t value = 0;
         const char *last = token.text.data() + token.text.size();
         if (std::from_chars(token.text.data(), last, value).ec != std::errc{})
@@ -145,15 +185,14 @@ class Parser
     static QuantumArg
     argAt(const Token &token, std::uint32_t name)
     {
-        return QuantumArg{name, false, 0, static_cast<std::uint32_t>(token.line),
-                          static_cast<std::uint32_t>(token.column)};
+        return QuantumArg{name, false, 0, token.line, token.column};
     }
 
     void
     push(Statement statement, const Token &at)
     {
-        statement.line = static_cast<std::uint32_t>(at.line);
-        statement.column = static_cast<std::uint32_t>(at.column);
+        statement.line = at.line;
+        statement.column = at.column;
         program_.statements.push_back(statement);
     }
 
@@ -265,8 +304,8 @@ class Parser
         const Token name = expect(TokenKind::Identifier, "as gate name");
         BodyCall call;
         call.name = intern(name.text);
-        call.line = static_cast<std::uint32_t>(name.line);
-        call.column = static_cast<std::uint32_t>(name.column);
+        call.line = name.line;
+        call.column = name.column;
         call.code = static_cast<std::uint32_t>(decl.code.size());
         if (match(TokenKind::LParen)) {
             if (!check(TokenKind::RParen)) {
@@ -349,7 +388,10 @@ class Parser
     {
         const Token reg = expect(TokenKind::Identifier, "as register name");
         QuantumArg arg = argAt(reg, intern(reg.text));
-        if (match(TokenKind::LBracket)) {
+        if (check(TokenKind::LBracket) && lexer_.closeIndex(arg.index)) {
+            arg.indexed = true;
+            lexer_.next(current_);
+        } else if (match(TokenKind::LBracket)) {
             const Token index = expect(TokenKind::Integer, "as qubit index");
             expect(TokenKind::RBracket, "after qubit index");
             arg.indexed = true;
@@ -542,6 +584,10 @@ class Parser
 void
 parseProgram(std::string_view source, Program &program)
 {
+    // Generated QASM spends about 20 bytes per statement and 16 per
+    // argument; reserving that much spares the records' regrowth.
+    program.statements.reserve(program.statements.size() + source.size() / 20);
+    program.args.reserve(program.args.size() + source.size() / 16);
     Parser(source, program).run();
 }
 

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -133,7 +132,8 @@ struct GateDecl
 struct Program
 {
     std::vector<Name> names;
-    std::unordered_map<std::string_view, std::uint32_t> ids;
+    /** Open-addressing index of names: 1 + id, or 0 for an empty slot. */
+    std::vector<std::uint32_t> slots;
     std::vector<Statement> statements;
     std::vector<QuantumArg> args;
     std::vector<double> params;

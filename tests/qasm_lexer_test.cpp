@@ -11,6 +11,15 @@
 namespace powermove::qasm {
 namespace {
 
+/** The next token of @p lexer. */
+Token
+next(Lexer &lexer)
+{
+    Token token;
+    lexer.next(token);
+    return token;
+}
+
 /** Every token of @p source, through its final EndOfFile. */
 std::vector<Token>
 tokenize(std::string_view source)
@@ -18,7 +27,7 @@ tokenize(std::string_view source)
     Lexer lexer(source);
     std::vector<Token> tokens;
     do {
-        tokens.push_back(lexer.next());
+        tokens.push_back(next(lexer));
     } while (tokens.back().kind != TokenKind::EndOfFile);
     return tokens;
 }
@@ -155,9 +164,9 @@ TEST(LexerTest, EofRepeatsAtTheEnd)
 {
     Lexer lexer("h q;");
     for (int i = 0; i < 3; ++i)
-        lexer.next();
-    EXPECT_EQ(lexer.next().kind, TokenKind::EndOfFile);
-    EXPECT_EQ(lexer.next().kind, TokenKind::EndOfFile);
+        next(lexer);
+    EXPECT_EQ(next(lexer).kind, TokenKind::EndOfFile);
+    EXPECT_EQ(next(lexer).kind, TokenKind::EndOfFile);
 }
 
 TEST(LexerTest, StreamingDefersErrorsUntilReached)
@@ -165,8 +174,8 @@ TEST(LexerTest, StreamingDefersErrorsUntilReached)
     // The parser pulls tokens on demand, so a bad character after the
     // first token only throws once the lexer gets there.
     Lexer lexer("h @");
-    EXPECT_EQ(lexer.next().kind, TokenKind::Identifier);
-    EXPECT_THROW(lexer.next(), ParseError);
+    EXPECT_EQ(next(lexer).kind, TokenKind::Identifier);
+    EXPECT_THROW(next(lexer), ParseError);
 }
 
 } // namespace
