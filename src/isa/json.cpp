@@ -1,6 +1,7 @@
 #include "isa/json.hpp"
 
 #include <charconv>
+#include <cstdint>
 #include <string_view>
 #include <type_traits>
 
@@ -27,13 +28,20 @@ class JsonOut
         requires std::is_arithmetic_v<Number>
     {
         char buffer[32];
-        char *end = buffer + sizeof buffer;
-        if constexpr (std::is_floating_point_v<Number>) // a stream's %g
-            end = std::to_chars(buffer, end, value, std::chars_format::general,
-                                6).ptr;
-        else
-            end = std::to_chars(buffer, end, value).ptr;
-        out_.append(buffer, end);
+        if constexpr (std::is_floating_point_v<Number>) {
+            // A stream's default %g. An integral value below 1e6 prints as
+            // that integer, without touching to_chars' precision tables
+            // (about 128 KB of resident memory).
+            if (value >= 1 && value < 1e6 && value == std::int64_t(value))
+                return *this << std::int64_t(value);
+            out_.append(buffer, std::to_chars(buffer, buffer + sizeof buffer,
+                                              value,
+                                              std::chars_format::general, 6)
+                                    .ptr);
+        } else {
+            out_.append(buffer,
+                        std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+        }
         return *this;
     }
 

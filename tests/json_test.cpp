@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "compiler/powermove.hpp"
 #include "isa/json.hpp"
 
@@ -27,6 +29,23 @@ TEST(JsonTest, MachineShapeSerialized)
     EXPECT_NE(json.find("\"storage\": [6,12]"), std::string::npos);
     EXPECT_NE(json.find("\"gap_rows\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"pitch_um\": 15"), std::string::npos);
+}
+
+TEST(JsonTest, PitchPrintsAsTheStreamDefault)
+{
+    // The writer formats numbers with to_chars; pitch_um must read as
+    // the ostream default (%g, precision 6) it replaced.
+    for (const double pitch : {15.0, 2.5, 0.5, 1.0, 999999.0, 999999.5, 1e6,
+                               1234567.0, 3.14159265, 1e-7, 12.25}) {
+        MachineConfig config = MachineConfig::forQubits(4);
+        config.params.site_pitch = Distance::microns(pitch);
+        const Machine machine(config);
+        const auto json = scheduleToJson(MachineSchedule(machine, {0}));
+        std::ostringstream expected;
+        expected << "\"pitch_um\": " << pitch << "}";
+        EXPECT_NE(json.find(expected.str()), std::string::npos)
+            << expected.str() << " in\n" << json;
+    }
 }
 
 TEST(JsonTest, AllInstructionKindsSerialized)

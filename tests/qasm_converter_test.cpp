@@ -181,6 +181,29 @@ TEST(ConverterTest, SemanticErrors)
     EXPECT_THROW(loadQasm("qreg q[2]; qreg q[3];"), ParseError);   // redecl
 }
 
+// Regression: 2^32 + 1 qubits used to reach the allocator (bad_alloc)
+// with ids truncated to 32 bits; the total must fit QubitId.
+TEST(ConverterTest, QubitTotalMustFitQubitId)
+{
+    try {
+        loadQasm("qreg q[4294967297];");
+        FAIL() << "expected ParseError";
+    } catch (const ParseError &error) {
+        EXPECT_EQ(error.line(), 1u);
+        EXPECT_EQ(error.column(), 8u);
+        EXPECT_NE(std::string(error.what()).find("2^32 - 1 qubits"),
+                  std::string::npos);
+    }
+    // The sum overflows on the second register.
+    try {
+        loadQasm("qreg a[4294967295];\nqreg b[1];");
+        FAIL() << "expected ParseError";
+    } catch (const ParseError &error) {
+        EXPECT_EQ(error.line(), 2u);
+        EXPECT_EQ(error.column(), 8u);
+    }
+}
+
 TEST(ConverterTest, MultipleQregsShareIdSpace)
 {
     const auto result = loadQasm("qreg a[2]; qreg b[2]; cz a[1],b[0];");

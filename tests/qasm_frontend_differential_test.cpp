@@ -196,6 +196,9 @@ unitTestSources()
         "qreg q[2]; U(0.1,0.2,0.3) q[0]; CX q[0],q[1]; u(1,2,3) q[1];",
         "qreg q[1]; p(-pi/2) q[0]; rx(ln(2)*exp(1)/sqrt(4)-tan(cos(0))) q[0];",
         "qreg q[1]; rz(--1) q[0]; rz((((2)))) q[0]; rz(-2^-2) q[0];",
+        "qreg q[2];\ngate g a { barrier a",
+        "qreg q[2]; h q[ 1 ]; cz q[0] ,q [1]; h q[1 // c\n];",
+        "qreg q[2]; h q[0x1]; h q[1.]; h q[1e0];",
     };
 }
 
