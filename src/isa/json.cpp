@@ -10,38 +10,35 @@ namespace powermove {
 namespace {
 
 /** Appends JSON text to one string, formatting numbers with to_chars. */
-class JsonOut
+struct JsonOut
 {
-  public:
-    explicit JsonOut(std::size_t reserve) { out_.reserve(reserve); }
+    std::string out;
 
     JsonOut &
     operator<<(std::string_view text)
     {
-        out_.append(text);
+        out.append(text);
         return *this;
     }
 
+    // Doubles print as a stream's default %g. An integral value below 1e6
+    // prints as that integer, as %g does, without touching to_chars'
+    // precision tables (about 128 KB of resident memory).
     template <typename Number>
+        requires std::is_arithmetic_v<Number>
     JsonOut &
     operator<<(Number value)
-        requires std::is_arithmetic_v<Number>
     {
         char buffer[32];
-        if constexpr (std::is_floating_point_v<Number>) {
-            // A stream's default %g. An integral value below 1e6 prints as
-            // that integer, without touching to_chars' precision tables
-            // (about 128 KB of resident memory).
-            if (value >= 1 && value < 1e6 && value == std::int64_t(value))
-                return *this << std::int64_t(value);
-            out_.append(buffer, std::to_chars(buffer, buffer + sizeof buffer,
-                                              value,
-                                              std::chars_format::general, 6)
-                                    .ptr);
-        } else {
-            out_.append(buffer,
-                        std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
-        }
+        char *end = buffer + sizeof buffer;
+        if constexpr (std::is_integral_v<Number>)
+            end = std::to_chars(buffer, end, value).ptr;
+        else if (value >= 1 && value < 1e6 && value == std::int64_t(value))
+            return *this << std::int64_t(value);
+        else
+            end = std::to_chars(buffer, end, value, std::chars_format::general,
+                                6).ptr;
+        out.append(buffer, end);
         return *this;
     }
 
@@ -50,24 +47,18 @@ class JsonOut
     {
         return *this << "[" << coord.x << "," << coord.y << "]";
     }
-
-    std::string take() { return std::move(out_); }
-
-  private:
-    std::string out_;
 };
 
-/** A size estimate of the document: typical widths of each element. */
+/** A size estimate of the document, from typical element widths. */
 std::size_t
 estimateSize(const MachineSchedule &schedule)
 {
     std::size_t bytes = 256 + 10 * schedule.initialSites().size();
     for (const auto &instruction : schedule.instructions()) {
-        bytes += 40;
-        if (const auto *op = std::get_if<MoveBatchOp>(&instruction))
-            bytes += 40 * op->batch.numMoves() + 2 * op->batch.groups.size();
-        else if (const auto *pulse = std::get_if<RydbergOp>(&instruction))
-            bytes += 10 * pulse->gates.size();
+        const auto *op = std::get_if<MoveBatchOp>(&instruction);
+        const auto *pulse = std::get_if<RydbergOp>(&instruction);
+        bytes += 40 + (op ? 42 * op->batch.numMoves() : 0) +
+                 (pulse ? 10 * pulse->gates.size() : 0);
     }
     return bytes;
 }
@@ -79,7 +70,8 @@ scheduleToJson(const MachineSchedule &schedule)
 {
     const Machine &machine = schedule.machine();
     const auto &config = machine.config();
-    JsonOut os(estimateSize(schedule));
+    JsonOut os;
+    os.out.reserve(estimateSize(schedule));
 
     os << "{\n";
     os << "  \"machine\": {\"compute\": [" << config.compute_cols << ","
@@ -127,7 +119,7 @@ scheduleToJson(const MachineSchedule &schedule)
         }
     }
     os << "\n  ]\n}\n";
-    return os.take();
+    return std::move(os.out);
 }
 
 } // namespace powermove

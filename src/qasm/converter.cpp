@@ -231,61 +231,48 @@ class Lowering
                 std::span<const QubitId> q, std::uint32_t line,
                 std::uint32_t column)
     {
+        // {parameters, qubits} of each Builtin, in enum order.
+        static constexpr std::uint8_t kArity[][2] = {
+            {0, 0}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1},
+            {0, 1}, {1, 1}, {1, 1}, {1, 1}, {0, 1}, {1, 1}, {2, 1}, {3, 1},
+            {0, 2}, {0, 2}, {1, 2}, {1, 2}, {0, 2}, {0, 3}};
         const Builtin builtin = program_.names[name].builtin;
-        const auto arity = [&](std::size_t want_params,
-                               std::size_t want_qubits) {
-            if (params.size() != want_params || q.size() != want_qubits)
-                throw ParseError("gate '" + text(name) + "' expects " +
-                                     std::to_string(want_params) +
-                                     " parameter(s) and " +
-                                     std::to_string(want_qubits) +
-                                     " qubit(s)",
-                                 line, column);
-        };
-        switch (builtin) {
-          case Builtin::None:
+        if (builtin == Builtin::None)
             return false;
-          case Builtin::H: case Builtin::X: case Builtin::Y: case Builtin::Z:
-          case Builtin::S: case Builtin::Sdg: case Builtin::T:
-          case Builtin::Tdg:
-            arity(0, 1);
-            one(static_cast<OneQKind>(static_cast<int>(builtin) -
-                                      static_cast<int>(Builtin::H)),
-                q[0]);
-            return true;
+        const auto [want_params, want_qubits] =
+            kArity[static_cast<std::size_t>(builtin)];
+        if (params.size() != want_params || q.size() != want_qubits)
+            throw ParseError("gate '" + text(name) + "' expects " +
+                                 std::to_string(want_params) +
+                                 " parameter(s) and " +
+                                 std::to_string(want_qubits) + " qubit(s)",
+                             line, column);
+        const auto kind = static_cast<OneQKind>(static_cast<int>(builtin) -
+                                                static_cast<int>(Builtin::H));
+        switch (builtin) {
           case Builtin::Rx: case Builtin::Ry: case Builtin::Rz:
-            arity(1, 1);
-            one(static_cast<OneQKind>(static_cast<int>(builtin) -
-                                      static_cast<int>(Builtin::H)),
-                q[0], params[0]);
+            one(kind, q[0], params[0]);
             return true;
           case Builtin::Id:
-            arity(0, 1);
             return true; // identity: no operation
           case Builtin::U1:
-            arity(1, 1);
             one(OneQKind::Rz, q[0], params[0]);
             return true;
           case Builtin::U2:
-            arity(2, 1);
             // u2(phi, lambda) is one hardware pulse: a generic U with
             // theta = pi/2 (angles beyond theta do not affect costing).
             one(OneQKind::U, q[0], std::numbers::pi / 2.0);
             return true;
           case Builtin::U3:
-            arity(3, 1);
             one(OneQKind::U, q[0], params[0]);
             return true;
           case Builtin::Cz:
-            arity(0, 2);
             cz(q[0], q[1]);
             return true;
           case Builtin::Cx:
-            arity(0, 2);
             cx(q[0], q[1]);
             return true;
           case Builtin::Cp: {
-            arity(1, 2);
             const double lambda = params[0];
             one(OneQKind::Rz, q[0], lambda / 2.0);
             cx(q[0], q[1]);
@@ -295,19 +282,16 @@ class Lowering
             return true;
           }
           case Builtin::Rzz:
-            arity(1, 2);
             cx(q[0], q[1]);
             one(OneQKind::Rz, q[1], params[0]);
             cx(q[0], q[1]);
             return true;
           case Builtin::Swap:
-            arity(0, 2);
             cx(q[0], q[1]);
             cx(q[1], q[0]);
             cx(q[0], q[1]);
             return true;
           case Builtin::Ccx:
-            arity(0, 3);
             // Standard six-CX Toffoli decomposition.
             one(OneQKind::H, q[2]);
             cx(q[1], q[2]);
@@ -325,8 +309,10 @@ class Lowering
             one(OneQKind::Tdg, q[1]);
             cx(q[0], q[1]);
             return true;
+          default: // H through Tdg
+            one(kind, q[0]);
+            return true;
         }
-        return false;
     }
 
     const Program &program_;

@@ -157,31 +157,16 @@ Lexer::next(Token &token)
         token.text = token.text.substr(1, token.text.size() - 2);
         return;
     }
+    // Single-character punctuation, in TokenKind order from Semicolon.
+    static constexpr std::string_view kPunctuation = ";,()[]{}";
+    if (const auto i = kPunctuation.find(c); i != std::string_view::npos)
+        return finish(static_cast<TokenKind>(
+            static_cast<std::size_t>(TokenKind::Semicolon) + i));
     switch (c) {
-      case ';':
-        return finish(TokenKind::Semicolon);
-      case ',':
-        return finish(TokenKind::Comma);
-      case '(':
-        return finish(TokenKind::LParen);
-      case ')':
-        return finish(TokenKind::RParen);
-      case '[':
-        return finish(TokenKind::LBracket);
-      case ']':
-        return finish(TokenKind::RBracket);
-      case '{':
-        return finish(TokenKind::LBrace);
-      case '}':
-        return finish(TokenKind::RBrace);
-      case '+':
-        return finish(TokenKind::Plus);
-      case '*':
-        return finish(TokenKind::Star);
-      case '/':
-        return finish(TokenKind::Slash);
-      case '^':
-        return finish(TokenKind::Caret);
+      case '+': return finish(TokenKind::Plus);
+      case '*': return finish(TokenKind::Star);
+      case '/': return finish(TokenKind::Slash);
+      case '^': return finish(TokenKind::Caret);
       case '-':
         return finish(follows('>') ? TokenKind::Arrow : TokenKind::Minus);
       case '=':

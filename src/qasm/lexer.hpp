@@ -22,37 +22,13 @@ namespace powermove::qasm {
 /** Token kinds of the OpenQASM 2.0 grammar subset we accept. */
 enum class TokenKind : std::uint8_t
 {
-    Identifier,
-    Real,       // 3.14, 1e-3
-    Integer,    // 42
-    String,     // "qelib1.inc"
+    Identifier, Real /* 3.14, 1e-3 */, Integer, String /* "qelib1.inc" */,
     // Keywords
-    KwOpenQasm, // OPENQASM
-    KwInclude,
-    KwQreg,
-    KwCreg,
-    KwGate,
-    KwMeasure,
-    KwBarrier,
-    KwReset,
-    KwIf,
-    KwPi,
+    KwOpenQasm, KwInclude, KwQreg, KwCreg, KwGate, KwMeasure, KwBarrier,
+    KwReset, KwIf, KwPi,
     // Punctuation and operators
-    Semicolon,
-    Comma,
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    LBrace,
-    RBrace,
-    Arrow, // ->
-    Plus,
-    Minus,
-    Star,
-    Slash,
-    Caret,
-    EqualEqual,
+    Semicolon, Comma, LParen, RParen, LBracket, RBracket, LBrace, RBrace,
+    Arrow /* -> */, Plus, Minus, Star, Slash, Caret, EqualEqual,
     EndOfFile,
 };
 

@@ -13,40 +13,33 @@ namespace powermove::qasm {
 
 namespace {
 
-Builtin
-builtinOf(std::string_view name)
+/** The value @p name maps to in @p table, or @p none. */
+template <typename T, std::size_t N>
+T
+lookup(const std::pair<std::string_view, T> (&table)[N], std::string_view name,
+       T none)
 {
-    static constexpr std::pair<std::string_view, Builtin> kBuiltins[] = {
-        {"h", Builtin::H},      {"x", Builtin::X},       {"y", Builtin::Y},
-        {"z", Builtin::Z},      {"s", Builtin::S},       {"sdg", Builtin::Sdg},
-        {"t", Builtin::T},      {"tdg", Builtin::Tdg},   {"rx", Builtin::Rx},
-        {"ry", Builtin::Ry},    {"rz", Builtin::Rz},     {"id", Builtin::Id},
-        {"u1", Builtin::U1},    {"p", Builtin::U1},      {"u2", Builtin::U2},
-        {"u3", Builtin::U3},    {"u", Builtin::U3},      {"cz", Builtin::Cz},
-        {"cx", Builtin::Cx},    {"CX", Builtin::Cx},     {"cp", Builtin::Cp},
-        {"cu1", Builtin::Cp},   {"rzz", Builtin::Rzz},   {"swap", Builtin::Swap},
-        {"ccx", Builtin::Ccx},
-    };
-    for (const auto &[text, builtin] : kBuiltins) {
+    for (const auto &[text, value] : table) {
         if (text == name)
-            return builtin;
+            return value;
     }
-    return Builtin::None;
+    return none;
 }
 
-ExprOp::Code
-functionOf(std::string_view name)
-{
-    static constexpr std::pair<std::string_view, ExprOp::Code> kFunctions[] = {
-        {"sin", ExprOp::Sin}, {"cos", ExprOp::Cos}, {"tan", ExprOp::Tan},
-        {"exp", ExprOp::Exp}, {"ln", ExprOp::Ln},   {"sqrt", ExprOp::Sqrt},
-    };
-    for (const auto &[text, code] : kFunctions) {
-        if (text == name)
-            return code;
-    }
-    return ExprOp::UnknownCall;
-}
+constexpr std::pair<std::string_view, Builtin> kBuiltins[] = {
+    {"h", Builtin::H},    {"x", Builtin::X},     {"y", Builtin::Y},
+    {"z", Builtin::Z},    {"s", Builtin::S},     {"sdg", Builtin::Sdg},
+    {"t", Builtin::T},    {"tdg", Builtin::Tdg}, {"rx", Builtin::Rx},
+    {"ry", Builtin::Ry},  {"rz", Builtin::Rz},   {"id", Builtin::Id},
+    {"u1", Builtin::U1},  {"p", Builtin::U1},    {"u2", Builtin::U2},
+    {"u3", Builtin::U3},  {"u", Builtin::U3},    {"cz", Builtin::Cz},
+    {"cx", Builtin::Cx},  {"CX", Builtin::Cx},   {"cp", Builtin::Cp},
+    {"cu1", Builtin::Cp}, {"rzz", Builtin::Rzz}, {"swap", Builtin::Swap},
+    {"ccx", Builtin::Ccx}};
+
+constexpr std::pair<std::string_view, ExprOp::Code> kFunctions[] = {
+    {"sin", ExprOp::Sin}, {"cos", ExprOp::Cos}, {"tan", ExprOp::Tan},
+    {"exp", ExprOp::Exp}, {"ln", ExprOp::Ln},   {"sqrt", ExprOp::Sqrt}};
 
 /** Index of the first @p id in @p formals, or @p none. */
 std::uint64_t
@@ -128,43 +121,38 @@ class Parser
         throw ParseError(message, peek().line, peek().column);
     }
 
-    static std::size_t
-    hashOf(std::string_view text)
-    {
-        std::uint64_t h = text.size();
-        for (const char c : text)
-            h = h * 31 + static_cast<unsigned char>(c);
-        return static_cast<std::size_t>((h * 0x9e3779b97f4a7c15ULL) >> 32);
-    }
-
     /** The id of @p text, a new one if it is not yet a name. */
     std::uint32_t
     intern(std::string_view text)
     {
-        std::vector<std::uint32_t> &slots = program_.slots;
         std::vector<Name> &names = program_.names;
-        if (2 * names.size() >= slots.size()) {
-            slots.assign(std::max<std::size_t>(64, 2 * slots.size()), 0);
+        if (2 * names.size() >= program_.slots.size()) { // grow, re-index
+            program_.slots.assign(
+                std::max<std::size_t>(64, 2 * program_.slots.size()), 0);
             for (std::uint32_t id = 0; id < names.size(); ++id)
-                *findSlot(names[id].text) = id + 1;
+                *slotOf(names[id].text) = id + 1;
         }
-        std::uint32_t *slot = findSlot(text);
-        if (*slot == 0) {
-            names.push_back(Name{text, builtinOf(text)});
-            *slot = static_cast<std::uint32_t>(names.size());
+        std::uint32_t &slot = *slotOf(text);
+        if (slot == 0) {
+            names.push_back(Name{text, lookup(kBuiltins, text, Builtin::None)});
+            slot = static_cast<std::uint32_t>(names.size());
         }
-        return *slot - 1;
+        return slot - 1;
     }
 
     /** The slot holding @p text, or the empty slot where it belongs. */
     std::uint32_t *
-    findSlot(std::string_view text)
+    slotOf(std::string_view text)
     {
+        std::uint64_t h = text.size();
+        for (const char c : text)
+            h = h * 31 + static_cast<unsigned char>(c);
         std::vector<std::uint32_t> &slots = program_.slots;
         const std::size_t mask = slots.size() - 1;
-        for (std::size_t i = hashOf(text) & mask;; i = (i + 1) & mask) {
-            if (slots[i] == 0 || program_.names[slots[i] - 1].text == text)
-                return &slots[i];
+        for (std::size_t i = (h * 0x9e3779b97f4a7c15ULL) >> 32;; ++i) {
+            std::uint32_t &slot = slots[i & mask];
+            if (slot == 0 || program_.names[slot - 1].text == text)
+                return &slot;
         }
     }
 
@@ -182,20 +170,6 @@ class Parser
         return value;
     }
 
-    static QuantumArg
-    argAt(const Token &token, std::uint32_t name)
-    {
-        return QuantumArg{name, false, 0, token.line, token.column};
-    }
-
-    void
-    push(Statement statement, const Token &at)
-    {
-        statement.line = at.line;
-        statement.column = at.column;
-        program_.statements.push_back(statement);
-    }
-
     void
     parseInclude()
     {
@@ -207,11 +181,10 @@ class Parser
     void
     parseStatement()
     {
-        const Token start = peek();
         if (match(TokenKind::KwInclude)) {
             parseInclude();
             // A late include closes the current CZ block, as it always has.
-            push(Statement{.kind = Statement::Barrier}, start);
+            program_.statements.push_back(Statement{.kind = Statement::Barrier});
             return;
         }
         if (check(TokenKind::KwQreg) || check(TokenKind::KwCreg))
@@ -242,26 +215,24 @@ class Parser
         const Token size = expect(TokenKind::Integer, "as register size");
         expect(TokenKind::RBracket, "in register declaration");
         expect(TokenKind::Semicolon, "after register declaration");
-        QuantumArg decl = argAt(size, 0);
-        decl.index = integerValue(size);
+        QuantumArg decl{0, true, integerValue(size), size.line, size.column};
         if (decl.index == 0)
             throw ParseError("register size must be positive", size.line,
                              size.column);
         if (!quantum)
             return;
         decl.name = intern(name.text);
-        push(Statement{.kind = Statement::Qreg,
-                       .first_arg = static_cast<std::uint32_t>(
-                           program_.args.size()),
-                       .num_args = 1},
-             name);
+        program_.statements.push_back(Statement{
+            .kind = Statement::Qreg,
+            .first_arg = static_cast<std::uint32_t>(program_.args.size()),
+            .num_args = 1});
         program_.args.push_back(decl);
     }
 
     void
     parseGateDecl()
     {
-        const Token keyword = advance(); // gate
+        advance(); // gate
         GateDecl decl;
         decl.name = intern(expect(TokenKind::Identifier, "as gate name").text);
         if (match(TokenKind::LParen)) {
@@ -290,10 +261,9 @@ class Parser
             }
             parseGateCallBody(decl);
         }
-        push(Statement{.kind = Statement::GateDef,
-                       .name = static_cast<std::uint32_t>(
-                           program_.gates.size())},
-             keyword);
+        program_.statements.push_back(Statement{
+            .kind = Statement::GateDef,
+            .name = static_cast<std::uint32_t>(program_.gates.size())});
         program_.gates.push_back(std::move(decl));
     }
 
@@ -323,7 +293,7 @@ class Parser
         do {
             const Token arg =
                 expect(TokenKind::Identifier, "as gate body argument");
-            QuantumArg formal = argAt(arg, intern(arg.text));
+            QuantumArg formal{intern(arg.text), true, 0, arg.line, arg.column};
             formal.index = formalIndex(decl.qubits, formal.name,
                                        GateDecl::kUnknownQubit);
             decl.args.push_back(formal);
@@ -337,7 +307,10 @@ class Parser
     parseGateCall()
     {
         const Token name = advance();
-        Statement call{.kind = Statement::Call, .name = intern(name.text)};
+        Statement call{.kind = Statement::Call,
+                       .name = intern(name.text),
+                       .line = name.line,
+                       .column = name.column};
         call.first_param = static_cast<std::uint32_t>(program_.params.size());
         if (match(TokenKind::LParen)) {
             if (!check(TokenKind::RParen)) {
@@ -359,7 +332,7 @@ class Parser
             ++call.num_args;
         } while (match(TokenKind::Comma));
         expect(TokenKind::Semicolon, "after gate call");
-        push(call, name);
+        program_.statements.push_back(call);
     }
 
     /**
@@ -387,7 +360,7 @@ class Parser
     parseQuantumArg()
     {
         const Token reg = expect(TokenKind::Identifier, "as register name");
-        QuantumArg arg = argAt(reg, intern(reg.text));
+        QuantumArg arg{intern(reg.text), false, 0, reg.line, reg.column};
         if (check(TokenKind::LBracket) && lexer_.closeIndex(arg.index)) {
             arg.indexed = true;
             lexer_.next(current_);
@@ -403,7 +376,7 @@ class Parser
     void
     parseMeasure()
     {
-        const Token keyword = advance(); // measure
+        advance(); // measure
         const QuantumArg source = parseQuantumArg();
         expect(TokenKind::Arrow, "in measure statement");
         expect(TokenKind::Identifier, "as creg name");
@@ -412,23 +385,22 @@ class Parser
             expect(TokenKind::RBracket, "after creg index");
         }
         expect(TokenKind::Semicolon, "after measure");
-        push(Statement{.kind = Statement::Measure,
-                       .first_arg = static_cast<std::uint32_t>(
-                           program_.args.size()),
-                       .num_args = 1},
-             keyword);
+        program_.statements.push_back(Statement{
+            .kind = Statement::Measure,
+            .first_arg = static_cast<std::uint32_t>(program_.args.size()),
+            .num_args = 1});
         program_.args.push_back(source);
     }
 
     void
     parseBarrier()
     {
-        const Token keyword = advance(); // barrier
+        advance(); // barrier
         do {
             parseQuantumArg(); // arguments are informational only
         } while (match(TokenKind::Comma));
         expect(TokenKind::Semicolon, "after barrier");
-        push(Statement{.kind = Statement::Barrier}, keyword);
+        program_.statements.push_back(Statement{.kind = Statement::Barrier});
     }
 
     // ---- expression grammar: additive > multiplicative > power > unary ----
@@ -539,7 +511,8 @@ class Parser
                 parseExpr();
                 expect(TokenKind::RParen, "after function argument");
                 --nesting_;
-                const ExprOp::Code code = functionOf(name.text);
+                const ExprOp::Code code =
+                    lookup(kFunctions, name.text, ExprOp::UnknownCall);
                 emitNode(code, depth_, open,
                          code == ExprOp::UnknownCall ? intern(name.text) : 0);
                 return;
@@ -600,75 +573,32 @@ evaluate(const ExprOp *&pc, std::span<const double> bindings,
     double stack[kMaxExprDepth + 1];
     std::size_t top = 0;
     for (;; ++pc) {
-        const ExprOp &op = *pc;
-        switch (op.code) {
-          case ExprOp::Number:
-            stack[top++] = op.number;
-            continue;
-          case ExprOp::Pi:
-            stack[top++] = std::numbers::pi;
-            continue;
-          case ExprOp::Param:
-            stack[top++] = bindings[op.index];
-            continue;
+        const double x = top > 0 ? stack[top - 1] : 0.0; // the last operand
+        double *const y = top > 1 ? &stack[top - 2] : nullptr; // binary lhs
+        switch (pc->code) {
+          case ExprOp::Number: stack[top++] = pc->number; break;
+          case ExprOp::Pi: stack[top++] = std::numbers::pi; break;
+          case ExprOp::Param: stack[top++] = bindings[pc->index]; break;
           case ExprOp::Unbound:
-            throw ParseError("unbound parameter '" +
-                                 std::string(names[op.index].text) + "'",
-                             0, 0);
           case ExprOp::UnknownCall:
-            throw ParseError("unknown function '" +
-                                 std::string(names[op.index].text) + "'",
+            throw ParseError(std::string(pc->code == ExprOp::Unbound
+                                             ? "unbound parameter '"
+                                             : "unknown function '") +
+                                 std::string(names[pc->index].text) + "'",
                              0, 0);
-          case ExprOp::End:
-            ++pc;
-            return stack[0];
-          default:
-            break;
-        }
-        double &x = stack[top - 1];
-        switch (op.code) {
-          case ExprOp::Neg:
-            x = -x;
-            continue;
-          case ExprOp::Sin:
-            x = std::sin(x);
-            continue;
-          case ExprOp::Cos:
-            x = std::cos(x);
-            continue;
-          case ExprOp::Tan:
-            x = std::tan(x);
-            continue;
-          case ExprOp::Exp:
-            x = std::exp(x);
-            continue;
-          case ExprOp::Ln:
-            x = std::log(x);
-            continue;
-          case ExprOp::Sqrt:
-            x = std::sqrt(x);
-            continue;
-          default:
-            break;
-        }
-        const double rhs = stack[--top];
-        double &lhs = stack[top - 1];
-        switch (op.code) {
-          case ExprOp::Add:
-            lhs = lhs + rhs;
-            break;
-          case ExprOp::Sub:
-            lhs = lhs - rhs;
-            break;
-          case ExprOp::Mul:
-            lhs = lhs * rhs;
-            break;
-          case ExprOp::Div:
-            lhs = lhs / rhs;
-            break;
-          default:
-            lhs = std::pow(lhs, rhs);
-            break;
+          case ExprOp::End: ++pc; return stack[0];
+          case ExprOp::Neg: stack[top - 1] = -x; break;
+          case ExprOp::Sin: stack[top - 1] = std::sin(x); break;
+          case ExprOp::Cos: stack[top - 1] = std::cos(x); break;
+          case ExprOp::Tan: stack[top - 1] = std::tan(x); break;
+          case ExprOp::Exp: stack[top - 1] = std::exp(x); break;
+          case ExprOp::Ln: stack[top - 1] = std::log(x); break;
+          case ExprOp::Sqrt: stack[top - 1] = std::sqrt(x); break;
+          case ExprOp::Add: *y = *y + x; --top; break;
+          case ExprOp::Sub: *y = *y - x; --top; break;
+          case ExprOp::Mul: *y = *y * x; --top; break;
+          case ExprOp::Div: *y = *y / x; --top; break;
+          case ExprOp::Pow: *y = std::pow(*y, x); --top; break;
         }
     }
 }
