@@ -5,7 +5,9 @@
  * Emits a self-contained, dependency-free JSON document describing the
  * machine shape, the initial placement, and the full instruction stream
  * — the interchange format for external visualizers and for diffing
- * schedules across compiler versions.
+ * schedules across compiler versions. The writer appends into one
+ * string reserved from a size estimate of the schedule and formats
+ * numbers with std::to_chars; pitch_um reads as a stream's default %g.
  */
 
 #ifndef POWERMOVE_ISA_JSON_HPP
