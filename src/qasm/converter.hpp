@@ -2,14 +2,12 @@
  * @file
  * Loading OpenQASM 2.0 into the {1Q, CZ} circuit IR.
  *
- * The parser (qasm/parser.hpp) turns the source into flat statement
- * records over interned names; the converter lowers them once the whole
- * file has parsed: first a declaration pass (registers and gate
- * definitions, so a declaration is visible to every call), then the
- * statements in order. Standard qelib1 gates are provided natively;
- * user gate definitions are expanded recursively with parameter
- * substitution. Multi-qubit gates are decomposed into CZ-basis
- * sequences:
+ * The converter lowers the parser's statement records (qasm/parser.hpp)
+ * once the whole file has parsed: a declaration pass first, so every
+ * call sees every declaration, then the statements in order. Standard
+ * qelib1 gates are provided natively; user gate definitions are expanded
+ * recursively with parameter substitution. Multi-qubit gates are
+ * decomposed into CZ-basis sequences:
  *
  *   cx c,t   -> h t; cz c,t; h t
  *   cp/cu1   -> rz halves + two cx (full decomposition, unlike the

@@ -29,19 +29,11 @@ namespace {
 // The "C" locale's character classes, without the locale lookup.
 bool isDigit(char c) { return c >= '0' && c <= '9'; }
 
-bool
-isIdentStart(char c)
-{
-    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == '_';
-}
-
+// ASCII letters: setting bit 5 folds 'A'-'Z' onto 'a'-'z'.
+bool isAlpha(char c) { return (c | 0x20) >= 'a' && (c | 0x20) <= 'z'; }
+bool isIdentStart(char c) { return isAlpha(c) || c == '_'; }
 bool isIdentChar(char c) { return isIdentStart(c) || isDigit(c); }
-
-bool
-isSpace(char c)
-{
-    return c == ' ' || (c >= '\t' && c <= '\r');
-}
+bool isSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
 
 [[noreturn]] void
 fail(const std::string &message, std::uint32_t line, std::uint32_t column)
@@ -180,14 +172,17 @@ Lexer::next(Token &token)
 }
 
 bool
-Lexer::closeIndex(std::uint64_t &value)
+Lexer::index(std::uint64_t &value)
 {
     const char *const data = source_.data();
-    std::size_t p = pos_;
+    if (pos_ >= source_.size() || data[pos_] != '[')
+        return false;
+    std::size_t p = pos_ + 1;
     std::uint64_t n = 0;
-    while (p < source_.size() && p - pos_ < 16 && isDigit(data[p]))
+    const std::size_t first = p;
+    while (p < source_.size() && p - first < 16 && isDigit(data[p]))
         n = n * 10 + static_cast<std::uint64_t>(data[p++] - '0');
-    if (p == pos_ || p - pos_ >= 16 || p >= source_.size() || data[p] != ']')
+    if (p == first || p - first >= 16 || p >= source_.size() || data[p] != ']')
         return false;
     token_line_ = line_; // the ']' is now the last token
     token_column_ = static_cast<std::uint32_t>(p - line_start_ + 1);

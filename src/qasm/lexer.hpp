@@ -62,12 +62,13 @@ class Lexer
     void next(Token &token);
 
     /**
-     * Fast path for a qubit index: right after a '[' token, consumes
-     * "<digits>]" when no blank, comment or other token intervenes and
-     * the literal has at most 15 digits, stores its value in @p value and
-     * returns true; otherwise consumes nothing and returns false.
+     * Fast path for a qubit index: right after a register name, consumes
+     * "[<digits>]" when no blank or comment intervenes and the literal
+     * has at most 15 digits, stores its value in @p value and returns
+     * true; otherwise consumes nothing and returns false. The ']' then
+     * counts as the last token lexed.
      */
-    bool closeIndex(std::uint64_t &value);
+    bool index(std::uint64_t &value);
 
   private:
     std::string_view source_;

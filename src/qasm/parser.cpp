@@ -359,12 +359,17 @@ class Parser
     QuantumArg
     parseQuantumArg()
     {
-        const Token reg = expect(TokenKind::Identifier, "as register name");
-        QuantumArg arg{intern(reg.text), false, 0, reg.line, reg.column};
-        if (check(TokenKind::LBracket) && lexer_.closeIndex(arg.index)) {
+        if (!check(TokenKind::Identifier))
+            unexpected(TokenKind::Identifier, "as register name");
+        QuantumArg arg{intern(peek().text), false, 0, peek().line,
+                       peek().column};
+        if (lexer_.index(arg.index)) {
             arg.indexed = true;
             lexer_.next(current_);
-        } else if (match(TokenKind::LBracket)) {
+            return arg;
+        }
+        advance();
+        if (match(TokenKind::LBracket)) {
             const Token index = expect(TokenKind::Integer, "as qubit index");
             expect(TokenKind::RBracket, "after qubit index");
             arg.indexed = true;
@@ -557,10 +562,11 @@ class Parser
 void
 parseProgram(std::string_view source, Program &program)
 {
-    // Generated QASM spends about 20 bytes per statement and 16 per
-    // argument; reserving that much spares the records' regrowth.
+    // Generated QASM spends about 20 bytes per statement, 16 per argument
+    // and 64 per parameter; reserving that spares the pools' regrowth.
     program.statements.reserve(program.statements.size() + source.size() / 20);
     program.args.reserve(program.args.size() + source.size() / 16);
+    program.params.reserve(program.params.size() + source.size() / 64);
     Parser(source, program).run();
 }
 
