@@ -83,4 +83,40 @@ startsWith(std::string_view text, std::string_view prefix)
            text.substr(0, prefix.size()) == prefix;
 }
 
+std::string
+escapeJson(std::string_view value)
+{
+    std::string out;
+    out.reserve(value.size());
+    for (const char c : value) {
+        switch (c) {
+        case '\\':
+            out += "\\\\";
+            break;
+        case '"':
+            out += "\\\"";
+            break;
+        case '\n':
+            out += "\\n";
+            break;
+        case '\t':
+            out += "\\t";
+            break;
+        case '\r':
+            out += "\\r";
+            break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buffer[8];
+                std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buffer;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out;
+}
+
 } // namespace powermove

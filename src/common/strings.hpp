@@ -36,6 +36,13 @@ std::vector<std::string> split(std::string_view text, char sep);
 /** True if @p text starts with @p prefix. */
 bool startsWith(std::string_view text, std::string_view prefix);
 
+/**
+ * Escapes @p value for the inside of a JSON string literal: quote,
+ * backslash, `\n`, `\t` and `\r` by name, any other control byte as
+ * `\u00XX`.
+ */
+std::string escapeJson(std::string_view value);
+
 } // namespace powermove
 
 #endif // POWERMOVE_COMMON_STRINGS_HPP

@@ -75,5 +75,16 @@ TEST(StartsWithTest, Basics)
     EXPECT_TRUE(startsWith("anything", ""));
 }
 
+TEST(EscapeJsonTest, EscapesQuotesBackslashesAndControlBytes)
+{
+    EXPECT_EQ(escapeJson("plain"), "plain");
+    EXPECT_EQ(escapeJson("say \"hi\""), "say \\\"hi\\\"");
+    EXPECT_EQ(escapeJson("a\\b"), "a\\\\b");
+    EXPECT_EQ(escapeJson("l1\nl2\tx\ry"), "l1\\nl2\\tx\\ry");
+    EXPECT_EQ(escapeJson(std::string_view("\x01\x1f\0", 3)),
+              "\\u0001\\u001f\\u0000");
+    EXPECT_EQ(escapeJson("\x7f"), "\x7f"); // DEL is not a control byte
+}
+
 } // namespace
 } // namespace powermove
