@@ -1,6 +1,7 @@
 #include "qasm/converter.hpp"
 
 #include <deque>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <numbers>
@@ -325,8 +326,11 @@ class Lowering
 std::string
 readFileOrFatal(const std::string &path)
 {
+    // A directory opens as a stream but reads as empty, so it is
+    // rejected by name rather than loaded as an empty file.
+    std::error_code error;
     std::ifstream in(path);
-    if (!in)
+    if (!in || std::filesystem::is_directory(path, error))
         fatal("cannot open QASM file: " + path);
     std::ostringstream buffer;
     buffer << in.rdbuf();

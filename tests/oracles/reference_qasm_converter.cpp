@@ -1,5 +1,6 @@
 #include "oracles/reference_qasm_converter.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <numbers>
@@ -388,8 +389,11 @@ namespace {
 std::string
 readFileOrFatal(const std::string &path)
 {
+    // A directory opens as a stream but reads as empty, so it is
+    // rejected by name rather than loaded as an empty file.
+    std::error_code error;
     std::ifstream in(path);
-    if (!in)
+    if (!in || std::filesystem::is_directory(path, error))
         fatal("cannot open QASM file: " + path);
     std::ostringstream buffer;
     buffer << in.rdbuf();

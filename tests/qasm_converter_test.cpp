@@ -282,5 +282,23 @@ TEST_F(IncludeResolutionTest, MissingIncludeRejected)
     EXPECT_THROW(loadQasmFile(dir_ + "/main.qasm"), ConfigError);
 }
 
+TEST_F(IncludeResolutionTest, DirectoryIncludeRejected)
+{
+    // `include "";` names the including file's own directory.
+    std::filesystem::create_directories(dir_ + "/sub");
+    for (const char *name : {"", "sub"}) {
+        writeFile("main.qasm", std::string("include \"") + name +
+                                   "\";\nqreg q[1];\nh q[0];\n");
+        try {
+            loadQasmFile(dir_ + "/main.qasm");
+            ADD_FAILURE() << "include \"" << name << "\" loaded";
+        } catch (const ConfigError &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "cannot open QASM file: " + dir_ + "/" + name);
+        }
+    }
+    EXPECT_THROW(loadQasmFile(dir_), ConfigError);
+}
+
 } // namespace
 } // namespace powermove::qasm
