@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <string>
 #include <vector>
@@ -93,10 +94,9 @@ struct WallStats
  * linear-interpolation quantile the live latency histograms
  * (obs::Histogram::percentile) approximate — so a bench report and a
  * metrics export answer "p95" identically. min stays the gate
- * statistic; the percentiles describe the noise around it. Exposed
- * separately from wallStatsMicros for harnesses that collect samples
- * themselves (e.g. interleaving several configurations per round so
- * machine drift hits all of them equally).
+ * statistic; the percentiles describe the noise around it. The caller
+ * collects the samples, e.g. interleaving several configurations per
+ * round so machine drift hits all of them equally.
  */
 inline WallStats
 wallStatsFromSamples(std::vector<double> samples_us)
@@ -110,17 +110,6 @@ wallStatsFromSamples(std::vector<double> samples_us)
     stats.p95_us = obs::percentileOfSorted(sorted, 0.95);
     stats.p99_us = obs::percentileOfSorted(sorted, 0.99);
     return stats;
-}
-
-/** One timed call of fn(), in wall microseconds on steady_clock. */
-template <typename Fn>
-double
-onceWallMicros(Fn &&fn)
-{
-    const auto start = std::chrono::steady_clock::now();
-    fn();
-    const auto stop = std::chrono::steady_clock::now();
-    return std::chrono::duration<double, std::micro>(stop - start).count();
 }
 
 /**
@@ -143,18 +132,6 @@ onceProcessCpuMicros(Fn &&fn)
            static_cast<double>(stop.tv_nsec - start.tv_nsec) / 1e3;
 }
 
-/** Times fn() @p repeats times; see wallStatsFromSamples. */
-template <typename Fn>
-WallStats
-wallStatsMicros(Fn &&fn, int repeats = 3)
-{
-    std::vector<double> samples_us;
-    samples_us.reserve(static_cast<std::size_t>(repeats));
-    for (int i = 0; i < repeats; ++i)
-        samples_us.push_back(onceWallMicros(fn));
-    return wallStatsFromSamples(std::move(samples_us));
-}
-
 /** snprintf into a std::string, e.g. fmt(1.5, "%.1f") == "1.5". */
 inline std::string
 fmt(double value, const char *spec)
@@ -162,6 +139,59 @@ fmt(double value, const char *spec)
     char buffer[48];
     std::snprintf(buffer, sizeof(buffer), spec, value);
     return buffer;
+}
+
+/** The flags of the gate harnesses (micro_strategies, micro_oracles). */
+struct Flags
+{
+    /** One small entry per family (the CI and ctest mode). */
+    bool smoke = false;
+    /** Machine-readable summary path. */
+    std::string json_path;
+    /** Planned-moves baseline to gate against. */
+    std::string baseline_path;
+    /** Where to write the baseline map of the current tree. */
+    std::string write_baseline_path;
+    /** Baseline regression tolerance, in percent. */
+    double tolerance_pct = 5.0;
+};
+
+/**
+ * Parses --smoke and --json PATH, plus --baseline PATH, --write-baseline
+ * PATH and --tolerance PCT when @p baseline_flags; any other flag, or a
+ * missing value, exits 2 with a message naming @p program.
+ */
+inline Flags
+parseFlags(int argc, char **argv, const char *program, bool baseline_flags)
+{
+    Flags flags;
+    for (int i = 1; i < argc; ++i) {
+        const std::string flag = argv[i];
+        const auto value = [&]() -> std::string {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "%s: %s needs a value\n", program,
+                             flag.c_str());
+                std::exit(2);
+            }
+            return argv[++i];
+        };
+        if (flag == "--smoke")
+            flags.smoke = true;
+        else if (flag == "--json")
+            flags.json_path = value();
+        else if (baseline_flags && flag == "--baseline")
+            flags.baseline_path = value();
+        else if (baseline_flags && flag == "--write-baseline")
+            flags.write_baseline_path = value();
+        else if (baseline_flags && flag == "--tolerance")
+            flags.tolerance_pct = std::atof(value().c_str());
+        else {
+            std::fprintf(stderr, "%s: unknown flag '%s'\n", program,
+                         flag.c_str());
+            std::exit(2);
+        }
+    }
+    return flags;
 }
 
 /**
