@@ -141,7 +141,7 @@ fmt(double value, const char *spec)
     return buffer;
 }
 
-/** The flags of the gate harnesses (micro_strategies, micro_oracles). */
+/** The flags of the micro_* gate harnesses. */
 struct Flags
 {
     /** One small entry per family (the CI and ctest mode). */

@@ -59,7 +59,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -209,21 +208,10 @@ medianPairedRatio(const std::vector<double> &nom,
 int
 main(int argc, char **argv)
 {
-    bool smoke = false;
-    std::string json_path;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-            json_path = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--smoke] [--json PATH]\n", argv[0]);
-            return 2;
-        }
-    }
+    const bench::Flags flags =
+        bench::parseFlags(argc, argv, "micro_obs", false);
 
-    const std::vector<BenchmarkSpec> specs = makeSpecs(smoke);
+    const std::vector<BenchmarkSpec> specs = makeSpecs(flags.smoke);
     const std::vector<Circuit> circuits = buildCircuits(specs);
     const int repeats = 41;
 
@@ -298,17 +286,17 @@ main(int argc, char **argv)
     row("service, obs off", off, "bare", off_ratio, kOffBound);
     row("service, obs on", on, "off", on_ratio, kOnBound);
     std::printf("%zu jobs x %d repeats%s\n%s\n", specs.size(), repeats,
-                smoke ? " (smoke)" : "", table.toString().c_str());
+                flags.smoke ? " (smoke)" : "", table.toString().c_str());
 
-    if (!json_path.empty()) {
-        std::ofstream out(json_path);
+    if (!flags.json_path.empty()) {
+        std::ofstream out(flags.json_path);
         if (!out) {
             std::fprintf(stderr, "micro_obs: cannot write '%s'\n",
-                         json_path.c_str());
+                         flags.json_path.c_str());
             return 2;
         }
         out << "{\n  \"schema\": 1,\n  \"smoke\": "
-            << (smoke ? "true" : "false") << ",\n  \"jobs\": "
+            << (flags.smoke ? "true" : "false") << ",\n  \"jobs\": "
             << specs.size() << ",\n  \"repeats\": " << repeats
             << ",\n  \"bare_min_us\": " << bench::fmt(bare.min_us, "%.1f")
             << ",\n  \"off_min_us\": " << bench::fmt(off.min_us, "%.1f")
@@ -321,7 +309,7 @@ main(int argc, char **argv)
             << ",\n  \"on_bound\": " << bench::fmt(kOnBound, "%.2f")
             << ",\n  \"recorded\": " << (counted ? "true" : "false")
             << "\n}\n";
-        std::printf("summary written: %s\n", json_path.c_str());
+        std::printf("summary written: %s\n", flags.json_path.c_str());
     }
 
     int failures = 0;

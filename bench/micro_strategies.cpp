@@ -302,7 +302,8 @@ checkBaseline(const std::vector<Row> &rows, const std::string &path,
             }
             ++checked;
             const double base = static_cast<double>(it->second);
-            if (static_cast<double>(moves) > base * (1.0 + tolerance_pct / 100.0)) {
+            const double limit = base * (1.0 + tolerance_pct / 100.0);
+            if (static_cast<double>(moves) > limit) {
                 std::fprintf(stderr,
                              "REGRESSION %s: %zu planned moves vs baseline "
                              "%lld (+%.1f%% > %.1f%% tolerance)\n",
@@ -528,17 +529,16 @@ main(int argc, char **argv)
                      flags.json_path.c_str());
         return 2;
     }
-    int regressions = 0;
-    if (!flags.baseline_path.empty()) {
-        regressions =
-            checkBaseline(rows, flags.baseline_path, flags.tolerance_pct);
-        if (regressions < 0)
-            return 2;
-    }
+    const int regressions =
+        flags.baseline_path.empty()
+            ? 0
+            : checkBaseline(rows, flags.baseline_path, flags.tolerance_pct);
 
     if (failures > 0) {
         std::fprintf(stderr, "%d gate/validation failure(s)\n", failures);
         return 1;
     }
+    if (regressions < 0)
+        return 2;
     return regressions > 0 ? 1 : 0;
 }
