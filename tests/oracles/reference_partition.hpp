@@ -10,7 +10,7 @@
  * edges for a qubit used in k gates — and color it. They are kept out
  * of the library: partitionIntoStagesLinear (schedule/stage_partition.hpp)
  * computes the same assignment by a graph-free qubit scan, and the
- * partition tests and bench/micro_partition compare the two stage for
+ * partition tests and bench/micro_oracles compare the two stage for
  * stage.
  */
 

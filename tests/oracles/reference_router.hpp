@@ -13,7 +13,7 @@
  * the same TransitionPlans move for move, label for label, with the
  * same RNG draws. With a residency policy this is the former
  * reuse-aware router, which planned against its own rebuilt occupancy
- * array. The differential tests and bench/micro_router drive the
+ * array. The differential tests and bench/micro_oracles drive the
  * routers side by side.
  */
 

@@ -412,7 +412,7 @@ TEST(ResidencyPipelineTest, CrampedComputeZoneCompilesWhereContinuousDoes)
 TEST(ResidencyPipelineTest, AccountingInvariantsHoldForEveryPolicy)
 {
     // One representative entry per family keeps this sweep cheap; the
-    // full-suite version runs in bench/micro_reuse as a CI gate.
+    // full-suite version runs in bench/micro_strategies as a CI gate.
     const std::vector<BenchmarkSpec> suite = table2Suite();
     std::vector<std::string> picked;
     std::vector<const BenchmarkSpec *> specs;

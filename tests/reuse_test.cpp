@@ -244,7 +244,7 @@ TEST(ReusePipelineTest, ReuseCutsPlannedMovesOnMultiLayerVqe)
 {
     // Table 2's VQE rows are single-layer linear chains whose idle
     // qubits never enter the compute zone — no routing policy can save
-    // a move there (bench/micro_reuse prints the tie). Realistic
+    // a move there (bench/micro_strategies prints the tie). Realistic
     // multi-layer ansatze strand their chain-end atoms in the compute
     // zone at every layer boundary, which reuse picks up, and never do
     // worse anywhere in the family.
