@@ -158,8 +158,9 @@ struct Flags
 
 /**
  * Parses --smoke and --json PATH, plus --baseline PATH, --write-baseline
- * PATH and --tolerance PCT when @p baseline_flags; any other flag, or a
- * missing value, exits 2 with a message naming @p program.
+ * PATH and --tolerance PCT when @p baseline_flags; any other flag, a
+ * missing value or a tolerance that is not a number >= 0 exits 2 with a
+ * message naming @p program.
  */
 inline Flags
 parseFlags(int argc, char **argv, const char *program, bool baseline_flags)
@@ -183,9 +184,16 @@ parseFlags(int argc, char **argv, const char *program, bool baseline_flags)
             flags.baseline_path = value();
         else if (baseline_flags && flag == "--write-baseline")
             flags.write_baseline_path = value();
-        else if (baseline_flags && flag == "--tolerance")
-            flags.tolerance_pct = std::atof(value().c_str());
-        else {
+        else if (baseline_flags && flag == "--tolerance") {
+            const std::string text = value();
+            char *end = nullptr;
+            flags.tolerance_pct = std::strtod(text.c_str(), &end);
+            if (text.empty() || *end != '\0' || !(flags.tolerance_pct >= 0.0)) {
+                std::fprintf(stderr, "%s: --tolerance needs a percentage "
+                             ">= 0, got '%s'\n", program, text.c_str());
+                std::exit(2);
+            }
+        } else {
             std::fprintf(stderr, "%s: unknown flag '%s'\n", program,
                          flag.c_str());
             std::exit(2);
