@@ -40,7 +40,6 @@
  * exact; only compile_us is noisy.
  */
 
-#include <array>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -338,25 +337,26 @@ writeBaseline(const std::vector<Row> &rows, const std::string &path)
     std::FILE *out = std::fopen(path.c_str(), "w");
     if (out == nullptr)
         return false;
-    std::vector<std::string> lines;
+    std::fprintf(out, "{");
+    const char *separator = "\n";
+    std::size_t written = 0;
     for (const RoutingStrategy routing :
          {RoutingStrategy::Continuous, RoutingStrategy::Reuse}) {
         for (const Row &row : rows) {
             for (std::size_t s = 0; s < kNumSettings; ++s) {
-                if (kSettings[s].baselined && kSettings[s].routing == routing)
-                    lines.push_back("  \"" +
-                                    baselineKey(row.entry->name, kSettings[s]) +
-                                    "\": " + std::to_string(row.runs[s].moves));
+                if (!kSettings[s].baselined || kSettings[s].routing != routing)
+                    continue;
+                std::fprintf(out, "%s  \"%s\": %zu", separator,
+                             baselineKey(row.entry->name, kSettings[s]).c_str(),
+                             row.runs[s].moves);
+                separator = ",\n";
+                ++written;
             }
         }
     }
-    std::fprintf(out, "{\n");
-    for (std::size_t i = 0; i < lines.size(); ++i)
-        std::fprintf(out, "%s%s\n", lines[i].c_str(),
-                     i + 1 < lines.size() ? "," : "");
-    std::fprintf(out, "}\n");
+    std::fprintf(out, "\n}\n");
     std::printf("\nbaseline written: %s (%zu entries)\n", path.c_str(),
-                lines.size());
+                written);
     return std::fclose(out) == 0;
 }
 
@@ -492,27 +492,33 @@ main(int argc, char **argv)
     constexpr std::size_t kLookahead = settingIndex("reuse");
     constexpr std::size_t kLti = settingIndex("reuse+lti");
     static_assert(kLookahead < kNumSettings && kLti < kNumSettings);
-    std::map<std::string, std::array<std::uint64_t, 4>> family;
+    struct ReuseTotals
+    {
+        std::uint64_t lookahead_hits = 0, lti_hits = 0;
+        std::uint64_t lookahead_moves = 0, lti_moves = 0;
+    };
+    std::map<std::string, ReuseTotals> family;
     for (const Row &row : rows) {
-        auto &totals = family[row.entry->family];
-        totals[0] += row.runs[kLookahead].counter("lookahead_hits");
-        totals[1] += row.runs[kLti].counter("lookahead_hits");
-        totals[2] += row.runs[kLookahead].moves;
-        totals[3] += row.runs[kLti].moves;
+        ReuseTotals &totals = family[row.entry->family];
+        totals.lookahead_hits += row.runs[kLookahead].counter("lookahead_hits");
+        totals.lti_hits += row.runs[kLti].counter("lookahead_hits");
+        totals.lookahead_moves += row.runs[kLookahead].moves;
+        totals.lti_moves += row.runs[kLti].moves;
     }
-    for (const auto &[name, totals] : family) {
+    for (const auto &[name, t] : family) {
         std::printf("%-14s reuse hits lookahead=%llu lti=%llu, planned "
                     "moves lookahead=%llu lti=%llu\n",
-                    name.c_str(), static_cast<unsigned long long>(totals[0]),
-                    static_cast<unsigned long long>(totals[1]),
-                    static_cast<unsigned long long>(totals[2]),
-                    static_cast<unsigned long long>(totals[3]));
+                    name.c_str(),
+                    static_cast<unsigned long long>(t.lookahead_hits),
+                    static_cast<unsigned long long>(t.lti_hits),
+                    static_cast<unsigned long long>(t.lookahead_moves),
+                    static_cast<unsigned long long>(t.lti_moves));
         if (name == "QSIM-rand-0.3" || name == "QFT")
-            failures += gate(totals[1] > totals[0], name,
+            failures += gate(t.lti_hits > t.lookahead_hits, name,
                              "lti must measure more reuse hits than "
                              "lookahead (cross-block residency)");
         if (name == "BV")
-            failures += gate(totals[3] <= totals[2], name,
+            failures += gate(t.lti_moves <= t.lookahead_moves, name,
                              "lti must not plan more moves than lookahead "
                              "on BV (held data qubits skip their parks)");
     }
