@@ -18,7 +18,8 @@
  * more fidelity), and the min-of-N compile time.
  *
  * The summary gives each setting's better/worse/equal count on Eq. 1
- * against the default and its mean d(-log10 F). Gates (exit 1):
+ * against the default and its mean d(log10 F) (the negated row delta,
+ * so positive means better). Gates (exit 1):
  *
  *  - every schedule validates;
  *  - with --baseline, planned moves of the four baselined settings stay
@@ -455,9 +456,10 @@ main(int argc, char **argv)
     }
     std::printf("%s\n", table.toString().c_str());
 
-    // Eq. 1 against the default: better / worse / equal and the mean.
+    // Eq. 1 against the default: better / worse / equal, and the mean
+    // as d(log10 F), positive = better, the sign of the ROADMAP tables.
     TextTable summary({"Setting", "better", "worse", "equal",
-                       "mean d(-log10 F)", "moves", "dist(um)"});
+                       "mean d(log10 F)", "moves", "dist(um)"});
     for (std::size_t s = 1; s < kNumSettings; ++s) {
         int better = 0, worse = 0, equal = 0;
         double delta_sum = 0.0, distance = 0.0;
@@ -477,7 +479,7 @@ main(int argc, char **argv)
         }
         summary.addRow({kSettings[s].name, std::to_string(better),
                         std::to_string(worse), std::to_string(equal),
-                        fmt(rows.empty() ? 0.0 : delta_sum / rows.size(),
+                        fmt(rows.empty() ? 0.0 : -delta_sum / rows.size(),
                             "%+.4f"),
                         std::to_string(moves), fmt(distance, "%.0f")});
     }
